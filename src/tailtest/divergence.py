@@ -53,23 +53,27 @@ def symmetric_kl(p: np.ndarray, q: np.ndarray) -> float:
     return total
 
 
+def jeffreys(counts_p: np.ndarray, counts_q: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jeffreys sums of two count arrays along the last axis, and whether the
+    Haldane-Anscombe correction fired; leading axes are batch axes."""
+    zero_adjusted = (counts_p == 0).any(axis=-1) | (counts_q == 0).any(axis=-1)
+    shift = np.where(zero_adjusted, 0.5, 0.0)[..., None]
+    denom = np.where(zero_adjusted, k_n + counts_p.shape[-1] / 2.0, k_n)[..., None]
+    pv = (counts_p + shift) / denom
+    qv = (counts_q + shift) / denom
+    value = np.sum((pv - qv) * (np.log(pv) - np.log(qv)), axis=-1)
+    return np.where(value < 0.0, 0.0, value), zero_adjusted
+
+
 def kl_divergence(p: CellProbabilities, q: CellProbabilities) -> Divergence:
     """Empirical symmetrized KL divergence between two cell-count vectors."""
     if p.K != q.K:
         raise ShapeError(f"cell counts disagree: {p.K} vs {q.K}")
     if p.k_n != q.k_n:
         raise DomainError(f"exceedance counts disagree: {p.k_n} vs {q.k_n}")
-    zero_adjusted = bool((p.counts == 0).any() or (q.counts == 0).any())
-    if zero_adjusted:
-        denom = p.k_n + p.K / 2.0
-        pv = (p.counts + 0.5) / denom
-        qv = (q.counts + 0.5) / denom
-    else:
-        pv = p.probs
-        qv = q.probs
-    value = float(np.sum((pv - qv) * (np.log(pv) - np.log(qv))))
-    value = max(value, 0.0)
-    return Divergence(value, p.k_n * value / 2.0, p.K, zero_adjusted)
+    value, zero_adjusted = jeffreys(p.counts, q.counts, p.k_n)
+    value = float(value)
+    return Divergence(value, p.k_n * value / 2.0, p.K, bool(zero_adjusted))
 
 
 @dataclass(frozen=True)

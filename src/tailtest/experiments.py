@@ -25,7 +25,7 @@ from .copulas import CopulaModel, sample
 from .divergence import kl_divergence
 from .errors import ConfigError
 from .inference import (TestConfig, bootstrap_null, bootstrap_p_value,
-                        build_partition, derived_seed)
+                        bootstrap_stream, build_partition, derived_seed)
 from .margins import Sample, to_pareto, to_pseudo, uniform_cdf
 from .numerics import ChiSquared, RngStream, chisq_cdf, chisq_quantile
 from .partitions import count_cells, make_angular_partition, make_max_partition
@@ -144,8 +144,7 @@ def _evaluate(xs: Sample, ys: Sample, partition, k: int, plan: ExperimentPlan,
         p_value = ChiSquared(dof).sf(div.normalized)
         critical = 2.0 * chisq_quantile(1.0 - plan.level, dof) / k
     else:
-        null = bootstrap_null(xs, config, partition,
-                              RngStream(config.seed, (1_000_003, 0)), "x")
+        null = bootstrap_null(xs, config, partition, bootstrap_stream(config.seed, "x"), "x")
         p_value = bootstrap_p_value(div, null)
         critical = float(np.quantile(null.replicates, 1.0 - plan.level))
     return div.value, p_value, critical

@@ -18,11 +18,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .divergence import Divergence, kl_divergence
+from .divergence import Divergence, jeffreys, kl_divergence
 from .errors import ConfigError, DomainError, InsufficientDataError
-from .margins import MarginalCdf, Sample, _rank_transform, to_pareto, to_pseudo
+from .margins import (MarginalCdf, Sample, _ordinal_ranks, _rank_transform, to_pareto,
+                      to_pseudo)
 from .numerics import ChiSquared, RngStream
-from .partitions import (CellProbabilities, Partition, count_cells,
+from .partitions import (CellProbabilities, Partition, cell_counts, count_cells,
                          make_angular_partition, make_max_partition,
                          make_min_partition)
 
@@ -31,6 +32,15 @@ RISK_ALIASES = {"max": "max", "min": "min", "l2": "euclidean", "euclidean": "euc
 
 # Namespace offset separating bootstrap permutation streams from data streams.
 _BOOTSTRAP_NS = 1_000_003
+
+# The bootstrap engine handles max(1, _CHUNK_POINTS // n) replicates at a
+# time, which keeps its working set at a few MB whatever the replicate count.
+_CHUNK_POINTS = 2 ** 14
+
+
+def bootstrap_stream(seed: int, source_label: str = "x") -> RngStream:
+    """Stream of the bootstrap permutations of sample ``source_label`` of a test."""
+    return RngStream(seed, (_BOOTSTRAP_NS, 0 if source_label == "x" else 1))
 
 
 @dataclass(frozen=True)
@@ -212,46 +222,88 @@ def _split_cdfs(known_cdfs):
     return seq, seq
 
 
+def _check_bootstrap_size(n: int, k_n: int, source_label: str):
+    if n < 4 * k_n:
+        raise InsufficientDataError(
+            f"bootstrap of sample {source_label} needs n >= 4*k_exceedances, got n={n}, k={k_n}"
+        )
+
+
+def _half_pseudo(data: np.ndarray, order_pos: np.ndarray, tied_columns: np.ndarray,
+                 perms: np.ndarray, scales: tuple[np.ndarray, np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Pseudo-observations of both halves of each permuted sample, each half
+    ranked on its own, rows in permuted order: shapes (c, half, d) and
+    (c, n - half, d) for c permutations of the n rows of ``data``.
+
+    ``order_pos`` (d, n) holds each column's 0-based stable order in the
+    whole sample. A column without repeated values is ranked from it: a
+    row's rank within its half is the number of that half's rows at or
+    below it. ``tied_columns`` are ranked by a stable sort of each half
+    instead, so their ties are broken by position in the permuted half.
+    ``scales[h][r]`` is the pseudo-observation of rank r in half h.
+    """
+    half = scales[0].size - 1
+    c, n = perms.shape
+    pos = order_pos.take(perms, axis=1)                    # (d, c, n)
+    flat = pos + (n * np.arange(pos.shape[0] * c)).reshape(-1, c, 1)
+    in_first = np.zeros(pos.size, dtype=bool)
+    in_first[flat[..., :half]] = True
+    below = np.cumsum(in_first.reshape(pos.shape), axis=-1).ravel()
+    ranks = (below.take(flat[..., :half]), pos[..., half:] + 1 - below.take(flat[..., half:]))
+    for j in tied_columns:
+        column = data[:, j].take(perms)
+        ranks[0][j] = _ordinal_ranks(column[:, :half], axis=1)
+        ranks[1][j] = _ordinal_ranks(column[:, half:], axis=1)
+    return tuple(scale.take(np.moveaxis(r, 0, -1)) for scale, r in zip(scales, ranks))
+
+
 def bootstrap_null(source: Sample, config: TestConfig,
                    partition: Optional[Partition] = None,
                    stream: Optional[RngStream] = None,
                    source_label: str = "x") -> NullDistribution:
     """Split-half subsample bootstrap of the null distribution.
 
-    Draws floor(n/2) observations without replacement, computes the
+    Replicate b permutes the source with ``stream.child(b)``, takes the first
+    floor(n/2) rows as one half and the rest as the other, computes the
     two-half statistic and divides it by 2 (the rate correction for the
     halved sample size). For known margins the source must already be on
     the Pareto scale; for empirical margins each half is re-ranked, which
-    is identical to ranking the corresponding raw half.
+    is identical to ranking the corresponding raw half. Replicates are
+    computed in chunks of array operations and equal the one-at-a-time
+    definition bit for bit.
     """
     n = source.n
     k_n = config.k_exceedances
-    if n < 4 * k_n:
-        raise InsufficientDataError(
-            f"bootstrap needs n >= 4*k_exceedances, got n={n}, k={k_n}"
-        )
+    _check_bootstrap_size(n, k_n, source_label)
     if config.margins == "known" and source.margin_state == "raw":
         raise ConfigError("bootstrap with known margins needs a standardized source sample")
     if partition is None:
         partition = build_partition(config, source.d)
     if stream is None:
-        stream = RngStream(config.seed, (_BOOTSTRAP_NS, 0 if source_label == "x" else 1))
+        stream = bootstrap_stream(config.seed, source_label)
     half = n // 2
     k_half = max(1, k_n // 2) if config.bootstrap_exceedances == "proportional" else k_n
 
     data = source.data
-    state = source.margin_state if config.margins == "known" else "pseudo"
-    replicates = np.empty(config.bootstrap_replicates)
-    for b in range(config.bootstrap_replicates):
-        perm = stream.child(b).permutation(n)
-        first = data[perm[:half]]
-        second = data[perm[half:]]
+    if config.margins == "empirical":
+        order_pos = _ordinal_ranks(data.T, axis=1) - 1
+        tied_columns = np.flatnonzero((np.diff(np.sort(data, axis=0), axis=0) == 0).any(axis=0))
+        # The rank transform (m + 1) / (m + 1 - rank) of a half of m rows, by rank.
+        scales = tuple((m + 1.0) / (m + 1.0 - np.arange(m + 1)) for m in (half, n - half))
+    num = config.bootstrap_replicates
+    chunk = max(1, _CHUNK_POINTS // n)
+    replicates = np.empty(num)
+    for start in range(0, num, chunk):
+        stop = min(num, start + chunk)
+        perms = np.stack([stream.child(b).permutation(n) for b in range(start, stop)])
         if config.margins == "empirical":
-            first = _rank_transform(first)[0]
-            second = _rank_transform(second)[0]
-        cells_a = count_cells(Sample(first, state), partition, k_half)
-        cells_b = count_cells(Sample(second, state), partition, k_half)
-        replicates[b] = kl_divergence(cells_a, cells_b).value / 2.0
+            first, second = _half_pseudo(data, order_pos, tied_columns, perms, scales)
+        else:
+            first, second = data.take(perms[:, :half], axis=0), data.take(perms[:, half:], axis=0)
+        counts_a = cell_counts(first, partition, k_half)[1]
+        counts_b = cell_counts(second, partition, k_half)[1]
+        replicates[start:stop] = jeffreys(counts_a, counts_b, k_half)[0] / 2.0
     return NullDistribution(replicates, source_label, k_half, config.bootstrap_exceedances)
 
 
@@ -275,6 +327,10 @@ def run_test(x: Sample, y: Sample, config: TestConfig,
             f"k_exceedances={config.k_exceedances} must be below both sample sizes "
             f"({x.n}, {y.n})"
         )
+    if config.margins == "empirical":
+        _check_bootstrap_size(x.n, config.k_exceedances, "x")
+        if config.bootstrap_source == "symmetric":
+            _check_bootstrap_size(y.n, config.k_exceedances, "y")
     cdfs_x, cdfs_y = _split_cdfs(known_cdfs)
     xs = _standardize(x, config.margins, cdfs_x)
     ys = _standardize(y, config.margins, cdfs_y)
@@ -290,13 +346,11 @@ def run_test(x: Sample, y: Sample, config: TestConfig,
         p_value = ChiSquared(partition.num_cells - 1).sf(div.normalized)
     else:
         method = "bootstrap"
-        null_x = bootstrap_null(xs, config, partition,
-                                RngStream(config.seed, (_BOOTSTRAP_NS, 0)), "x")
+        null_x = bootstrap_null(xs, config, partition, bootstrap_stream(config.seed, "x"), "x")
         p_value = bootstrap_p_value(div, null_x)
         source = "x"
         if config.bootstrap_source == "symmetric":
-            null_y = bootstrap_null(ys, config, partition,
-                                    RngStream(config.seed, (_BOOTSTRAP_NS, 1)), "y")
+            null_y = bootstrap_null(ys, config, partition, bootstrap_stream(config.seed, "y"), "y")
             p_value = 0.5 * (p_value + bootstrap_p_value(div, null_y))
             source = "symmetric"
         boot_meta = {

@@ -41,6 +41,11 @@ class Sample:
             raise ShapeError(f"sample must be non-empty, got shape {arr.shape}")
         if self.margin_state not in MARGIN_STATES:
             raise DomainError(f"margin_state must be one of {MARGIN_STATES}, got {self.margin_state!r}")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise DomainError(f"sample entries must be finite, got {arr[row, col]} "
+                              f"at row {row}, column {col}")
         if self.margin_state in ("pareto", "pseudo") and arr.min() < 1.0:
             raise DomainError(f"{self.margin_state} samples must have all entries >= 1")
         object.__setattr__(self, "data", arr)
@@ -79,12 +84,12 @@ def to_pareto(raw: Sample, cdfs: Sequence[MarginalCdf]) -> Sample:
     return Sample(out, "pareto")
 
 
-def _ordinal_ranks(col: np.ndarray) -> np.ndarray:
-    """Stable ordinal ranks, 1..n; ties broken by row order."""
-    order = np.argsort(col, kind="stable")
-    ranks = np.empty(col.shape[0], dtype=np.int64)
-    ranks[order] = np.arange(1, col.shape[0] + 1)
-    return ranks
+def _ordinal_ranks(values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Stable ordinal ranks 1..n along ``axis``; ties broken by position."""
+    order = np.argsort(np.moveaxis(values, axis, -1), axis=-1, kind="stable")
+    ranks = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
+    return np.moveaxis(ranks, -1, axis)
 
 
 def to_pseudo(raw: Sample) -> Sample:
@@ -98,8 +103,8 @@ def to_pseudo(raw: Sample) -> Sample:
 
 
 def _rank_transform(data: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rank transform of an arbitrary matrix; also used on already-standardized
-    data inside the bootstrap, where re-ranking a half equals ranking the raw half."""
+    """Rank transform of an arbitrary matrix; re-ranking already-standardized
+    data equals ranking the raw data."""
     n = data.shape[0]
     out = np.empty_like(data, dtype=np.float64)
     ties = 0

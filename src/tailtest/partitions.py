@@ -11,6 +11,7 @@ the rescaled point x/u.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -35,16 +36,19 @@ class RiskFunctional:
             raise DomainError(f"risk kind must be one of {RISK_KINDS}, got {self.kind!r}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Risk of each point along the last axis; any leading axes are batch axes."""
         pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        # Combine one coordinate at a time: numpy reduces a short last axis slowly.
+        coords = np.moveaxis(pts, -1, 0)
         if self.kind == "max":
-            vals = pts.max(axis=1)
+            vals = functools.reduce(np.maximum, coords)
         elif self.kind == "min":
-            vals = pts.min(axis=1)
+            vals = functools.reduce(np.minimum, coords)
         elif self.kind == "euclidean":
-            vals = np.sqrt((pts * pts).sum(axis=1))
+            vals = np.sqrt(functools.reduce(np.add, coords * coords))
         else:
-            vals = np.abs(pts).sum(axis=1)
-        return vals if np.asarray(x).ndim == 2 else float(vals[0])
+            vals = functools.reduce(np.add, np.abs(coords))
+        return vals if np.asarray(x).ndim >= 2 else float(vals[0])
 
 
 def risk_functional(kind: str) -> RiskFunctional:
@@ -55,11 +59,11 @@ def risk_functional(kind: str) -> RiskFunctional:
 class Partition:
     """K disjoint cells covering the exceedance region of a risk functional.
 
-    ``classify`` expects points already rescaled by the threshold (x/u) and
-    returns 1-based cell indices. Points on the boundary r(x/u) = 1 can be
-    handed in when threshold ties occur; the max-orthant scheme then falls
-    back to non-strict comparisons so every selected exceedance lands in
-    exactly one cell.
+    ``classify`` expects points already rescaled by the threshold (x/u),
+    coordinates along the last axis, and returns 1-based cell indices.
+    Points on the boundary r(x/u) = 1 can be handed in when threshold ties
+    occur; the max-orthant scheme then falls back to non-strict comparisons
+    so every selected exceedance lands in exactly one cell.
     """
 
     risk: RiskFunctional
@@ -81,14 +85,14 @@ class Partition:
     def classify(self, x: np.ndarray):
         pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if self.scheme == "angular":
-            if pts.shape[1] != 2:
+            if pts.shape[-1] != 2:
                 raise DomainError("angular partitions are bivariate")
-            ang = np.arctan2(pts[:, 1], pts[:, 0])
+            ang = np.arctan2(pts[..., 1], pts[..., 0])
             interior = np.asarray(self.angles[1:-1])
             idx = np.searchsorted(interior, ang, side="left") + 1
         elif self.scheme == "max-orthant":
-            if pts.shape[1] != self.dim:
-                raise ShapeError(f"expected dimension {self.dim}, got {pts.shape[1]}")
+            if pts.shape[-1] != self.dim:
+                raise ShapeError(f"expected dimension {self.dim}, got {pts.shape[-1]}")
             weights = 1 << np.arange(self.dim)
             idx = (pts > 1.0) @ weights
             on_boundary = idx == 0
@@ -99,12 +103,12 @@ class Partition:
                 idx = idx.copy()
                 idx[on_boundary] = relaxed
         else:
-            if pts.shape[1] != self.dim:
-                raise ShapeError(f"expected dimension {self.dim}, got {pts.shape[1]}")
+            if pts.shape[-1] != self.dim:
+                raise ShapeError(f"expected dimension {self.dim}, got {pts.shape[-1]}")
             weights = 1 << np.arange(self.dim)
             idx = (pts > 2.0) @ weights + 1
         idx = idx.astype(np.int64)
-        return idx if np.asarray(x).ndim == 2 else int(idx[0])
+        return idx if np.asarray(x).ndim >= 2 else int(idx[0])
 
     @property
     def cell_labels(self) -> list[str]:
@@ -191,22 +195,41 @@ class CellProbabilities:
         return cls(counts / k_n, counts, k_n, threshold)
 
 
-def count_cells(sample: Sample, partition: Partition, k_n: int) -> CellProbabilities:
-    """Empirical cell probabilities of the top-k_n risk exceedances.
+def top_k(r_vals: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold and mask of the top-k_n risk values along the last axis.
 
-    The threshold is the (n-k_n)-th order statistic of the risk values and
-    exceedances are the k_n highest positions of a stable ascending sort, so
-    ties at the threshold never change the exceedance count.
+    The selection is that of a stable ascending sort: the threshold is the
+    (n-k_n)-th order statistic, every value above it is kept, and the rest
+    of the k_n are the threshold ties at the last positions. So ties at the
+    threshold never change the exceedance count.
     """
+    n = r_vals.shape[-1]
+    threshold = np.partition(r_vals, n - k_n - 1, axis=-1)[..., n - k_n - 1]
+    above = r_vals > threshold[..., None]
+    spare = k_n - above.sum(axis=-1, keepdims=True)
+    tied = r_vals == threshold[..., None]
+    tied_from_end = np.cumsum(tied[..., ::-1], axis=-1)[..., ::-1]
+    return threshold, above | (tied & (tied_from_end <= spare))
+
+
+def cell_counts(data: np.ndarray, partition: Partition, k_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold and cell counts of the top-k_n risk exceedances of points
+    (..., n, d); leading axes are batch axes, counts have shape (..., K)."""
+    threshold, mask = top_k(partition.risk(data), k_n)
+    exceed = data[mask].reshape(mask.shape[:-1] + (k_n, data.shape[-1]))
+    cells = partition.classify(exceed / threshold[..., None, None]).reshape(-1, k_n)
+    width = partition.num_cells + 1
+    cells += width * np.arange(cells.shape[0])[:, None]
+    counts = np.bincount(cells.ravel(), minlength=cells.shape[0] * width)
+    return threshold, counts.reshape(mask.shape[:-1] + (width,))[..., 1:]
+
+
+def count_cells(sample: Sample, partition: Partition, k_n: int) -> CellProbabilities:
+    """Empirical cell probabilities of the top-k_n risk exceedances (see ``top_k``)."""
     if sample.margin_state not in ("pareto", "pseudo"):
         raise DomainError(f"count_cells needs a standardized sample, got state {sample.margin_state!r}")
     n = sample.n
     if not 1 <= k_n < n:
         raise DomainError(f"need 1 <= k_n < n, got k_n={k_n}, n={n}")
-    r_vals = partition.risk(sample.data)
-    order = np.argsort(r_vals, kind="stable")
-    threshold = float(r_vals[order[n - k_n - 1]])
-    exceed = sample.data[order[n - k_n:]]
-    cells = partition.classify(exceed / threshold)
-    counts = np.bincount(cells, minlength=partition.num_cells + 1)[1:]
-    return CellProbabilities(counts / k_n, counts, k_n, threshold)
+    threshold, counts = cell_counts(sample.data, partition, k_n)
+    return CellProbabilities(counts / k_n, counts, k_n, float(threshold))

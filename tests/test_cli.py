@@ -94,6 +94,18 @@ class TestTestCommand:
         code = main(["test", src, src, "--sets", "1", "--k-exceedances", "10"])
         assert code == 2
 
+    def test_non_finite_csv_is_failure(self, capsys, tmp_path):
+        src, _ = simulate_file(capsys, tmp_path, "good.csv", n=400)
+        bad = tmp_path / "bad.csv"
+        lines = (tmp_path / "good.csv").read_text().splitlines()
+        lines[4] = "nan," + lines[4].split(",")[1]
+        bad.write_text("\n".join(lines) + "\n")
+        code, doc = run_cli(capsys, "test", str(bad), src, "--risk", "l2", "--sets", "4",
+                            "--k-exceedances", "40", "--margins", "empirical",
+                            "--bootstrap", "100")
+        assert code == 4
+        assert doc is None
+
     def test_missing_file_is_failure(self, capsys):
         code, _ = run_cli(capsys, "test", "/nonexistent/a.csv", "/nonexistent/b.csv",
                           "--sets", "4", "--k-exceedances", "10")

@@ -1,5 +1,6 @@
 """Study harness: determinism, aggregation, null comparisons, artifacts."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -62,6 +63,12 @@ class TestSizePowerStudy:
         for p in curve.points:
             assert p.q05 <= p.mean_statistic <= p.q95
 
+    def test_empirical_study_deterministic_across_workers(self):
+        plan = small_plan(margins="empirical", repetitions=3, n=240, k_grid=(20, 40),
+                          bootstrap_replicates=100)
+        single = size_power_study(plan)
+        assert size_power_study(dataclasses.replace(plan, workers=2)) == single
+
     def test_empirical_margin_branch_runs(self):
         plan = small_plan(margins="empirical", repetitions=5, n=400, k_grid=(40,),
                           bootstrap_replicates=120)
@@ -94,6 +101,15 @@ class TestKSensitivityStudy:
         curve = k_sensitivity_study(plan)
         assert curve.baseline["num_cells"] == 3
         assert 0.0 <= curve.baseline["rejection_rate"] <= 1.0
+
+    def test_empirical_study_deterministic_across_workers(self):
+        plan = ExperimentPlan(
+            CopulaModel("logistic", 0.5), CopulaModel("logistic", 0.6),
+            n=240, repetitions=3, K_grid=(2, 5), k_exceedances=30,
+            margins="empirical", bootstrap_replicates=100, seed=8,
+        )
+        single = k_sensitivity_study(plan)
+        assert k_sensitivity_study(dataclasses.replace(plan, workers=2)) == single
 
 
 class TestKsHelpers:

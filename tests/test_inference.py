@@ -1,9 +1,12 @@
 """End-to-end test behavior: both calibration branches and the bootstrap."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from tailtest import (ConfigError, CopulaModel, Divergence, InsufficientDataError,
+from tailtest import inference
+from tailtest import (ConfigError, CopulaModel, Divergence, DomainError, InsufficientDataError,
                       NullDistribution, RngStream, Sample, TestConfig,
                       bootstrap_null, bootstrap_p_value, run_test, sample,
                       to_pareto, uniform_cdf)
@@ -86,6 +89,38 @@ class TestRunTestKnownMargins:
         y = Sample(np.ones((50, 3)) + np.arange(50)[:, None])
         with pytest.raises(ConfigError):
             run_test(x, y, TestConfig(k_exceedances=10, risk="max", margins="known"))
+
+
+class TestRunTestInputChecks:
+    def test_non_finite_data_rejected(self):
+        x = simulate(CopulaModel("logistic", 0.5), 400, 24, 0).data.copy()
+        y = simulate(CopulaModel("logistic", 0.5), 400, 24, 1).data
+        x[3, 0] = np.nan
+        x[7, 1] = np.inf
+        config = TestConfig(k_exceedances=40, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=100, seed=25)
+        with pytest.raises(DomainError, match="row 3, column 0"):
+            run_test(Sample(x), Sample(y), config)
+
+    @pytest.mark.parametrize("source, n_x, n_y", [("x", 300, 800), ("symmetric", 800, 300)])
+    def test_bootstrap_size_checked_before_any_work(self, source, n_x, n_y):
+        # 4*k = 400 exceeds the size of the (short) bootstrap source sample.
+        x = simulate(CopulaModel("logistic", 0.5), n_x, 26, 0)
+        y = simulate(CopulaModel("logistic", 0.5), n_y, 26, 1)
+        config = TestConfig(k_exceedances=100, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=1000, bootstrap_source=source, seed=27)
+        with mock.patch.object(inference, "to_pseudo", side_effect=AssertionError("ran")), \
+                mock.patch.object(inference, "bootstrap_null",
+                                  side_effect=AssertionError("ran")):
+            with pytest.raises(InsufficientDataError, match="sample " + ("x" if n_x < n_y else "y")):
+                run_test(x, y, config)
+
+    def test_short_y_allowed_when_only_x_is_resampled(self):
+        x = simulate(CopulaModel("logistic", 0.5), 800, 28, 0)
+        y = simulate(CopulaModel("logistic", 0.5), 300, 28, 1)
+        config = TestConfig(k_exceedances=100, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=100, seed=29)
+        assert run_test(x, y, config).method == "bootstrap"
 
 
 class TestRunTestEmpiricalMargins:

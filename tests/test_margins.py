@@ -24,6 +24,14 @@ class TestSampleType:
         with pytest.raises(DomainError):
             Sample(np.array([[0.5, 2.0]]), "pareto")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("state", ["raw", "pareto", "pseudo"])
+    def test_rejects_non_finite_entries(self, bad, state):
+        data = np.full((4, 2), 2.0)
+        data[2, 1] = bad
+        with pytest.raises(DomainError, match="row 2, column 1"):
+            Sample(data, state)
+
 
 class TestToPareto:
     def test_direct_formula(self):
