@@ -244,20 +244,16 @@ def _cmd_rainfall(args) -> int:
     outdir = _default_outdir(args)
     os.makedirs(outdir, exist_ok=True)
 
-    from .ingest import SEASONS, build_pairs
     seasons_doc = {}
     outputs = {}
-    for season in SEASONS:
-        try:
-            pairs = build_pairs(series, season,
-                                drop_incomplete_days=not args.keep_incomplete_days,
-                                drop_dry_days=not args.keep_dry_days)
-            path = os.path.join(outdir, f"pairs_{season}.csv")
-            _write_sample(path, pairs.data)
-            outputs[f"pairs_{season}"] = path
-            seasons_doc[season] = {"days": pairs.n, "error": None}
-        except TailTestError as exc:
-            seasons_doc[season] = {"days": None, "error": str(exc)}
+    for season, pairs in outcomes.seasons.items():
+        if isinstance(pairs, str):
+            seasons_doc[season] = {"days": None, "error": pairs}
+            continue
+        path = os.path.join(outdir, f"pairs_{season}.csv")
+        _write_sample(path, pairs.data)
+        outputs[f"pairs_{season}"] = path
+        seasons_doc[season] = {"days": pairs.n, "error": None}
 
     pairs_doc = {}
     for (sx, sy), outcome in outcomes.items():

@@ -22,13 +22,13 @@ import numpy as np
 
 from . import __version__
 from .copulas import CopulaModel, sample
-from .divergence import kl_divergence
+from .divergence import jeffreys, kl_divergence
 from .errors import ConfigError
-from .inference import (TestConfig, bootstrap_null, bootstrap_p_value,
-                        bootstrap_stream, build_partition, derived_seed)
-from .margins import Sample, to_pareto, to_pseudo, uniform_cdf
-from .numerics import ChiSquared, RngStream, chisq_cdf, chisq_quantile
-from .partitions import count_cells, make_angular_partition, make_max_partition
+from .inference import _CHUNK_POINTS, TestConfig, bootstrap_null, build_partition, calibrate
+from .margins import Sample, _ordinal_ranks, to_pareto, to_pseudo, uniform_cdf
+from .numerics import RngStream, chisq_cdf
+from .partitions import (Partition, cell_counts, count_cells, make_angular_partition,
+                         make_max_partition)
 
 _UNIFORM_PAIR = (uniform_cdf, uniform_cdf)
 
@@ -61,6 +61,8 @@ class ExperimentPlan:
             object.__setattr__(self, "k_grid", tuple(int(k) for k in self.k_grid))
             if not self.k_grid:
                 raise ConfigError("k_grid must be non-empty")
+            if min(self.k_grid) < 1:
+                raise ConfigError(f"k_grid values must be >= 1, got {self.k_grid}")
             if self.num_cells is None and self.risk in ("euclidean", "sum", "l1", "l2"):
                 raise ConfigError("angular risks need num_cells")
         else:
@@ -122,12 +124,19 @@ def _simulate_standardized(plan: ExperimentPlan, rep: int) -> tuple[Sample, Samp
     return to_pseudo(x), to_pseudo(y)
 
 
-def _rep_config(plan: ExperimentPlan, rep: int, k: int, num_cells: Optional[int],
-                risk: Optional[str] = None) -> TestConfig:
+def derived_seed(master_seed: int, index: int) -> int:
+    """Deterministic per-repetition seed, collision-free across indices."""
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
+    return int(seq.generate_state(1, dtype=np.uint64)[0])
+
+
+def _rep_config(plan: ExperimentPlan, rep: int) -> TestConfig:
+    """Test settings shared by every grid point of repetition ``rep``; each
+    grid point brings its own partition and k to ``calibrate``."""
     return TestConfig(
-        k_exceedances=k,
-        risk=risk or plan.risk,
-        num_cells=num_cells,
+        k_exceedances=plan.k_grid[0] if plan.k_grid else plan.k_exceedances,
+        risk=plan.risk,
+        num_cells=plan.num_cells if plan.k_grid else None,
         level=plan.level,
         margins=plan.margins,
         bootstrap_replicates=plan.bootstrap_replicates,
@@ -135,46 +144,32 @@ def _rep_config(plan: ExperimentPlan, rep: int, k: int, num_cells: Optional[int]
     )
 
 
-def _evaluate(xs: Sample, ys: Sample, partition, k: int, plan: ExperimentPlan,
-              config: TestConfig) -> tuple[float, float, float]:
-    """Statistic, p-value and D-scale critical value for one repetition/grid point."""
-    div = kl_divergence(count_cells(xs, partition, k), count_cells(ys, partition, k))
-    dof = partition.num_cells - 1
-    if plan.margins == "known":
-        p_value = ChiSquared(dof).sf(div.normalized)
-        critical = 2.0 * chisq_quantile(1.0 - plan.level, dof) / k
-    else:
-        null = bootstrap_null(xs, config, partition, bootstrap_stream(config.seed, "x"), "x")
-        p_value = bootstrap_p_value(div, null)
-        critical = float(np.quantile(null.replicates, 1.0 - plan.level))
-    return div.value, p_value, critical
+def _evaluate(xs: Sample, ys: Sample, targets: list[tuple[Partition, int]],
+              config: TestConfig) -> np.ndarray:
+    """Statistic, p-value and D-scale critical value of each (partition, k)
+    grid point of one repetition; all grid points share one calibration."""
+    divs = [kl_divergence(count_cells(xs, part, k), count_cells(ys, part, k))
+            for part, k in targets]
+    calibrations = calibrate(divs, targets, config, xs)
+    return np.array([(div.value, cal.p_value, cal.critical_value(config.level))
+                     for div, cal in zip(divs, calibrations)])
 
 
 def _power_rep(args: tuple[ExperimentPlan, int]) -> np.ndarray:
     plan, rep = args
     xs, ys = _simulate_standardized(plan, rep)
-    partition = None
-    out = np.empty((len(plan.k_grid), 3))
-    for i, k in enumerate(plan.k_grid):
-        config = _rep_config(plan, rep, k, plan.num_cells)
-        if partition is None:
-            partition = build_partition(config, xs.d)
-        out[i] = _evaluate(xs, ys, partition, k, plan, config)
-    return out
+    config = _rep_config(plan, rep)
+    partition = build_partition(config, xs.d)
+    return _evaluate(xs, ys, [(partition, k) for k in plan.k_grid], config)
 
 
 def _k_sensitivity_rep(args: tuple[ExperimentPlan, int]) -> np.ndarray:
     plan, rep = args
     xs, ys = _simulate_standardized(plan, rep)
-    k = plan.k_exceedances
-    out = np.empty((len(plan.K_grid) + 1, 3))
-    for i, K in enumerate(plan.K_grid):
-        config = _rep_config(plan, rep, k, K)
-        partition = make_angular_partition(config.risk, K)
-        out[i] = _evaluate(xs, ys, partition, k, plan, config)
-    baseline_config = _rep_config(plan, rep, k, None, risk="max")
-    out[-1] = _evaluate(xs, ys, make_max_partition(xs.d), k, plan, baseline_config)
-    return out
+    config = _rep_config(plan, rep)
+    partitions = [make_angular_partition(config.risk, K) for K in plan.K_grid]
+    partitions.append(make_max_partition(xs.d))      # the max-risk baseline
+    return _evaluate(xs, ys, [(part, plan.k_exceedances) for part in partitions], config)
 
 
 def _map_reps(worker, plan: ExperimentPlan) -> list[np.ndarray]:
@@ -282,6 +277,8 @@ def null_histogram_study(model: CopulaModel, n: int, k_exceedances: int,
     raw = sample(model, n, base_stream.child(0))
     dof = num_cells - 1
 
+    fresh_nulls = _fresh_nulls(model, n, k_exceedances, partition, bootstrap_replicates,
+                               base_stream.child(2))
     modes = {}
     for mode_ix, margins in enumerate(("known", "empirical")):
         config = TestConfig(k_exceedances=k_exceedances, risk=risk, num_cells=num_cells,
@@ -291,18 +288,7 @@ def null_histogram_study(model: CopulaModel, n: int, k_exceedances: int,
         null = bootstrap_null(source, config, partition,
                               base_stream.child(1).child(mode_ix), "x")
         boot = null.replicates[:bootstrap_replicates]
-
-        fresh = np.empty(bootstrap_replicates)
-        for b in range(bootstrap_replicates):
-            pair_stream = base_stream.child(2).child(b)
-            fx = sample(model, n, pair_stream.child(0))
-            fy = sample(model, n, pair_stream.child(1))
-            if margins == "known":
-                sx, sy = to_pareto(fx, _UNIFORM_PAIR), to_pareto(fy, _UNIFORM_PAIR)
-            else:
-                sx, sy = to_pseudo(fx), to_pseudo(fy)
-            fresh[b] = kl_divergence(count_cells(sx, partition, k_exceedances),
-                                     count_cells(sy, partition, k_exceedances)).value
+        fresh = fresh_nulls[margins]
 
         ks_chisq = None
         if margins == "known":
@@ -316,6 +302,29 @@ def null_histogram_study(model: CopulaModel, n: int, k_exceedances: int,
         )
     return NullStudyResult(modes["known"], modes["empirical"], model, n,
                            k_exceedances, num_cells, seed)
+
+
+def _fresh_nulls(model: CopulaModel, n: int, k_n: int, partition: Partition, count: int,
+                 stream: RngStream) -> dict[str, np.ndarray]:
+    """Statistic of each of ``count`` fresh null pairs in both margin modes.
+
+    Pair b draws its two samples from ``stream.child(b)``, once for both
+    modes. Pairs are standardized, counted and scored max(1, _CHUNK_POINTS // n)
+    at a time.
+    """
+    fresh = {"known": np.empty(count), "empirical": np.empty(count)}
+    chunk = max(1, _CHUNK_POINTS // n)
+    for start in range(0, count, chunk):
+        stop = min(count, start + chunk)
+        raw = np.array([[sample(model, n, stream.child(b).child(side)).data for side in (0, 1)]
+                        for b in range(start, stop)])
+        for margins in fresh:
+            # to_pareto with uniform CDFs, or to_pseudo, of every sample at once.
+            data = (1.0 / (1.0 - raw) if margins == "known"
+                    else (n + 1.0) / (n + 1.0 - _ordinal_ranks(raw, axis=-2)))
+            counts = cell_counts(data, partition, k_n)[1]          # (pairs, 2, K)
+            fresh[margins][start:stop] = jeffreys(counts[:, 0], counts[:, 1], k_n)[0]
+    return fresh
 
 
 def write_power_outputs(curve: PowerCurve, plan: ExperimentPlan, outdir: str,

@@ -22,9 +22,9 @@ from .divergence import Divergence, jeffreys, kl_divergence
 from .errors import ConfigError, DomainError, InsufficientDataError
 from .margins import (MarginalCdf, Sample, _ordinal_ranks, _rank_transform, to_pareto,
                       to_pseudo)
-from .numerics import ChiSquared, RngStream
-from .partitions import (CellProbabilities, Partition, cell_counts, count_cells,
-                         make_angular_partition, make_max_partition,
+from .numerics import ChiSquared, RngStream, chisq_quantile
+from .partitions import (CellProbabilities, Partition, cell_histogram, count_cells,
+                         exceedances, make_angular_partition, make_max_partition,
                          make_min_partition)
 
 RISK_ALIASES = {"max": "max", "min": "min", "l2": "euclidean", "euclidean": "euclidean",
@@ -198,6 +198,9 @@ class TestReport:
 
 def _standardize(sample: Sample, margins: str, cdfs: Optional[Sequence[MarginalCdf]]) -> Sample:
     if margins == "known":
+        if sample.margin_state == "pseudo":
+            raise ConfigError("known-margin mode needs raw or Pareto-scale data; "
+                              "pseudo-observations need empirical margins")
         if sample.margin_state == "raw":
             if cdfs is None:
                 raise ConfigError("known-margin mode on raw data needs marginal CDFs")
@@ -259,9 +262,9 @@ def _half_pseudo(data: np.ndarray, order_pos: np.ndarray, tied_columns: np.ndarr
 
 
 def bootstrap_null(source: Sample, config: TestConfig,
-                   partition: Optional[Partition] = None,
+                   partition: Partition | Sequence[tuple[Partition, int]] | None = None,
                    stream: Optional[RngStream] = None,
-                   source_label: str = "x") -> NullDistribution:
+                   source_label: str = "x") -> NullDistribution | list[NullDistribution]:
     """Split-half subsample bootstrap of the null distribution.
 
     Replicate b permutes the source with ``stream.child(b)``, takes the first
@@ -272,18 +275,31 @@ def bootstrap_null(source: Sample, config: TestConfig,
     is identical to ranking the corresponding raw half. Replicates are
     computed in chunks of array operations and equal the one-at-a-time
     definition bit for bit.
+
+    ``partition`` may also be a list of ``(partition, k_n)`` targets, for
+    which a list of nulls is returned. The targets share each replicate's
+    permutation and half-sample ranks, the risk values of each risk kind and
+    the exceedances of each risk kind and half-sample k; only classification
+    and the statistic are per target. Each null equals the one-target null of
+    its partition and k_n.
     """
+    single = partition is None or isinstance(partition, Partition)
+    targets = [(partition, config.k_exceedances)] if single else list(partition)
     n = source.n
-    k_n = config.k_exceedances
-    _check_bootstrap_size(n, k_n, source_label)
+    for _, k_n in targets:
+        _check_bootstrap_size(n, k_n, source_label)
     if config.margins == "known" and source.margin_state == "raw":
         raise ConfigError("bootstrap with known margins needs a standardized source sample")
     if partition is None:
-        partition = build_partition(config, source.d)
+        targets = [(build_partition(config, source.d), config.k_exceedances)]
     if stream is None:
         stream = bootstrap_stream(config.seed, source_label)
     half = n // 2
-    k_half = max(1, k_n // 2) if config.bootstrap_exceedances == "proportional" else k_n
+    k_halves = [max(1, k_n // 2) if config.bootstrap_exceedances == "proportional" else k_n
+                for _, k_n in targets]
+    groups: dict = {}                        # risk -> k_half -> target indices
+    for t, ((part, _), k_half) in enumerate(zip(targets, k_halves)):
+        groups.setdefault(part.risk, {}).setdefault(k_half, []).append(t)
 
     data = source.data
     if config.margins == "empirical":
@@ -293,23 +309,64 @@ def bootstrap_null(source: Sample, config: TestConfig,
         scales = tuple((m + 1.0) / (m + 1.0 - np.arange(m + 1)) for m in (half, n - half))
     num = config.bootstrap_replicates
     chunk = max(1, _CHUNK_POINTS // n)
-    replicates = np.empty(num)
+    replicates = np.empty((len(targets), num))
     for start in range(0, num, chunk):
         stop = min(num, start + chunk)
         perms = np.stack([stream.child(b).permutation(n) for b in range(start, stop)])
         if config.margins == "empirical":
-            first, second = _half_pseudo(data, order_pos, tied_columns, perms, scales)
+            halves = _half_pseudo(data, order_pos, tied_columns, perms, scales)
         else:
-            first, second = data.take(perms[:, :half], axis=0), data.take(perms[:, half:], axis=0)
-        counts_a = cell_counts(first, partition, k_half)[1]
-        counts_b = cell_counts(second, partition, k_half)[1]
-        replicates[start:stop] = jeffreys(counts_a, counts_b, k_half)[0] / 2.0
-    return NullDistribution(replicates, source_label, k_half, config.bootstrap_exceedances)
+            halves = data.take(perms[:, :half], axis=0), data.take(perms[:, half:], axis=0)
+        for risk, by_k in groups.items():
+            r_vals = [risk(h) for h in halves]
+            for k_half, members in by_k.items():
+                scaled = [exceedances(h, r, k_half)[1] for h, r in zip(halves, r_vals)]
+                for t in members:
+                    part = targets[t][0]
+                    counts_a, counts_b = (cell_histogram(part.classify(s), part.num_cells)
+                                          for s in scaled)
+                    replicates[t, start:stop] = jeffreys(counts_a, counts_b, k_half)[0] / 2.0
+    nulls = [NullDistribution(reps, source_label, k_half, config.bootstrap_exceedances)
+             for reps, k_half in zip(replicates, k_halves)]
+    return nulls[0] if single else nulls
 
 
 def bootstrap_p_value(observed: Divergence, null: NullDistribution) -> float:
     """Fraction of rate-corrected replicates strictly above the observed value."""
     return float(np.mean(null.replicates > observed.value))
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """The p-value of one observed divergence and the null it was read from."""
+
+    p_value: float
+    num_cells: int
+    k_n: int
+    null: Optional[NullDistribution] = None  # None: the chi-squared(K - 1) limit
+
+    def critical_value(self, level: float) -> float:
+        """Divergence above which the test rejects at ``level``."""
+        if self.null is None:
+            return 2.0 * chisq_quantile(1.0 - level, self.num_cells - 1) / self.k_n
+        return float(np.quantile(self.null.replicates, 1.0 - level))
+
+
+def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partition, int]],
+              config: TestConfig, source: Sample, source_label: str = "x") -> list[Calibration]:
+    """Calibrate the observed divergence of each ``(partition, k_n)`` target.
+
+    Known margins refer k_n * D / 2 to chi-squared(K - 1). Empirical margins
+    read it from one multi-target split-half bootstrap of ``source`` on the
+    stream ``bootstrap_stream(config.seed, source_label)``.
+    """
+    if config.margins == "known":
+        return [Calibration(ChiSquared(part.num_cells - 1).sf(div.normalized), part.num_cells, k_n)
+                for div, (part, k_n) in zip(divergences, targets)]
+    nulls = bootstrap_null(source, config, targets,
+                           bootstrap_stream(config.seed, source_label), source_label)
+    return [Calibration(bootstrap_p_value(div, null), part.num_cells, k_n, null)
+            for div, (part, k_n), null in zip(divergences, targets, nulls)]
 
 
 def run_test(x: Sample, y: Sample, config: TestConfig,
@@ -340,24 +397,23 @@ def run_test(x: Sample, y: Sample, config: TestConfig,
     cells_y = count_cells(ys, partition, config.k_exceedances)
     div = kl_divergence(cells_x, cells_y)
 
+    target = [(partition, config.k_exceedances)]
+    calibration = calibrate([div], target, config, xs, "x")[0]
+    p_value = calibration.p_value
     boot_meta = {}
     if config.margins == "known":
         method = "chisq"
-        p_value = ChiSquared(partition.num_cells - 1).sf(div.normalized)
     else:
         method = "bootstrap"
-        null_x = bootstrap_null(xs, config, partition, bootstrap_stream(config.seed, "x"), "x")
-        p_value = bootstrap_p_value(div, null_x)
         source = "x"
         if config.bootstrap_source == "symmetric":
-            null_y = bootstrap_null(ys, config, partition, bootstrap_stream(config.seed, "y"), "y")
-            p_value = 0.5 * (p_value + bootstrap_p_value(div, null_y))
+            p_value = 0.5 * (p_value + calibrate([div], target, config, ys, "y")[0].p_value)
             source = "symmetric"
         boot_meta = {
             "bootstrap_replicates": config.bootstrap_replicates,
             "bootstrap_source": source,
             "bootstrap_exceedance_rule": config.bootstrap_exceedances,
-            "k_half": null_x.k_half,
+            "k_half": calibration.null.k_half,
         }
 
     return TestReport(
@@ -385,8 +441,3 @@ def run_test(x: Sample, y: Sample, config: TestConfig,
         **boot_meta,
     )
 
-
-def derived_seed(master_seed: int, index: int) -> int:
-    """Deterministic per-repetition seed, collision-free across indices."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])

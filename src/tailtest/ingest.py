@@ -224,15 +224,24 @@ class SeasonPairOutcome:
     error: Optional[str] = None
 
 
+class SeasonalOutcomes(dict):
+    """Season-pair outcomes keyed by ``(season_x, season_y)``; ``seasons``
+    maps every season to its ``SeasonalPairs`` or to why it has none."""
+
+    def __init__(self, seasons: dict[str, SeasonalPairs | str]):
+        super().__init__()
+        self.seasons = seasons
+
+
 def seasonal_tests(series: RainSeries, config: TestConfig,
                    drop_incomplete_days: bool = True,
-                   drop_dry_days: bool = True) -> dict[tuple[str, str], SeasonPairOutcome]:
+                   drop_dry_days: bool = True) -> SeasonalOutcomes:
     """Empirical-margin divergence tests between all unordered season pairs.
 
     Seasons are standardized independently with their own sample sizes; the
-    same exceedance count is applied to both, capped (with a warning) at
-    one below the smaller season. Pairs lacking data report an error while
-    the remaining pairs still run.
+    same exceedance count is applied to both, capped at one below the
+    smaller season (with a warning, which the pair's report also carries).
+    Pairs lacking data report an error while the remaining pairs still run.
     """
     if config.margins != "empirical":
         raise DomainError("seasonal tests use empirical margins and bootstrap calibration")
@@ -244,7 +253,7 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
         except (InsufficientDataError, FormatError) as exc:
             pairs_by_season[season] = str(exc)
 
-    outcomes: dict[tuple[str, str], SeasonPairOutcome] = {}
+    outcomes = SeasonalOutcomes(pairs_by_season)
     for i, season_x in enumerate(SEASONS):
         for season_y in SEASONS[i + 1:]:
             key = (season_x, season_y)
@@ -255,11 +264,11 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
                 continue
             k = config.k_exceedances
             cap = min(px.n, py.n) - 1
+            notes = []
             if k > cap:
-                warnings.warn(
-                    f"k_exceedances={k} exceeds the smaller season size; capping at {cap}",
-                    stacklevel=2,
-                )
+                note = f"k_exceedances={k} exceeds the smaller season size; capping at {cap}"
+                warnings.warn(note, stacklevel=2)
+                notes.append(note)
                 k = cap
             pair_config = replace(config, k_exceedances=k)
             try:
@@ -268,6 +277,7 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
                 outcomes[key] = SeasonPairOutcome(season_x, season_y, px.n, py.n, k,
                                                   error=str(exc))
                 continue
+            report = replace(report, warnings=report.warnings + notes)
             outcomes[key] = SeasonPairOutcome(season_x, season_y, px.n, py.n, k,
                                               report=report)
     return outcomes

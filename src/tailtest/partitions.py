@@ -212,16 +212,29 @@ def top_k(r_vals: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
     return threshold, above | (tied & (tied_from_end <= spare))
 
 
+def exceedances(data: np.ndarray, r_vals: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold and the top-k_n points (see ``top_k``) of points (..., n, d)
+    with risk values ``r_vals`` (..., n), rescaled by the threshold: (..., k_n, d)."""
+    threshold, mask = top_k(r_vals, k_n)
+    exceed = data[mask].reshape(mask.shape[:-1] + (k_n, data.shape[-1]))
+    return threshold, exceed / threshold[..., None, None]
+
+
+def cell_histogram(cells: np.ndarray, num_cells: int) -> np.ndarray:
+    """Counts (..., num_cells) of the 1-based cell indices along the last axis
+    of ``cells``, with one ``bincount`` for the whole batch."""
+    width = num_cells + 1
+    rows = cells.reshape(-1, cells.shape[-1])
+    rows = rows + width * np.arange(rows.shape[0])[:, None]
+    counts = np.bincount(rows.ravel(), minlength=rows.shape[0] * width)
+    return counts.reshape(cells.shape[:-1] + (width,))[..., 1:]
+
+
 def cell_counts(data: np.ndarray, partition: Partition, k_n: int) -> tuple[np.ndarray, np.ndarray]:
     """Threshold and cell counts of the top-k_n risk exceedances of points
     (..., n, d); leading axes are batch axes, counts have shape (..., K)."""
-    threshold, mask = top_k(partition.risk(data), k_n)
-    exceed = data[mask].reshape(mask.shape[:-1] + (k_n, data.shape[-1]))
-    cells = partition.classify(exceed / threshold[..., None, None]).reshape(-1, k_n)
-    width = partition.num_cells + 1
-    cells += width * np.arange(cells.shape[0])[:, None]
-    counts = np.bincount(cells.ravel(), minlength=cells.shape[0] * width)
-    return threshold, counts.reshape(mask.shape[:-1] + (width,))[..., 1:]
+    threshold, scaled = exceedances(data, partition.risk(data), k_n)
+    return threshold, cell_histogram(partition.classify(scaled), partition.num_cells)
 
 
 def count_cells(sample: Sample, partition: Partition, k_n: int) -> CellProbabilities:

@@ -3,12 +3,13 @@
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
 
-from tailtest import CopulaModel
+from tailtest import CopulaModel, ingest
 from tailtest.cli import main
 from tailtest.schemas import get_schema
 from .conftest import make_rain_series
@@ -216,6 +217,17 @@ class TestRainfallCommand:
         assert pair["reject"] is True
         assert (tmp_path / "rain_out" / "pairs_DJF.csv").exists()
         assert (tmp_path / "rain_out" / "report_DJF_MAM.json").exists()
+
+
+    def test_builds_each_season_once(self, capsys, tmp_path, rainfall_csv):
+        with mock.patch.object(ingest, "build_pairs", wraps=ingest.build_pairs) as spy:
+            code, doc = run_cli(capsys, "rainfall", rainfall_csv, "--sets", "4",
+                                "--k-exceedances", "120", "--bootstrap", "100",
+                                "--seed", "6", "--outdir", str(tmp_path / "rain_out"))
+        assert code in (0, 3)
+        assert spy.call_count == 4
+        assert doc["seasons"]["MAM"] == {"days": 520, "error": None}
+        assert doc["seasons"]["SON"]["error"] is not None
 
 
 class TestEntryPoint:

@@ -32,6 +32,10 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             small_plan(K_grid=(2, 4))
 
+    def test_k_grid_values_positive(self):
+        with pytest.raises(ConfigError, match="k_grid values"):
+            small_plan(k_grid=(0, 40))
+
     def test_k_study_constraints(self):
         with pytest.raises(ConfigError):
             ExperimentPlan(CopulaModel("logistic", 0.5), CopulaModel("logistic", 0.5),

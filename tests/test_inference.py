@@ -9,7 +9,7 @@ from tailtest import inference
 from tailtest import (ConfigError, CopulaModel, Divergence, DomainError, InsufficientDataError,
                       NullDistribution, RngStream, Sample, TestConfig,
                       bootstrap_null, bootstrap_p_value, run_test, sample,
-                      to_pareto, uniform_cdf)
+                      to_pareto, to_pseudo, uniform_cdf)
 from tailtest.numerics import chisq_cdf
 
 UNIFORM_PAIR = [uniform_cdf, uniform_cdf]
@@ -83,6 +83,15 @@ class TestRunTestKnownMargins:
         config = TestConfig(k_exceedances=100, risk="euclidean", num_cells=4, margins="known")
         with pytest.raises(ConfigError):
             run_test(x, x, config, known_cdfs=UNIFORM_PAIR)
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_pseudo_sample_rejected(self, side):
+        # Rank-based data must not get the chi-squared calibration.
+        raw = simulate(CopulaModel("logistic", 0.5), 400, 30)
+        samples = {"x": raw, "y": raw, side: to_pseudo(raw)}
+        config = TestConfig(k_exceedances=40, risk="euclidean", num_cells=4, margins="known")
+        with pytest.raises(ConfigError, match="pseudo-observations need empirical margins"):
+            run_test(samples["x"], samples["y"], config, known_cdfs=UNIFORM_PAIR)
 
     def test_dimension_mismatch(self):
         x = Sample(np.ones((50, 2)) + np.arange(50)[:, None])

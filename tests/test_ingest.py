@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tailtest import CopulaModel, DomainError, FormatError, InsufficientDataError, TestConfig
-from tailtest.ingest import (RainSeries, SLOTS_PER_DAY, build_pairs, load_csv,
+from tailtest.ingest import (SEASONS, RainSeries, SLOTS_PER_DAY, build_pairs, load_csv,
                              season_of_month, seasonal_tests)
 from .conftest import make_rain_series
 
@@ -230,6 +230,31 @@ class TestSeasonalTests:
         result = outcomes[("DJF", "MAM")]
         assert result.k_used == 89
         assert result.report is not None
+
+    def test_k_cap_recorded_in_report(self):
+        series = make_rain_series({
+            "DJF": (420, CopulaModel("logistic", 0.4)),
+            "MAM": (90, CopulaModel("logistic", 0.4)),
+        }, seed=12)
+        config = TestConfig(k_exceedances=150, risk="euclidean", num_cells=4,
+                            margins="empirical", bootstrap_replicates=100, seed=3)
+        with pytest.warns(UserWarning, match="capping") as caught:
+            outcomes = seasonal_tests(series, config)
+        report = outcomes[("DJF", "MAM")].report
+        assert report.warnings == [str(caught[0].message)]
+        assert report.to_dict()["warnings"] == report.warnings
+
+    def test_seasons_returned_with_outcomes(self, two_season_series):
+        config = TestConfig(k_exceedances=60, risk="euclidean", num_cells=4,
+                            margins="empirical", bootstrap_replicates=100, seed=4)
+        outcomes = seasonal_tests(two_season_series, config)
+        assert list(outcomes.seasons) == list(SEASONS)
+        assert np.array_equal(outcomes.seasons["DJF"].data,
+                              build_pairs(two_season_series, "DJF").data)
+        with pytest.raises(InsufficientDataError) as missing:
+            build_pairs(two_season_series, "JJA")
+        assert outcomes.seasons["JJA"] == str(missing.value)
+        assert outcomes[("DJF", "MAM")].report.warnings == []
 
     def test_k_cap_can_break_bootstrap_floor(self):
         # Small X season: the capped k still violates n >= 4k for the

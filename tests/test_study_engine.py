@@ -1,0 +1,206 @@
+"""Shared study repetitions against the per-grid-point definitions.
+
+A study repetition calibrates all of its grid points through one
+multi-target bootstrap, and the null-histogram study draws each fresh pair
+once for both margin modes. The oracles below are the loops these replaced:
+one single-target calibration per grid point, every grid point on the
+repetition's own bootstrap stream, and one fresh pair drawn per replicate
+and per margin mode. Every number must agree bit for bit.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tailtest import (CopulaModel, RngStream, Sample, TestConfig, bootstrap_null,
+                      bootstrap_p_value, build_partition, count_cells, kl_divergence,
+                      make_angular_partition, make_max_partition, make_min_partition,
+                      sample, to_pareto, to_pseudo, uniform_cdf)
+from tailtest import experiments
+from tailtest.experiments import (ExperimentPlan, k_sensitivity_study, null_histogram_study,
+                                  size_power_study)
+from tailtest.inference import bootstrap_stream
+from tailtest.numerics import ChiSquared, chisq_quantile
+
+UNIFORM_PAIR = (uniform_cdf, uniform_cdf)
+OPC_PAIR = (CopulaModel("outer_power_clayton", 0.45), CopulaModel("outer_power_clayton", 0.55))
+
+
+def _reference_seed(master_seed, rep):
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(rep,))
+    return int(seq.generate_state(1, dtype=np.uint64)[0])
+
+
+def _reference_config(plan, rep, k, num_cells, risk=None):
+    return TestConfig(k_exceedances=k, risk=risk or plan.risk, num_cells=num_cells,
+                      level=plan.level, margins=plan.margins,
+                      bootstrap_replicates=plan.bootstrap_replicates,
+                      seed=_reference_seed(plan.seed, rep))
+
+
+def _reference_evaluate(xs, ys, partition, k, plan, config):
+    div = kl_divergence(count_cells(xs, partition, k), count_cells(ys, partition, k))
+    dof = partition.num_cells - 1
+    if plan.margins == "known":
+        p_value = ChiSquared(dof).sf(div.normalized)
+        critical = 2.0 * chisq_quantile(1.0 - plan.level, dof) / k
+    else:
+        null = bootstrap_null(xs, config, partition, bootstrap_stream(config.seed, "x"), "x")
+        p_value = bootstrap_p_value(div, null)
+        critical = float(np.quantile(null.replicates, 1.0 - plan.level))
+    return div.value, p_value, critical
+
+
+def reference_power_rep(plan, rep):
+    xs, ys = experiments._simulate_standardized(plan, rep)
+    rows = []
+    for k in plan.k_grid:
+        config = _reference_config(plan, rep, k, plan.num_cells)
+        rows.append(_reference_evaluate(xs, ys, build_partition(config, xs.d), k, plan, config))
+    return np.array(rows)
+
+
+def reference_k_sensitivity_rep(plan, rep):
+    xs, ys = experiments._simulate_standardized(plan, rep)
+    k = plan.k_exceedances
+    rows = []
+    for K in plan.K_grid:
+        config = _reference_config(plan, rep, k, K)
+        rows.append(_reference_evaluate(xs, ys, make_angular_partition(config.risk, K), k,
+                                        plan, config))
+    config = _reference_config(plan, rep, k, None, risk="max")
+    rows.append(_reference_evaluate(xs, ys, make_max_partition(xs.d), k, plan, config))
+    return np.array(rows)
+
+
+def reference_fresh(model, n, k, partition, count, seed, margins):
+    fresh = np.empty(count)
+    for b in range(count):
+        pair_stream = RngStream(seed).child(2).child(b)
+        fx = sample(model, n, pair_stream.child(0))
+        fy = sample(model, n, pair_stream.child(1))
+        if margins == "known":
+            sx, sy = to_pareto(fx, UNIFORM_PAIR), to_pareto(fy, UNIFORM_PAIR)
+        else:
+            sx, sy = to_pseudo(fx), to_pseudo(fy)
+        fresh[b] = kl_divergence(count_cells(sx, partition, k), count_cells(sy, partition, k)).value
+    return fresh
+
+
+def k_plan(margins, seed=3, **overrides):
+    base = dict(model_x=OPC_PAIR[0], model_y=OPC_PAIR[1], n=600, repetitions=2,
+                k_grid=(20, 40, 75, 150), num_cells=5, margins=margins,
+                bootstrap_replicates=110, seed=seed)
+    base.update(overrides)
+    return ExperimentPlan(**base)
+
+
+def K_plan(margins, seed=4, **overrides):
+    base = dict(model_x=OPC_PAIR[0], model_y=OPC_PAIR[1], n=600, repetitions=2,
+                K_grid=(2, 3, 5, 9, 12), k_exceedances=60, margins=margins,
+                bootstrap_replicates=110, seed=seed)
+    base.update(overrides)
+    return ExperimentPlan(**base)
+
+
+@pytest.mark.parametrize("margins", ["empirical", "known"])
+class TestGridRowsMatchPerPointLoop:
+    def test_k_grid_rows(self, margins):
+        plan = k_plan(margins)
+        for rep in range(plan.repetitions):
+            assert np.array_equal(experiments._power_rep((plan, rep)),
+                                  reference_power_rep(plan, rep))
+
+    def test_k_grid_rows_max_risk(self, margins):
+        plan = k_plan(margins, risk="max", num_cells=None, k_grid=(15, 31, 60))
+        assert np.array_equal(experiments._power_rep((plan, 1)), reference_power_rep(plan, 1))
+
+    def test_K_grid_rows_with_max_baseline(self, margins):
+        plan = K_plan(margins)
+        for rep in range(plan.repetitions):
+            rows = experiments._k_sensitivity_rep((plan, rep))
+            assert rows.shape == (len(plan.K_grid) + 1, 3)
+            assert np.array_equal(rows, reference_k_sensitivity_rep(plan, rep))
+
+    def test_K_grid_sum_risk_alias(self, margins):
+        plan = K_plan(margins, risk="l1", K_grid=(3, 7))
+        assert np.array_equal(experiments._k_sensitivity_rep((plan, 0)),
+                              reference_k_sensitivity_rep(plan, 0))
+
+
+class TestMultiTargetBootstrap:
+    def _targets(self):
+        return [(make_angular_partition("euclidean", 5), 40), (make_max_partition(2), 40),
+                (make_angular_partition("euclidean", 3), 60),
+                (make_angular_partition("sum", 4), 40), (make_max_partition(2), 21),
+                (make_min_partition(2), 40), (make_angular_partition("euclidean", 5), 40)]
+
+    def _assert_matches_single_calls(self, source, config):
+        targets = self._targets()
+        nulls = bootstrap_null(source, config, targets)
+        assert len(nulls) == len(targets)
+        for null, (partition, k) in zip(nulls, targets):
+            single = bootstrap_null(source, replace(config, k_exceedances=k), partition)
+            assert np.array_equal(null.replicates, single.replicates)
+            assert null.k_half == single.k_half
+
+    @pytest.mark.parametrize("rule", ["proportional", "same"])
+    def test_tied_pseudo_source(self, rule):
+        # A caller-built pseudo sample with repeated values in one column.
+        u = RngStream(21).uniform((301, 2))
+        data = np.column_stack([1.0 + np.floor(u[:, 0] * 20.0), 1.0 / (1.0 - u[:, 1])])
+        config = TestConfig(k_exceedances=40, bootstrap_replicates=100,
+                            bootstrap_exceedances=rule, seed=22)
+        self._assert_matches_single_calls(Sample(data, "pseudo"), config)
+
+    @pytest.mark.parametrize("rule", ["proportional", "same"])
+    def test_known_margin_source(self, rule):
+        source = to_pareto(sample(OPC_PAIR[0], 400, RngStream(23)), UNIFORM_PAIR)
+        config = TestConfig(k_exceedances=40, margins="known", bootstrap_replicates=100,
+                            bootstrap_exceedances=rule, seed=24)
+        self._assert_matches_single_calls(source, config)
+
+
+class TestNullHistogramStudy:
+    @pytest.mark.parametrize("count", [37, 100])
+    def test_bootstrap_and_fresh_vectors(self, count):
+        model, n, k, cells, seed = CopulaModel("logistic", 0.45), 700, 60, 5, 27
+        result = null_histogram_study(model, n, k, cells, count, seed=seed)
+        partition = make_angular_partition("euclidean", cells)
+        base_stream = RngStream(seed)
+        raw = sample(model, n, base_stream.child(0))
+        for mode_ix, margins in enumerate(("known", "empirical")):
+            mode = getattr(result, margins)
+            config = TestConfig(k_exceedances=k, risk="euclidean", num_cells=cells,
+                                margins=margins, bootstrap_replicates=max(count, 100),
+                                seed=seed)
+            source = to_pareto(raw, UNIFORM_PAIR) if margins == "known" else to_pseudo(raw)
+            boot = bootstrap_null(source, config, partition,
+                                  base_stream.child(1).child(mode_ix)).replicates[:count]
+            assert np.array_equal(mode.bootstrap, boot)
+            assert np.array_equal(mode.fresh,
+                                  reference_fresh(model, n, k, partition, count, seed, margins))
+
+
+@st.composite
+def empirical_plans(draw):
+    seed = draw(st.integers(0, 2 ** 32))
+    reps = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        return k_plan("empirical", seed=seed, n=320, repetitions=reps,
+                      k_grid=tuple(sorted(draw(st.sets(st.integers(5, 80), min_size=1,
+                                                       max_size=3)))),
+                      bootstrap_replicates=100)
+    return K_plan("empirical", seed=seed, n=320, repetitions=reps,
+                  K_grid=tuple(sorted(draw(st.sets(st.integers(2, 12), min_size=1, max_size=3)))),
+                  k_exceedances=draw(st.integers(5, 80)), bootstrap_replicates=100)
+
+
+@settings(max_examples=3, deadline=None)
+@given(empirical_plans())
+def test_curves_independent_of_worker_count(plan):
+    study = size_power_study if plan.k_grid is not None else k_sensitivity_study
+    assert study(plan) == study(replace(plan, workers=2))
