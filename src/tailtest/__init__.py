@@ -19,25 +19,21 @@ from .inference import (NullDistribution, TestConfig, TestReport, bootstrap_null
                         bootstrap_p_value, build_partition, run_test)
 from .margins import (KNOWN_CDF_STUBS, Sample, to_pareto, to_pseudo,
                       uniform_cdf, unit_exponential_cdf, unit_pareto_cdf)
-from .numerics import (ChiSquared, RngStream, chisq_cdf, chisq_quantile,
-                       normal_quantile, rng_exponential, rng_positive_stable,
-                       rng_uniform)
+from .numerics import RngStream, chisq_cdf, chisq_quantile, chisq_sf, normal_quantile
 from .partitions import (CellProbabilities, Partition, RiskFunctional, count_cells,
-                         make_angular_partition, make_max_partition,
-                         make_min_partition, risk_functional)
+                         make_angular_partition, make_max_partition, make_min_partition)
 
 __all__ = [
     "__version__",
-    "CellProbabilities", "ChiEstimate", "ChiSquared", "ConfigError", "CopulaModel",
+    "CellProbabilities", "ChiEstimate", "ConfigError", "CopulaModel",
     "DegenerateMarginError", "Divergence", "DomainError", "FormatError",
     "InsufficientDataError", "InsufficientTailError", "KNOWN_CDF_STUBS",
     "NullDistribution", "NumericalError", "Partition", "RiskFunctional", "RngStream",
     "Sample", "ShapeError", "TailTestError", "TestConfig", "TestReport",
     "bootstrap_null", "bootstrap_p_value", "build_partition", "chisq_cdf",
-    "chisq_quantile", "copula_cdf", "count_cells", "d3_from_chi",
+    "chisq_quantile", "chisq_sf", "copula_cdf", "count_cells", "d3_from_chi",
     "extremal_correlation", "kl_divergence", "make_angular_partition",
     "make_max_partition", "make_min_partition", "match_chi", "normal_quantile",
-    "risk_functional", "rng_exponential", "rng_positive_stable", "rng_uniform",
     "run_test", "sample", "symmetric_kl", "theoretical_chi", "to_pareto",
     "to_pseudo", "uniform_cdf", "unit_exponential_cdf", "unit_pareto_cdf",
 ]

@@ -43,14 +43,12 @@ def symmetric_kl(p: np.ndarray, q: np.ndarray) -> float:
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1:
         raise ShapeError(f"probability vectors must be 1-D and matching, got {p.shape} vs {q.shape}")
-    total = 0.0
-    for pj, qj in zip(p, q):
-        if pj == qj:
-            continue
-        if pj == 0.0 or qj == 0.0:
-            return float("inf")
-        total += (pj - qj) * (np.log(pj) - np.log(qj))
-    return total
+    differ = p != q
+    p, q = p[differ], q[differ]
+    if (p == 0.0).any() or (q == 0.0).any():
+        return float("inf")
+    # A running sum from the left (np.sum would add the terms pairwise).
+    return float(np.cumsum(np.append(0.0, (p - q) * (np.log(p) - np.log(q))))[-1])
 
 
 def jeffreys(counts_p: np.ndarray, counts_q: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:

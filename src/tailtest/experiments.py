@@ -24,8 +24,9 @@ from . import __version__
 from .copulas import CopulaModel, sample
 from .divergence import jeffreys, kl_divergence
 from .errors import ConfigError
-from .inference import _CHUNK_POINTS, TestConfig, bootstrap_null, build_partition, calibrate
-from .margins import Sample, _ordinal_ranks, to_pareto, to_pseudo, uniform_cdf
+from .inference import (_CHUNK_POINTS, RISK_ALIASES, TestConfig, bootstrap_null,
+                        build_partition, calibrate)
+from .margins import Sample, _ordinal_ranks, pseudo_scale, to_pareto, to_pseudo, uniform_cdf
 from .numerics import RngStream, chisq_cdf
 from .partitions import (Partition, cell_counts, count_cells, make_angular_partition,
                          make_max_partition)
@@ -55,6 +56,9 @@ class ExperimentPlan:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
+        if self.risk not in RISK_ALIASES:
+            raise ConfigError(f"risk must be one of {sorted(RISK_ALIASES)}, got {self.risk!r}")
+        angular = RISK_ALIASES[self.risk] in ("euclidean", "sum")
         if (self.k_grid is None) == (self.K_grid is None):
             raise ConfigError("exactly one of k_grid and K_grid must be set")
         if self.k_grid is not None:
@@ -63,7 +67,7 @@ class ExperimentPlan:
                 raise ConfigError("k_grid must be non-empty")
             if min(self.k_grid) < 1:
                 raise ConfigError(f"k_grid values must be >= 1, got {self.k_grid}")
-            if self.num_cells is None and self.risk in ("euclidean", "sum", "l1", "l2"):
+            if self.num_cells is None and angular:
                 raise ConfigError("angular risks need num_cells")
         else:
             object.__setattr__(self, "K_grid", tuple(int(K) for K in self.K_grid))
@@ -71,7 +75,7 @@ class ExperimentPlan:
                 raise ConfigError("K_grid must be non-empty")
             if any(not 2 <= K <= 12 for K in self.K_grid):
                 raise ConfigError(f"K grid must lie within 2..12, got {self.K_grid}")
-            if self.risk not in ("euclidean", "sum", "l1", "l2"):
+            if not angular:
                 raise ConfigError("the K study varies angular partitions; risk must be euclidean or sum")
             if self.k_exceedances is None:
                 raise ConfigError("the K study needs a fixed k_exceedances")
@@ -271,7 +275,7 @@ def null_histogram_study(model: CopulaModel, n: int, k_exceedances: int,
     Both margin modes are produced. For known margins the fresh replicates,
     normalized by k_n/2, are additionally compared against chi-squared(K-1).
     """
-    risk = {"l2": "euclidean", "l1": "sum"}.get(risk, risk)
+    risk = RISK_ALIASES.get(risk, risk)
     partition = make_angular_partition(risk, num_cells)
     base_stream = RngStream(seed)
     raw = sample(model, n, base_stream.child(0))
@@ -321,8 +325,8 @@ def _fresh_nulls(model: CopulaModel, n: int, k_n: int, partition: Partition, cou
         for margins in fresh:
             # to_pareto with uniform CDFs, or to_pseudo, of every sample at once.
             data = (1.0 / (1.0 - raw) if margins == "known"
-                    else (n + 1.0) / (n + 1.0 - _ordinal_ranks(raw, axis=-2)))
-            counts = cell_counts(data, partition, k_n)[1]          # (pairs, 2, K)
+                    else pseudo_scale(n)[_ordinal_ranks(raw, axis=-2)])
+            counts = cell_counts(data, [(partition, k_n)])[0][1]    # (pairs, 2, K)
             fresh[margins][start:stop] = jeffreys(counts[:, 0], counts[:, 1], k_n)[0]
     return fresh
 

@@ -20,12 +20,11 @@ import numpy as np
 from . import __version__
 from .divergence import Divergence, jeffreys, kl_divergence
 from .errors import ConfigError, DomainError, InsufficientDataError
-from .margins import (MarginalCdf, Sample, _ordinal_ranks, _rank_transform, to_pareto,
-                      to_pseudo)
-from .numerics import ChiSquared, RngStream, chisq_quantile
-from .partitions import (CellProbabilities, Partition, cell_histogram, count_cells,
-                         exceedances, make_angular_partition, make_max_partition,
-                         make_min_partition)
+from .margins import (MarginalCdf, Sample, _ordinal_ranks, _rank_transform, pseudo_scale,
+                      to_pareto, to_pseudo)
+from .numerics import RngStream, chisq_quantile, chisq_sf
+from .partitions import (CellProbabilities, Partition, cell_counts, count_cells,
+                         make_angular_partition, make_max_partition, make_min_partition)
 
 RISK_ALIASES = {"max": "max", "min": "min", "l2": "euclidean", "euclidean": "euclidean",
                 "l1": "sum", "sum": "sum"}
@@ -278,10 +277,10 @@ def bootstrap_null(source: Sample, config: TestConfig,
 
     ``partition`` may also be a list of ``(partition, k_n)`` targets, for
     which a list of nulls is returned. The targets share each replicate's
-    permutation and half-sample ranks, the risk values of each risk kind and
-    the exceedances of each risk kind and half-sample k; only classification
-    and the statistic are per target. Each null equals the one-target null of
-    its partition and k_n.
+    permutation and half-sample ranks, and ``cell_counts`` shares the risk
+    values of each risk kind and the exceedances of each risk kind and
+    half-sample k; only classification and the statistic are per target.
+    Each null equals the one-target null of its partition and k_n.
     """
     single = partition is None or isinstance(partition, Partition)
     targets = [(partition, config.k_exceedances)] if single else list(partition)
@@ -295,18 +294,14 @@ def bootstrap_null(source: Sample, config: TestConfig,
     if stream is None:
         stream = bootstrap_stream(config.seed, source_label)
     half = n // 2
-    k_halves = [max(1, k_n // 2) if config.bootstrap_exceedances == "proportional" else k_n
-                for _, k_n in targets]
-    groups: dict = {}                        # risk -> k_half -> target indices
-    for t, ((part, _), k_half) in enumerate(zip(targets, k_halves)):
-        groups.setdefault(part.risk, {}).setdefault(k_half, []).append(t)
+    proportional = config.bootstrap_exceedances == "proportional"
+    half_targets = [(part, max(1, k_n // 2) if proportional else k_n) for part, k_n in targets]
 
     data = source.data
     if config.margins == "empirical":
         order_pos = _ordinal_ranks(data.T, axis=1) - 1
         tied_columns = np.flatnonzero((np.diff(np.sort(data, axis=0), axis=0) == 0).any(axis=0))
-        # The rank transform (m + 1) / (m + 1 - rank) of a half of m rows, by rank.
-        scales = tuple((m + 1.0) / (m + 1.0 - np.arange(m + 1)) for m in (half, n - half))
+        scales = (pseudo_scale(half), pseudo_scale(n - half))
     num = config.bootstrap_replicates
     chunk = max(1, _CHUNK_POINTS // n)
     replicates = np.empty((len(targets), num))
@@ -317,17 +312,11 @@ def bootstrap_null(source: Sample, config: TestConfig,
             halves = _half_pseudo(data, order_pos, tied_columns, perms, scales)
         else:
             halves = data.take(perms[:, :half], axis=0), data.take(perms[:, half:], axis=0)
-        for risk, by_k in groups.items():
-            r_vals = [risk(h) for h in halves]
-            for k_half, members in by_k.items():
-                scaled = [exceedances(h, r, k_half)[1] for h, r in zip(halves, r_vals)]
-                for t in members:
-                    part = targets[t][0]
-                    counts_a, counts_b = (cell_histogram(part.classify(s), part.num_cells)
-                                          for s in scaled)
-                    replicates[t, start:stop] = jeffreys(counts_a, counts_b, k_half)[0] / 2.0
+        counts_a, counts_b = ([c for _, c in cell_counts(h, half_targets)] for h in halves)
+        for t, (_, k_half) in enumerate(half_targets):
+            replicates[t, start:stop] = jeffreys(counts_a[t], counts_b[t], k_half)[0] / 2.0
     nulls = [NullDistribution(reps, source_label, k_half, config.bootstrap_exceedances)
-             for reps, k_half in zip(replicates, k_halves)]
+             for reps, (_, k_half) in zip(replicates, half_targets)]
     return nulls[0] if single else nulls
 
 
@@ -361,7 +350,7 @@ def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partiti
     stream ``bootstrap_stream(config.seed, source_label)``.
     """
     if config.margins == "known":
-        return [Calibration(ChiSquared(part.num_cells - 1).sf(div.normalized), part.num_cells, k_n)
+        return [Calibration(chisq_sf(div.normalized, part.num_cells - 1), part.num_cells, k_n)
                 for div, (part, k_n) in zip(divergences, targets)]
     nulls = bootstrap_null(source, config, targets,
                            bootstrap_stream(config.seed, source_label), source_label)

@@ -102,18 +102,22 @@ def to_pseudo(raw: Sample) -> Sample:
     return Sample(data, "pseudo", ties=ties)
 
 
+def pseudo_scale(m: int) -> np.ndarray:
+    """Pseudo-observation (m+1)/(m+1-r) of rank r among m rows, for r = 0..m."""
+    return (m + 1.0) / (m + 1.0 - np.arange(m + 1))
+
+
 def _rank_transform(data: np.ndarray) -> tuple[np.ndarray, int]:
     """Rank transform of an arbitrary matrix; re-ranking already-standardized
     data equals ranking the raw data."""
-    n = data.shape[0]
+    scale = pseudo_scale(data.shape[0])
     out = np.empty_like(data, dtype=np.float64)
     ties = 0
     for j in range(data.shape[1]):
         col = data[:, j]
-        ranks = _ordinal_ranks(col)
         counts = np.unique(col, return_counts=True)[1]
         ties += int(counts[counts > 1].sum())
-        out[:, j] = (n + 1.0) / (n + 1.0 - ranks)
+        out[:, j] = scale[_ordinal_ranks(col)]
     return out, ties
 
 

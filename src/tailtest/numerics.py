@@ -15,7 +15,6 @@ scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,27 +227,6 @@ def chisq_quantile(p: float, dof: int) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass(frozen=True)
-class ChiSquared:
-    """Chi-squared distribution with ``dof`` >= 1 degrees of freedom."""
-
-    dof: int
-
-    def __post_init__(self):
-        if self.dof < 1:
-            raise DomainError(f"degrees of freedom must be >= 1, got {self.dof}")
-
-    def cdf(self, x: float) -> float:
-        return chisq_cdf(x, self.dof)
-
-    def quantile(self, p: float) -> float:
-        return chisq_quantile(p, self.dof)
-
-    def sf(self, x: float) -> float:
-        """Upper tail probability P(X > x)."""
-        return chisq_sf(x, self.dof)
-
-
 class RngStream:
     """Reproducible random stream keyed by ``(master_seed, stream_id)``.
 
@@ -305,15 +283,3 @@ class RngStream:
 
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"
-
-
-def rng_uniform(stream: RngStream, size=None):
-    return stream.uniform(size)
-
-
-def rng_exponential(stream: RngStream, size=None):
-    return stream.exponential(size)
-
-
-def rng_positive_stable(stream: RngStream, alpha: float, size=None):
-    return stream.positive_stable(alpha, size)

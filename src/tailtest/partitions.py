@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,10 +51,6 @@ class RiskFunctional:
         return vals if np.asarray(x).ndim >= 2 else float(vals[0])
 
 
-def risk_functional(kind: str) -> RiskFunctional:
-    return RiskFunctional(kind)
-
-
 @dataclass(frozen=True)
 class Partition:
     """K disjoint cells covering the exceedance region of a risk functional.
@@ -77,10 +73,6 @@ class Partition:
             raise DomainError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.num_cells < 2:
             raise DomainError(f"a partition needs at least 2 cells, got {self.num_cells}")
-
-    @property
-    def K(self) -> int:
-        return self.num_cells
 
     def classify(self, x: np.ndarray):
         pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -165,26 +157,25 @@ def make_angular_partition(risk: str = "euclidean", num_cells: int = 4,
 class CellProbabilities:
     """Empirical cell frequencies of the k_n risk exceedances of one sample."""
 
-    probs: np.ndarray
     counts: np.ndarray
     k_n: int
     threshold: float
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
         counts = np.asarray(self.counts, dtype=np.int64)
-        if probs.shape != counts.shape or probs.ndim != 1:
-            raise ShapeError("probs and counts must be 1-D arrays of equal length")
+        if counts.ndim != 1:
+            raise ShapeError("counts must be a 1-D array")
         if int(counts.sum()) != self.k_n:
             raise DomainError(f"cell counts sum to {counts.sum()}, expected k_n={self.k_n}")
-        if abs(float(probs.sum()) - 1.0) > 1e-12:
-            raise DomainError(f"cell probabilities sum to {probs.sum()}, expected 1")
-        object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "counts", counts)
 
     @property
+    def probs(self) -> np.ndarray:
+        return self.counts / self.k_n
+
+    @property
     def K(self) -> int:
-        return self.probs.shape[0]
+        return self.counts.shape[0]
 
     @classmethod
     def from_counts(cls, counts, threshold: float = math.nan) -> "CellProbabilities":
@@ -192,7 +183,7 @@ class CellProbabilities:
         k_n = int(counts.sum())
         if k_n < 1:
             raise DomainError("counts must sum to a positive exceedance number")
-        return cls(counts / k_n, counts, k_n, threshold)
+        return cls(counts, k_n, threshold)
 
 
 def top_k(r_vals: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -212,14 +203,6 @@ def top_k(r_vals: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
     return threshold, above | (tied & (tied_from_end <= spare))
 
 
-def exceedances(data: np.ndarray, r_vals: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold and the top-k_n points (see ``top_k``) of points (..., n, d)
-    with risk values ``r_vals`` (..., n), rescaled by the threshold: (..., k_n, d)."""
-    threshold, mask = top_k(r_vals, k_n)
-    exceed = data[mask].reshape(mask.shape[:-1] + (k_n, data.shape[-1]))
-    return threshold, exceed / threshold[..., None, None]
-
-
 def cell_histogram(cells: np.ndarray, num_cells: int) -> np.ndarray:
     """Counts (..., num_cells) of the 1-based cell indices along the last axis
     of ``cells``, with one ``bincount`` for the whole batch."""
@@ -230,11 +213,26 @@ def cell_histogram(cells: np.ndarray, num_cells: int) -> np.ndarray:
     return counts.reshape(cells.shape[:-1] + (width,))[..., 1:]
 
 
-def cell_counts(data: np.ndarray, partition: Partition, k_n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold and cell counts of the top-k_n risk exceedances of points
-    (..., n, d); leading axes are batch axes, counts have shape (..., K)."""
-    threshold, scaled = exceedances(data, partition.risk(data), k_n)
-    return threshold, cell_histogram(partition.classify(scaled), partition.num_cells)
+def cell_counts(data: np.ndarray, targets: Sequence[tuple[Partition, int]]
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Threshold and cell counts of the top-k_n risk exceedances (see ``top_k``)
+    of points (..., n, d) for each ``(partition, k_n)`` target; leading axes
+    are batch axes, counts have shape (..., K). Risk values are computed once
+    per risk kind, and the exceedances, rescaled by the threshold, once per
+    (risk kind, k_n)."""
+    r_vals: dict = {}
+    scaled: dict = {}
+    results = []
+    for part, k_n in targets:
+        if part.risk not in r_vals:
+            r_vals[part.risk] = part.risk(data)
+        if (part.risk, k_n) not in scaled:
+            threshold, mask = top_k(r_vals[part.risk], k_n)
+            exceed = data[mask].reshape(mask.shape[:-1] + (k_n, data.shape[-1]))
+            scaled[part.risk, k_n] = threshold, exceed / threshold[..., None, None]
+        threshold, points = scaled[part.risk, k_n]
+        results.append((threshold, cell_histogram(part.classify(points), part.num_cells)))
+    return results
 
 
 def count_cells(sample: Sample, partition: Partition, k_n: int) -> CellProbabilities:
@@ -244,5 +242,5 @@ def count_cells(sample: Sample, partition: Partition, k_n: int) -> CellProbabili
     n = sample.n
     if not 1 <= k_n < n:
         raise DomainError(f"need 1 <= k_n < n, got k_n={k_n}, n={n}")
-    threshold, counts = cell_counts(sample.data, partition, k_n)
-    return CellProbabilities(counts / k_n, counts, k_n, float(threshold))
+    threshold, counts = cell_counts(sample.data, [(partition, k_n)])[0]
+    return CellProbabilities(counts, k_n, float(threshold))

@@ -12,7 +12,7 @@ import pytest
 
 from tailtest import (CopulaModel, RngStream, Sample, TestConfig, bootstrap_null,
                       count_cells, d3_from_chi, kl_divergence, make_angular_partition,
-                      make_max_partition, make_min_partition, match_chi, risk_functional,
+                      make_max_partition, make_min_partition, match_chi, RiskFunctional,
                       run_test, sample, symmetric_kl, theoretical_chi, to_pareto,
                       to_pseudo, uniform_cdf)
 from tailtest.experiments import (ExperimentPlan, k_sensitivity_study,
@@ -261,7 +261,7 @@ class TestCriterion9InvarianceSuite:
         t = rng.uniform(2000) * 99.9 + 0.05
         worst = 0.0
         for kind in ("max", "min", "euclidean", "sum"):
-            r = risk_functional(kind)
+            r = RiskFunctional(kind)
             base = r(x)
             scaled = r(x * t[:, None])
             worst = max(worst, float(np.max(np.abs(scaled - t * base) / (t * base))))

@@ -38,7 +38,7 @@ def _reference_count_cells(sample, partition, k_n):
     exceed = sample.data[order[n - k_n:]]
     cells = partition.classify(exceed / threshold)
     counts = np.bincount(cells, minlength=partition.num_cells + 1)[1:]
-    return CellProbabilities(counts / k_n, counts, k_n, threshold)
+    return CellProbabilities(counts, k_n, threshold)
 
 
 def _reference_kl_value(p, q):

@@ -36,6 +36,13 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match="k_grid values"):
             small_plan(k_grid=(0, 40))
 
+    def test_unknown_risk_rejected_when_built(self):
+        with pytest.raises(ConfigError, match="risk must be one of"):
+            small_plan(risk="median", k_grid=(10,), num_cells=3)
+        with pytest.raises(ConfigError, match="risk must be one of"):
+            small_plan(risk="median", k_grid=None, K_grid=(2, 4), k_exceedances=50)
+        small_plan(risk="l1", k_grid=None, K_grid=(2, 4), k_exceedances=50)
+
     def test_k_study_constraints(self):
         with pytest.raises(ConfigError):
             ExperimentPlan(CopulaModel("logistic", 0.5), CopulaModel("logistic", 0.5),

@@ -4,6 +4,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailtest import inference
 from tailtest import (ConfigError, CopulaModel, Divergence, DomainError, InsufficientDataError,
@@ -98,6 +100,24 @@ class TestRunTestKnownMargins:
         y = Sample(np.ones((50, 3)) + np.arange(50)[:, None])
         with pytest.raises(ConfigError):
             run_test(x, y, TestConfig(k_exceedances=10, risk="max", margins="known"))
+
+
+class TestRowOrderInvariance:
+    @settings(max_examples=24, deadline=None)
+    @given(risk=st.sampled_from(["max", "min", "euclidean", "sum"]),
+           family=st.sampled_from(["logistic", "outer_power_clayton"]),
+           k=st.integers(5, 60), seed=st.integers(0, 2 ** 16))
+    def test_known_margin_report_ignores_row_order(self, risk, family, k, seed):
+        # Continuous copula data has no risk ties, so the top-k exceedances,
+        # and with them the whole report, do not depend on the row order.
+        x = simulate(CopulaModel(family, 0.45), 300, seed, 0)
+        y = simulate(CopulaModel(family, 0.6), 300, seed, 1)
+        config = TestConfig(k_exceedances=k, risk=risk, margins="known", seed=seed,
+                            num_cells=None if risk in ("max", "min") else 4)
+        perms = RngStream(seed, 2)
+        px, py = (Sample(s.data[perms.child(i).permutation(s.n)]) for i, s in enumerate((x, y)))
+        expected = run_test(x, y, config, known_cdfs=UNIFORM_PAIR).to_dict()
+        assert run_test(px, py, config, known_cdfs=UNIFORM_PAIR).to_dict() == expected
 
 
 class TestRunTestInputChecks:

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from tailtest import (DomainError, RngStream, Sample, count_cells,
+from tailtest import (DomainError, RiskFunctional, RngStream, Sample, count_cells,
                       make_angular_partition, make_max_partition,
-                      make_min_partition, risk_functional)
+                      make_min_partition)
 
 
 class TestRiskFunctionals:
     @pytest.mark.parametrize("kind", ["max", "min", "euclidean", "sum"])
     def test_homogeneity(self, kind):
-        r = risk_functional(kind)
+        r = RiskFunctional(kind)
         rng = RngStream(31)
         x = rng.uniform((500, 3)) * 10.0
         t = rng.uniform(500) * 99.0 + 0.01
@@ -21,17 +21,17 @@ class TestRiskFunctionals:
 
     def test_values(self):
         x = np.array([[3.0, 4.0]])
-        assert risk_functional("max")(x)[0] == 4.0
-        assert risk_functional("min")(x)[0] == 3.0
-        assert risk_functional("euclidean")(x)[0] == pytest.approx(5.0)
-        assert risk_functional("sum")(x)[0] == pytest.approx(7.0)
+        assert RiskFunctional("max")(x)[0] == 4.0
+        assert RiskFunctional("min")(x)[0] == 3.0
+        assert RiskFunctional("euclidean")(x)[0] == pytest.approx(5.0)
+        assert RiskFunctional("sum")(x)[0] == pytest.approx(7.0)
 
     def test_scalar_input(self):
-        assert risk_functional("max")(np.array([1.0, 2.0])) == 2.0
+        assert RiskFunctional("max")(np.array([1.0, 2.0])) == 2.0
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
-            risk_functional("median")
+            RiskFunctional("median")
 
 
 class TestMaxPartition:
