@@ -26,7 +26,7 @@ from .experiments import (ExperimentPlan, k_sensitivity_study, null_histogram_st
                           size_power_study, write_nulls_outputs, write_power_outputs)
 from .inference import TestConfig, run_test
 from .ingest import load_csv, seasonal_tests
-from .margins import KNOWN_CDF_STUBS, Sample, to_pareto, to_pseudo
+from .margins import KNOWN_CDF_STUBS, Sample, standardize
 from .numerics import RngStream
 
 EXIT_OK = 0
@@ -137,11 +137,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_standardize(args) -> int:
     raw = _read_sample(args.input)
-    if args.margins == "known":
-        cdf = KNOWN_CDF_STUBS[args.known_cdf]
-        out = to_pareto(raw, [cdf] * raw.d)
-    else:
-        out = to_pseudo(raw)
+    out = standardize(raw, args.margins, [KNOWN_CDF_STUBS[args.known_cdf]] * raw.d)
     _write_sample(args.out, out.data)
     manifest_path = args.out + ".manifest.json"
     doc = {
@@ -174,11 +170,7 @@ def _cmd_test(args) -> int:
         bootstrap_source=args.bootstrap_source,
         seed=args.seed,
     )
-    cdfs = None
-    if args.margins == "known":
-        cdf = KNOWN_CDF_STUBS[args.known_cdf]
-        cdfs = [cdf] * x.d
-    report = run_test(x, y, config, known_cdfs=cdfs)
+    report = run_test(x, y, config, known_cdfs=[KNOWN_CDF_STUBS[args.known_cdf]] * x.d)
     doc = report.to_dict()
     if args.out:
         _write_manifest(doc, args.out)

@@ -24,9 +24,9 @@ from . import __version__
 from .copulas import CopulaModel, sample
 from .divergence import jeffreys, kl_divergence
 from .errors import ConfigError
-from .inference import (_CHUNK_POINTS, RISK_ALIASES, TestConfig, bootstrap_null,
-                        build_partition, calibrate)
-from .margins import Sample, _ordinal_ranks, pseudo_scale, to_pareto, to_pseudo, uniform_cdf
+from .inference import (_CHUNK_POINTS, RISK_ALIASES, TestConfig, _check_bootstrap_size,
+                        bootstrap_null, build_partition, calibrate)
+from .margins import Sample, _pareto, _pseudo, standardize, uniform_cdf
 from .numerics import RngStream, chisq_cdf
 from .partitions import (Partition, cell_counts, count_cells, make_angular_partition,
                          make_max_partition)
@@ -123,9 +123,7 @@ def _simulate_standardized(plan: ExperimentPlan, rep: int) -> tuple[Sample, Samp
     rep_stream = RngStream(plan.seed, (rep,))
     x = sample(plan.model_x, plan.n, rep_stream.child(0))
     y = sample(plan.model_y, plan.n, rep_stream.child(1))
-    if plan.margins == "known":
-        return to_pareto(x, _UNIFORM_PAIR), to_pareto(y, _UNIFORM_PAIR)
-    return to_pseudo(x), to_pseudo(y)
+    return standardize(x, plan.margins, _UNIFORM_PAIR), standardize(y, plan.margins, _UNIFORM_PAIR)
 
 
 def derived_seed(master_seed: int, index: int) -> int:
@@ -154,7 +152,7 @@ def _evaluate(xs: Sample, ys: Sample, targets: list[tuple[Partition, int]],
     grid point of one repetition; all grid points share one calibration."""
     divs = [kl_divergence(count_cells(xs, part, k), count_cells(ys, part, k))
             for part, k in targets]
-    calibrations = calibrate(divs, targets, config, xs)
+    calibrations = calibrate(divs, targets, config, xs, ys)
     return np.array([(div.value, cal.p_value, cal.critical_value(config.level))
                      for div, cal in zip(divs, calibrations)])
 
@@ -275,8 +273,14 @@ def null_histogram_study(model: CopulaModel, n: int, k_exceedances: int,
     Both margin modes are produced. For known margins the fresh replicates,
     normalized by k_n/2, are additionally compared against chi-squared(K-1).
     """
-    risk = RISK_ALIASES.get(risk, risk)
-    partition = make_angular_partition(risk, num_cells)
+    if bootstrap_replicates < 1:
+        raise ConfigError(f"bootstrap_replicates must be >= 1, got {bootstrap_replicates}")
+    configs = {margins: TestConfig(k_exceedances=k_exceedances, risk=risk, num_cells=num_cells,
+                                   margins=margins, seed=seed,
+                                   bootstrap_replicates=max(bootstrap_replicates, 100))
+               for margins in ("known", "empirical")}
+    _check_bootstrap_size(n, k_exceedances, "x")
+    partition = make_angular_partition(configs["known"].risk, num_cells)
     base_stream = RngStream(seed)
     raw = sample(model, n, base_stream.child(0))
     dof = num_cells - 1
@@ -284,11 +288,8 @@ def null_histogram_study(model: CopulaModel, n: int, k_exceedances: int,
     fresh_nulls = _fresh_nulls(model, n, k_exceedances, partition, bootstrap_replicates,
                                base_stream.child(2))
     modes = {}
-    for mode_ix, margins in enumerate(("known", "empirical")):
-        config = TestConfig(k_exceedances=k_exceedances, risk=risk, num_cells=num_cells,
-                            margins=margins, bootstrap_replicates=max(bootstrap_replicates, 100),
-                            seed=seed)
-        source = to_pareto(raw, _UNIFORM_PAIR) if margins == "known" else to_pseudo(raw)
+    for mode_ix, (margins, config) in enumerate(configs.items()):
+        source = standardize(raw, margins, _UNIFORM_PAIR)
         null = bootstrap_null(source, config, partition,
                               base_stream.child(1).child(mode_ix), "x")
         boot = null.replicates[:bootstrap_replicates]
@@ -324,8 +325,7 @@ def _fresh_nulls(model: CopulaModel, n: int, k_n: int, partition: Partition, cou
                         for b in range(start, stop)])
         for margins in fresh:
             # to_pareto with uniform CDFs, or to_pseudo, of every sample at once.
-            data = (1.0 / (1.0 - raw) if margins == "known"
-                    else pseudo_scale(n)[_ordinal_ranks(raw, axis=-2)])
+            data = _pareto(raw) if margins == "known" else _pseudo(raw)
             counts = cell_counts(data, [(partition, k_n)])[0][1]    # (pairs, 2, K)
             fresh[margins][start:stop] = jeffreys(counts[:, 0], counts[:, 1], k_n)[0]
     return fresh

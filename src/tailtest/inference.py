@@ -12,6 +12,7 @@ rate matches the full-sample statistic after the division; the literal
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -20,11 +21,10 @@ import numpy as np
 from . import __version__
 from .divergence import Divergence, jeffreys, kl_divergence
 from .errors import ConfigError, DomainError, InsufficientDataError
-from .margins import (MarginalCdf, Sample, _ordinal_ranks, _rank_transform, pseudo_scale,
-                      to_pareto, to_pseudo)
+from .margins import Sample, _ordinal_ranks, _tied, pseudo_scale, standardize
 from .numerics import RngStream, chisq_quantile, chisq_sf
-from .partitions import (CellProbabilities, Partition, cell_counts, count_cells,
-                         make_angular_partition, make_max_partition, make_min_partition)
+from .partitions import (Partition, cell_counts, count_cells, make_angular_partition,
+                         make_max_partition, make_min_partition)
 
 RISK_ALIASES = {"max": "max", "min": "min", "l2": "euclidean", "euclidean": "euclidean",
                 "l1": "sum", "sum": "sum"}
@@ -37,9 +37,9 @@ _BOOTSTRAP_NS = 1_000_003
 _CHUNK_POINTS = 2 ** 14
 
 
-def bootstrap_stream(seed: int, source_label: str = "x") -> RngStream:
-    """Stream of the bootstrap permutations of sample ``source_label`` of a test."""
-    return RngStream(seed, (_BOOTSTRAP_NS, 0 if source_label == "x" else 1))
+def bootstrap_stream(seed: int) -> RngStream:
+    """Stream of the bootstrap permutations of a test, whichever sample is resampled."""
+    return RngStream(seed, (_BOOTSTRAP_NS, 0))
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,8 @@ class NullDistribution:
 
 @dataclass(frozen=True)
 class TestReport:
-    """Everything Algorithm-style output needs: statistic, p-value, decision."""
+    """The JSON report of one test: its fields are the schema's top-level
+    keys in order, holding plain lists, dicts and numbers."""
 
     __test__ = False  # not a pytest class despite the name
 
@@ -141,78 +142,17 @@ class TestReport:
     scheme: str
     margins: str
     zero_adjusted: bool
-    cells_x: CellProbabilities
-    cells_y: CellProbabilities
-    cell_labels: list[str]
-    n_x: int
-    n_y: int
+    cells: dict
+    sample_sizes: dict
     dim: int
-    ties_x: int
-    ties_y: int
+    rank_ties: dict
     seed: int
-    bootstrap_replicates: Optional[int] = None
-    bootstrap_source: Optional[str] = None
-    bootstrap_exceedance_rule: Optional[str] = None
-    k_half: Optional[int] = None
+    bootstrap: Optional[dict] = None
     warnings: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         """JSON-ready report with the stable field schema shipped in schemas.py."""
-        return {
-            "statistic": self.statistic,
-            "normalized": self.normalized,
-            "p_value": self.p_value,
-            "reject": self.reject,
-            "method": self.method,
-            "level": self.level,
-            "k_exceedances": self.k_exceedances,
-            "num_cells": self.num_cells,
-            "risk": self.risk,
-            "scheme": self.scheme,
-            "margins": self.margins,
-            "zero_adjusted": self.zero_adjusted,
-            "cells": {
-                "labels": list(self.cell_labels),
-                "x_counts": [int(c) for c in self.cells_x.counts],
-                "y_counts": [int(c) for c in self.cells_y.counts],
-                "x_probs": [float(p) for p in self.cells_x.probs],
-                "y_probs": [float(p) for p in self.cells_y.probs],
-                "x_threshold": float(self.cells_x.threshold),
-                "y_threshold": float(self.cells_y.threshold),
-            },
-            "sample_sizes": {"x": self.n_x, "y": self.n_y},
-            "dim": self.dim,
-            "rank_ties": {"x": self.ties_x, "y": self.ties_y, "policy": "stable-ordinal"},
-            "seed": self.seed,
-            "bootstrap": None if self.method != "bootstrap" else {
-                "replicates": self.bootstrap_replicates,
-                "source": self.bootstrap_source,
-                "exceedance_rule": self.bootstrap_exceedance_rule,
-                "k_half": self.k_half,
-            },
-            "warnings": list(self.warnings),
-            "version": __version__,
-        }
-
-
-def _standardize(sample: Sample, margins: str, cdfs: Optional[Sequence[MarginalCdf]]) -> Sample:
-    if margins == "known":
-        if sample.margin_state == "pseudo":
-            raise ConfigError("known-margin mode needs raw or Pareto-scale data; "
-                              "pseudo-observations need empirical margins")
-        if sample.margin_state == "raw":
-            if cdfs is None:
-                raise ConfigError("known-margin mode on raw data needs marginal CDFs")
-            return to_pareto(sample, cdfs)
-        return sample
-    if sample.margin_state == "pseudo":
-        return sample
-    if sample.margin_state == "raw":
-        return to_pseudo(sample)
-    # Pareto in, empirical mode: re-rank; ranks are invariant to the monotone
-    # transform already applied, so this equals ranking the raw data.
-    data, ties = _rank_transform(sample.data)
-    return Sample(data, "pseudo", ties=ties)
+        return {**dataclasses.asdict(self), "version": __version__}
 
 
 def _split_cdfs(known_cdfs):
@@ -292,7 +232,7 @@ def bootstrap_null(source: Sample, config: TestConfig,
     if partition is None:
         targets = [(build_partition(config, source.d), config.k_exceedances)]
     if stream is None:
-        stream = bootstrap_stream(config.seed, source_label)
+        stream = bootstrap_stream(config.seed)
     half = n // 2
     proportional = config.bootstrap_exceedances == "proportional"
     half_targets = [(part, max(1, k_n // 2) if proportional else k_n) for part, k_n in targets]
@@ -300,7 +240,7 @@ def bootstrap_null(source: Sample, config: TestConfig,
     data = source.data
     if config.margins == "empirical":
         order_pos = _ordinal_ranks(data.T, axis=1) - 1
-        tied_columns = np.flatnonzero((np.diff(np.sort(data, axis=0), axis=0) == 0).any(axis=0))
+        tied_columns = np.flatnonzero(_tied(data).any(axis=0))
         scales = (pseudo_scale(half), pseudo_scale(n - half))
     num = config.bootstrap_replicates
     chunk = max(1, _CHUNK_POINTS // n)
@@ -342,20 +282,26 @@ class Calibration:
 
 
 def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partition, int]],
-              config: TestConfig, source: Sample, source_label: str = "x") -> list[Calibration]:
+              config: TestConfig, xs: Sample, ys: Sample) -> list[Calibration]:
     """Calibrate the observed divergence of each ``(partition, k_n)`` target.
 
     Known margins refer k_n * D / 2 to chi-squared(K - 1). Empirical margins
-    read it from one multi-target split-half bootstrap of ``source`` on the
-    stream ``bootstrap_stream(config.seed, source_label)``.
+    read it from one multi-target split-half bootstrap of ``xs`` on the
+    stream ``bootstrap_stream(config.seed)``; the symmetric source also
+    bootstraps ``ys`` on that stream and averages the two p-values, so
+    swapping the samples leaves them unchanged. The null kept is that of xs.
     """
     if config.margins == "known":
         return [Calibration(chisq_sf(div.normalized, part.num_cells - 1), part.num_cells, k_n)
                 for div, (part, k_n) in zip(divergences, targets)]
-    nulls = bootstrap_null(source, config, targets,
-                           bootstrap_stream(config.seed, source_label), source_label)
-    return [Calibration(bootstrap_p_value(div, null), part.num_cells, k_n, null)
-            for div, (part, k_n), null in zip(divergences, targets, nulls)]
+    nulls = bootstrap_null(xs, config, targets, bootstrap_stream(config.seed), "x")
+    p_values = [bootstrap_p_value(div, null) for div, null in zip(divergences, nulls)]
+    if config.bootstrap_source == "symmetric":
+        nulls_y = bootstrap_null(ys, config, targets, bootstrap_stream(config.seed), "y")
+        p_values = [0.5 * (p + bootstrap_p_value(div, null))
+                    for p, div, null in zip(p_values, divergences, nulls_y)]
+    return [Calibration(p, part.num_cells, k_n, null)
+            for p, (part, k_n), null in zip(p_values, targets, nulls)]
 
 
 def run_test(x: Sample, y: Sample, config: TestConfig,
@@ -378,39 +324,30 @@ def run_test(x: Sample, y: Sample, config: TestConfig,
         if config.bootstrap_source == "symmetric":
             _check_bootstrap_size(y.n, config.k_exceedances, "y")
     cdfs_x, cdfs_y = _split_cdfs(known_cdfs)
-    xs = _standardize(x, config.margins, cdfs_x)
-    ys = _standardize(y, config.margins, cdfs_y)
+    xs = standardize(x, config.margins, cdfs_x)
+    ys = standardize(y, config.margins, cdfs_y)
     partition = build_partition(config, x.d)
 
     cells_x = count_cells(xs, partition, config.k_exceedances)
     cells_y = count_cells(ys, partition, config.k_exceedances)
     div = kl_divergence(cells_x, cells_y)
+    calibration = calibrate([div], [(partition, config.k_exceedances)], config, xs, ys)[0]
 
-    target = [(partition, config.k_exceedances)]
-    calibration = calibrate([div], target, config, xs, "x")[0]
-    p_value = calibration.p_value
-    boot_meta = {}
-    if config.margins == "known":
-        method = "chisq"
-    else:
-        method = "bootstrap"
-        source = "x"
-        if config.bootstrap_source == "symmetric":
-            p_value = 0.5 * (p_value + calibrate([div], target, config, ys, "y")[0].p_value)
-            source = "symmetric"
-        boot_meta = {
-            "bootstrap_replicates": config.bootstrap_replicates,
-            "bootstrap_source": source,
-            "bootstrap_exceedance_rule": config.bootstrap_exceedances,
-            "k_half": calibration.null.k_half,
-        }
-
+    bootstrap, warnings = None, []
+    if calibration.null is not None:
+        bootstrap = {"replicates": config.bootstrap_replicates,
+                     "source": config.bootstrap_source,
+                     "exceedance_rule": config.bootstrap_exceedances,
+                     "k_half": calibration.null.k_half}
+        if calibration.p_value == 0.0:
+            warnings.append("no bootstrap replicate exceeded the statistic: "
+                            f"p < 1/{config.bootstrap_replicates}")
     return TestReport(
         statistic=div.value,
         normalized=div.normalized,
-        p_value=p_value,
-        reject=bool(p_value < config.level),
-        method=method,
+        p_value=calibration.p_value,
+        reject=bool(calibration.p_value < config.level),
+        method="chisq" if bootstrap is None else "bootstrap",
         level=config.level,
         k_exceedances=config.k_exceedances,
         num_cells=partition.num_cells,
@@ -418,15 +355,14 @@ def run_test(x: Sample, y: Sample, config: TestConfig,
         scheme=partition.scheme,
         margins=config.margins,
         zero_adjusted=div.zero_adjusted,
-        cells_x=cells_x,
-        cells_y=cells_y,
-        cell_labels=partition.cell_labels,
-        n_x=x.n,
-        n_y=y.n,
+        cells={"labels": partition.cell_labels,
+               "x_counts": cells_x.counts.tolist(), "y_counts": cells_y.counts.tolist(),
+               "x_probs": cells_x.probs.tolist(), "y_probs": cells_y.probs.tolist(),
+               "x_threshold": cells_x.threshold, "y_threshold": cells_y.threshold},
+        sample_sizes={"x": x.n, "y": y.n},
         dim=x.d,
-        ties_x=xs.ties,
-        ties_y=ys.ties,
+        rank_ties={"x": xs.ties, "y": ys.ties, "policy": "stable-ordinal"},
         seed=config.seed,
-        **boot_meta,
+        bootstrap=bootstrap,
+        warnings=warnings,
     )
-

@@ -3,17 +3,19 @@
 Two routes exist: the exact transform ``1/(1 - F_j(x))`` when the marginal
 CDFs are known, and rank-based pseudo-observations ``(n+1)/(n+1-rank)``
 otherwise. Both leave the copula untouched, so downstream cell counts only
-see the dependence structure.
+see the dependence structure. ``standardize`` picks the route for a margin
+mode and is the one entry point of the test, the studies and the CLI.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateMarginError, DomainError, InsufficientDataError, ShapeError
+from .errors import (ConfigError, DegenerateMarginError, DomainError, InsufficientDataError,
+                     ShapeError)
 
 MARGIN_STATES = ("raw", "pareto", "pseudo")
 
@@ -80,8 +82,13 @@ def to_pareto(raw: Sample, cdfs: Sequence[MarginalCdf]) -> Sample:
         if hit_one.any():
             row = int(np.flatnonzero(hit_one)[0])
             raise DegenerateMarginError(coordinate=j, row=row)
-        out[:, j] = 1.0 / (1.0 - f)
+        out[:, j] = _pareto(f)
     return Sample(out, "pareto")
+
+
+def _pareto(f: np.ndarray) -> np.ndarray:
+    """Unit-Pareto value 1/(1 - f) of each CDF value in ``f``."""
+    return 1.0 / (1.0 - f)
 
 
 def _ordinal_ranks(values: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -107,18 +114,49 @@ def pseudo_scale(m: int) -> np.ndarray:
     return (m + 1.0) / (m + 1.0 - np.arange(m + 1))
 
 
+def _pseudo(data: np.ndarray) -> np.ndarray:
+    """Pseudo-observations of each column of ``data`` (..., n, d), ranked
+    along the rows; leading axes are batch axes."""
+    return pseudo_scale(data.shape[-2])[_ordinal_ranks(data, axis=-2)]
+
+
+def _tied(data: np.ndarray) -> np.ndarray:
+    """Mask over each column's sorted values of ``data`` (n, d): True where
+    the value also occurs in another row."""
+    same = np.diff(np.sort(data, axis=0), axis=0) == 0
+    return np.pad(same, ((0, 1), (0, 0))) | np.pad(same, ((1, 0), (0, 0)))
+
+
 def _rank_transform(data: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rank transform of an arbitrary matrix; re-ranking already-standardized
-    data equals ranking the raw data."""
-    scale = pseudo_scale(data.shape[0])
-    out = np.empty_like(data, dtype=np.float64)
-    ties = 0
-    for j in range(data.shape[1]):
-        col = data[:, j]
-        counts = np.unique(col, return_counts=True)[1]
-        ties += int(counts[counts > 1].sum())
-        out[:, j] = scale[_ordinal_ranks(col)]
-    return out, ties
+    """Rank transform of an arbitrary matrix and its number of tied entries;
+    re-ranking already-standardized data equals ranking the raw data."""
+    # Row-major like the input; the gather alone is column-major, which the
+    # studies read slightly slower.
+    return np.ascontiguousarray(_pseudo(data)), int(_tied(data).sum())
+
+
+def standardize(sample: Sample, margins: str,
+                cdfs: Optional[Sequence[MarginalCdf]] = None) -> Sample:
+    """``sample`` on the Pareto scale of margin mode ``margins``: through the
+    marginal ``cdfs`` for "known" (read only for raw samples), as
+    pseudo-observations for "empirical"."""
+    if margins == "known":
+        if sample.margin_state == "pseudo":
+            raise ConfigError("known-margin mode needs raw or Pareto-scale data; "
+                              "pseudo-observations need empirical margins")
+        if sample.margin_state == "raw":
+            if cdfs is None:
+                raise ConfigError("known-margin mode on raw data needs marginal CDFs")
+            return to_pareto(sample, cdfs)
+        return sample
+    if sample.margin_state == "pseudo":
+        return sample
+    if sample.margin_state == "raw":
+        return to_pseudo(sample)
+    # Pareto in, empirical mode: re-rank; ranks are invariant to the monotone
+    # transform already applied, so this equals ranking the raw data.
+    data, ties = _rank_transform(sample.data)
+    return Sample(data, "pseudo", ties=ties)
 
 
 # Parametric stubs exposed on the CLI for known-margin round trips.

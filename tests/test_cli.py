@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tailtest import CopulaModel, ingest
+from tailtest import CopulaModel, experiments, ingest
 from tailtest.cli import main
 from tailtest.schemas import get_schema
 from .conftest import make_rain_series
@@ -188,6 +188,21 @@ class TestNullsCommand:
         assert code == 0
         jsonschema.validate(doc, get_schema("nulls"))
         assert (tmp_path / "null_replicates.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("-n", "600", "--k-exceedances", "60", "--bootstrap", "0"),
+        ("-n", "600", "--k-exceedances", "60", "--bootstrap", "-5"),
+        ("-n", "600", "--k-exceedances", "0", "--bootstrap", "60"),
+        ("-n", "400", "--k-exceedances", "400", "--bootstrap", "60"),
+    ])
+    def test_bad_sizes_fail_before_sampling(self, capsys, tmp_path, flags):
+        with mock.patch.object(experiments, "sample", side_effect=AssertionError("sampled")):
+            code = main(["nulls", "--family", "logistic", "--theta", "0.5", "--sets", "4",
+                         *flags, "--outdir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("tailtest: error: ")
 
 
 class TestRainfallCommand:

@@ -138,7 +138,7 @@ class TestRunTestInputChecks:
         y = simulate(CopulaModel("logistic", 0.5), n_y, 26, 1)
         config = TestConfig(k_exceedances=100, risk="euclidean", num_cells=4,
                             bootstrap_replicates=1000, bootstrap_source=source, seed=27)
-        with mock.patch.object(inference, "to_pseudo", side_effect=AssertionError("ran")), \
+        with mock.patch.object(inference, "standardize", side_effect=AssertionError("ran")), \
                 mock.patch.object(inference, "bootstrap_null",
                                   side_effect=AssertionError("ran")):
             with pytest.raises(InsufficientDataError, match="sample " + ("x" if n_x < n_y else "y")):
@@ -196,6 +196,48 @@ class TestRunTestEmpiricalMargins:
         assert len(doc["cells"]["labels"]) == doc["num_cells"] == 3
         assert doc["bootstrap"]["k_half"] == 30
         assert doc["rank_ties"]["policy"] == "stable-ordinal"
+
+    def test_zero_p_value_warns(self):
+        # All 1200 x 2 entries tied: the statistic and every replicate are 0.
+        tied = Sample(np.ones((1200, 2)))
+        config = TestConfig(k_exceedances=100, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=200, seed=0)
+        report = run_test(tied, tied, config)
+        assert report.p_value == 0.0
+        assert report.warnings == ["no bootstrap replicate exceeded the statistic: p < 1/200"]
+
+    def test_positive_p_value_does_not_warn(self):
+        x = simulate(CopulaModel("logistic", 0.5), 800, 5, 0)
+        config = TestConfig(k_exceedances=80, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=120, seed=21)
+        report = run_test(x, x, config)
+        assert report.p_value > 0.0
+        assert report.warnings == []
+
+
+class TestSymmetricSourceSwap:
+    def test_clayton_pair(self):
+        x = simulate(CopulaModel("outer_power_clayton", 0.45), 800, 0, 0)
+        y = simulate(CopulaModel("outer_power_clayton", 0.55), 800, 0, 1)
+        config = TestConfig(k_exceedances=80, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=200, bootstrap_source="symmetric", seed=0)
+        a, b = run_test(x, y, config), run_test(y, x, config)
+        assert (a.statistic, a.p_value) == (b.statistic, b.p_value)
+
+    @settings(max_examples=8, deadline=None)
+    @given(risk=st.sampled_from(["max", "min", "euclidean", "sum"]),
+           rule=st.sampled_from(["proportional", "same"]),
+           n_y=st.sampled_from([400, 401, 520]), k=st.integers(10, 100),
+           seed=st.integers(0, 2 ** 16))
+    def test_statistic_and_p_value_unchanged_under_swap(self, risk, rule, n_y, k, seed):
+        x = simulate(CopulaModel("outer_power_clayton", 0.45), 400, seed, 0)
+        y = simulate(CopulaModel("outer_power_clayton", 0.6), n_y, seed, 1)
+        config = TestConfig(k_exceedances=k, risk=risk, bootstrap_replicates=100,
+                            bootstrap_exceedances=rule, bootstrap_source="symmetric", seed=seed,
+                            num_cells=None if risk in ("max", "min") else 4)
+        a, b = run_test(x, y, config), run_test(y, x, config)
+        assert a.statistic == b.statistic
+        assert a.p_value == b.p_value
 
 
 class TestBootstrapNull:

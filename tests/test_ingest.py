@@ -254,7 +254,10 @@ class TestSeasonalTests:
         with pytest.raises(InsufficientDataError) as missing:
             build_pairs(two_season_series, "JJA")
         assert outcomes.seasons["JJA"] == str(missing.value)
-        assert outcomes[("DJF", "MAM")].report.warnings == []
+        # No k cap, so the only warning is the one for a bootstrap p-value of 0.
+        report = outcomes[("DJF", "MAM")].report
+        assert report.p_value == 0.0
+        assert report.warnings == ["no bootstrap replicate exceeded the statistic: p < 1/100"]
 
     def test_k_cap_can_break_bootstrap_floor(self):
         # Small X season: the capped k still violates n >= 4k for the

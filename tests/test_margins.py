@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tailtest import (DegenerateMarginError, DomainError, InsufficientDataError,
+from tailtest import (ConfigError, DegenerateMarginError, DomainError, InsufficientDataError,
                       RngStream, Sample, to_pareto, to_pseudo, uniform_cdf,
                       unit_exponential_cdf, unit_pareto_cdf)
+from tailtest.margins import _rank_transform, standardize
 
 
 class TestSampleType:
@@ -132,3 +133,43 @@ class TestToPseudo:
         # ranks: 2, 1, 3, 4
         assert out.data[:, 0] == pytest.approx([5 / 3, 5 / 4, 5 / 2, 5.0])
         assert out.ties == 2
+
+    @given(arrays(np.float64, (23, 3), elements=st.integers(0, 6).map(float)))
+    @settings(max_examples=40, deadline=None)
+    def test_tie_count_matches_value_counts(self, data):
+        expected = 0
+        for j in range(data.shape[1]):
+            counts = np.unique(data[:, j], return_counts=True)[1]
+            expected += int(counts[counts > 1].sum())
+        assert _rank_transform(data)[1] == expected == to_pseudo(Sample(data)).ties
+
+
+class TestStandardize:
+    raw = Sample(RngStream(10).uniform((50, 2)))
+
+    def test_known_raw_is_to_pareto(self):
+        out = standardize(self.raw, "known", [uniform_cdf] * 2)
+        assert np.array_equal(out.data, to_pareto(self.raw, [uniform_cdf] * 2).data)
+        assert out.margin_state == "pareto"
+
+    def test_empirical_raw_is_to_pseudo(self):
+        out = standardize(self.raw, "empirical", [uniform_cdf] * 2)
+        assert np.array_equal(out.data, to_pseudo(self.raw).data)
+
+    def test_empirical_pareto_is_reranked(self):
+        pareto = to_pareto(self.raw, [uniform_cdf] * 2)
+        out = standardize(pareto, "empirical")
+        assert out.margin_state == "pseudo"
+        assert np.array_equal(out.data, to_pseudo(self.raw).data)
+
+    def test_standardized_samples_pass_through(self):
+        pareto = to_pareto(self.raw, [uniform_cdf] * 2)
+        pseudo = to_pseudo(self.raw)
+        assert standardize(pareto, "known") is pareto
+        assert standardize(pseudo, "empirical") is pseudo
+
+    def test_known_mode_errors(self):
+        with pytest.raises(ConfigError, match="needs marginal CDFs"):
+            standardize(self.raw, "known")
+        with pytest.raises(ConfigError, match="pseudo-observations need empirical margins"):
+            standardize(to_pseudo(self.raw), "known", [uniform_cdf] * 2)

@@ -48,7 +48,7 @@ def _reference_evaluate(xs, ys, partition, k, plan, config):
         p_value = chisq_sf(div.normalized, dof)
         critical = 2.0 * chisq_quantile(1.0 - plan.level, dof) / k
     else:
-        null = bootstrap_null(xs, config, partition, bootstrap_stream(config.seed, "x"), "x")
+        null = bootstrap_null(xs, config, partition, bootstrap_stream(config.seed), "x")
         p_value = bootstrap_p_value(div, null)
         critical = float(np.quantile(null.replicates, 1.0 - plan.level))
     return div.value, p_value, critical
