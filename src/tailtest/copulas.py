@@ -3,10 +3,9 @@
 Three families on uniform margins, each with dependence parameter theta in
 (0, 1]: the logistic (Gumbel) extreme-value copula, the outer power Clayton
 copula, and an asymmetric logistic family with weights psi = (psi1, psi2).
-The logistic model is sampled through its positive-stable frailty; the
-other two by inverting the conditional CDF given the first coordinate with
-bracketed bisection. The logistic and outer power Clayton families share
-the same tail limit, with extremal correlation 2 - 2^theta.
+All three are sampled exactly through a frailty construction built on one
+positive-stable draw per pair. The logistic and outer power Clayton
+families share the same tail limit, with extremal correlation 2 - 2^theta.
 """
 
 from __future__ import annotations
@@ -21,9 +20,6 @@ from .margins import Sample
 from .numerics import RngStream
 
 FAMILIES = ("logistic", "outer_power_clayton", "asymmetric_logistic")
-
-_ROOT_TOL = 1e-10
-_ROOT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -94,39 +90,33 @@ def conditional_cdf(model: CopulaModel, u1, u2):
         return c / u1 * ((1.0 - psi1) + frailty_part)
 
 
-def _invert_conditional(model: CopulaModel, u1: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Solve conditional_cdf(model, u1, u2) = v for u2 by bracketed bisection."""
-    lo = np.full_like(u1, 1e-15)
-    hi = np.full_like(u1, 1.0 - 1e-15)
-    for _ in range(_ROOT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        too_low = conditional_cdf(model, u1, mid) < v
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-        if float(np.max(hi - lo)) <= _ROOT_TOL:
-            return 0.5 * (lo + hi)
-    worst = int(np.argmax(hi - lo))
-    raise NumericalError(
-        f"conditional inversion did not converge after {_ROOT_MAX_ITER} iterations "
-        f"at (u1={u1[worst]}, v={v[worst]})"
-    )
-
-
 def sample(model: CopulaModel, n: int, stream: RngStream) -> Sample:
-    """n i.i.d. pairs with uniform margins and the model's copula."""
+    """n i.i.d. pairs with uniform margins and the model's copula.
+
+    Every family starts from the logistic frailty draw L_j = exp(-(E_j/S)^theta)
+    with S positive stable and E_1, E_2 unit exponential. The outer power
+    Clayton copula has generator 1/(1 + t^theta), the Laplace transform of
+    V = W^(1/theta) S with W unit exponential (Hofert, "Sampling Archimedean
+    copulas", CSDA 2008), so U_j = 1/(1 + (E_j/V)^theta). The asymmetric
+    logistic takes U_j = max(A_j^(1/(1-psi_j)), L_j^(1/psi_j)) with A_j
+    uniform (Stephenson, "Simulating multivariate extreme value distributions
+    of logistic type", Extremes 2003); psi_j = 1 gives U_j = L_j exactly.
+    """
     if n < 1:
         raise DomainError(f"sample size must be >= 1, got {n}")
     th = model.theta
-    if model.family == "logistic":
-        # Frailty construction: U_j = exp(-(E_j / S)^theta), S positive stable.
-        s = np.atleast_1d(stream.positive_stable(th, n))
-        e = stream.exponential((n, 2))
-        u = np.exp(-((e / s[:, None]) ** th))
+    s = np.atleast_1d(stream.positive_stable(th, n))
+    e = stream.exponential((n, 2))
+    if model.family == "outer_power_clayton":
+        v = stream.exponential(n) ** (1.0 / th) * s
+        u = 1.0 / (1.0 + (e / v[:, None]) ** th)
     else:
-        u1 = stream.uniform(n)
-        v = stream.uniform(n)
-        u2 = _invert_conditional(model, u1, v)
-        u = np.column_stack([u1, u2])
+        u = np.exp(-((e / s[:, None]) ** th))
+    if model.family == "asymmetric_logistic":
+        psi = np.asarray(model.psi)
+        a = stream.uniform((n, 2))
+        with np.errstate(divide="ignore"):
+            u = np.maximum(a ** (1.0 / (1.0 - psi)), u ** (1.0 / psi))
     u = np.clip(u, 1e-300, 1.0 - 1e-16)
     return Sample(u, "raw")
 

@@ -58,7 +58,6 @@ class ExperimentPlan:
             raise ConfigError(f"repetitions must be >= 1, got {self.repetitions}")
         if self.risk not in RISK_ALIASES:
             raise ConfigError(f"risk must be one of {sorted(RISK_ALIASES)}, got {self.risk!r}")
-        angular = RISK_ALIASES[self.risk] in ("euclidean", "sum")
         if (self.k_grid is None) == (self.K_grid is None):
             raise ConfigError("exactly one of k_grid and K_grid must be set")
         if self.k_grid is not None:
@@ -67,20 +66,27 @@ class ExperimentPlan:
                 raise ConfigError("k_grid must be non-empty")
             if min(self.k_grid) < 1:
                 raise ConfigError(f"k_grid values must be >= 1, got {self.k_grid}")
-            if self.num_cells is None and angular:
-                raise ConfigError("angular risks need num_cells")
         else:
             object.__setattr__(self, "K_grid", tuple(int(K) for K in self.K_grid))
             if not self.K_grid:
                 raise ConfigError("K_grid must be non-empty")
             if any(not 2 <= K <= 12 for K in self.K_grid):
                 raise ConfigError(f"K grid must lie within 2..12, got {self.K_grid}")
-            if not angular:
+            if RISK_ALIASES[self.risk] not in ("euclidean", "sum"):
                 raise ConfigError("the K study varies angular partitions; risk must be euclidean or sum")
             if self.k_exceedances is None:
                 raise ConfigError("the K study needs a fixed k_exceedances")
-        if self.margins not in ("known", "empirical"):
-            raise ConfigError(f"margins must be 'known' or 'empirical', got {self.margins!r}")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        # Every size, test and partition rule fires here, before any repetition samples.
+        for k in self.k_grid or (self.k_exceedances,):
+            if k >= self.n:
+                raise ConfigError(f"every k must be below n={self.n}, got k={k}")
+            if self.margins == "empirical":
+                _check_bootstrap_size(self.n, k, "x")
+        config = _rep_config(self, 0)
+        if self.k_grid is not None:
+            build_partition(config, 2)      # every copula sample is bivariate
 
     def to_manifest(self) -> dict:
         plan = dataclasses.asdict(self)
@@ -176,9 +182,10 @@ def _k_sensitivity_rep(args: tuple[ExperimentPlan, int]) -> np.ndarray:
 
 def _map_reps(worker, plan: ExperimentPlan) -> list[np.ndarray]:
     args = [(plan, r) for r in range(plan.repetitions)]
-    if plan.workers > 1:
-        chunk = max(1, plan.repetitions // (4 * plan.workers))
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+    workers = min(plan.workers, plan.repetitions)
+    if workers > 1:
+        chunk = max(1, plan.repetitions // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, args, chunksize=chunk))
     return [worker(a) for a in args]
 

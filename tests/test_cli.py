@@ -178,6 +178,23 @@ class TestPowerCommand:
         assert code == 0
         assert (tmp_path / "envout" / "power.csv").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ("-n", "100", "--k-grid", "50,200", "--margins", "known"),
+        ("-n", "300", "--k-grid", "40,80", "--margins", "empirical"),
+        ("-n", "600", "--k-grid", "40", "--margins", "empirical", "--bootstrap", "50"),
+        ("-n", "300", "--set-grid", "2,4", "--k-exceedances", "300", "--margins", "known"),
+        ("-n", "600", "--k-grid", "40", "--margins", "known", "--workers", "0"),
+    ])
+    def test_bad_sizes_fail_before_sampling(self, capsys, tmp_path, flags):
+        with mock.patch.object(experiments, "sample", side_effect=AssertionError("sampled")):
+            code = main(["power", "--family-x", "logistic", "--theta-x", "0.5",
+                         "--family-y", "logistic", "--theta-y", "0.5", "--reps", "2",
+                         "--sets", "4", *flags, "--outdir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("tailtest: error: ")
+
 
 class TestNullsCommand:
     def test_outputs(self, capsys, tmp_path):

@@ -1,9 +1,11 @@
 """Copula samplers, tail quantities, and chi matching."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from tailtest import (CopulaModel, DomainError, RngStream, copula_cdf, count_cells,
+from tailtest import (CopulaModel, DomainError, RngStream, copula_cdf, copulas, count_cells,
                       make_angular_partition, match_chi, sample, theoretical_chi,
                       to_pareto, uniform_cdf)
 from tailtest.copulas import conditional_cdf
@@ -14,6 +16,18 @@ def ks_uniform(values):
     vals = np.sort(values)
     grid = np.arange(1, n + 1) / n
     return max(np.max(grid - vals), np.max(vals - (grid - 1.0 / n)))
+
+
+def assert_matches_cdf_on_grid(model, n, seed):
+    # Empirical CDF on a 9x9 grid within four worst-case standard errors
+    # (4 * 0.5 / sqrt(n)) of the closed form at every grid point.
+    data = sample(model, n, RngStream(seed)).data
+    grid = np.linspace(0.1, 0.9, 9)
+    below = data[:, :, None] <= grid                       # (n, 2, 9)
+    emp = np.mean(below[:, 0, :, None] & below[:, 1, None, :], axis=0)
+    exact = copula_cdf(model, grid[:, None], grid[None, :])
+    err = float(np.max(np.abs(emp - exact)))
+    assert err <= 2.0 / np.sqrt(n), f"{model}: max CDF error {err:.5f}"
 
 
 class TestModelValidation:
@@ -55,17 +69,28 @@ class TestSampling:
             assert ks_uniform(data[:, j]) <= 1.63 / np.sqrt(n)
 
     def test_clayton_matches_closed_form_cdf(self):
-        model = CopulaModel("outer_power_clayton", 0.45)
-        data = sample(model, 100_000, RngStream(53)).data
-        emp = np.mean((data[:, 0] <= 0.5) & (data[:, 1] <= 0.5))
-        assert emp == pytest.approx(float(copula_cdf(model, 0.5, 0.5)), abs=0.005)
+        for theta in (0.3, 0.45, 1.0):
+            assert_matches_cdf_on_grid(CopulaModel("outer_power_clayton", theta), 200_000, 53)
 
     def test_asymmetric_matches_closed_form_cdf(self):
-        model = CopulaModel("asymmetric_logistic", 0.5, (1.0, 0.6))
-        data = sample(model, 100_000, RngStream(54)).data
-        for pt in (0.3, 0.5, 0.7):
-            emp = np.mean((data[:, 0] <= pt) & (data[:, 1] <= pt))
-            assert emp == pytest.approx(float(copula_cdf(model, pt, pt)), abs=0.006)
+        for theta, psi in ((0.3, (1.0, 0.6)), (0.45, (0.85, 0.6)), (1.0, (0.5, 1.0))):
+            assert_matches_cdf_on_grid(CopulaModel("asymmetric_logistic", theta, psi),
+                                       200_000, 54)
+
+    def test_unit_weights_reproduce_logistic_draws(self):
+        for theta in (0.3, 0.45, 1.0):
+            asym = sample(CopulaModel("asymmetric_logistic", theta, (1.0, 1.0)), 1000,
+                          RngStream(61, (2,))).data
+            logistic = sample(CopulaModel("logistic", theta), 1000, RngStream(61, (2,))).data
+            assert np.array_equal(asym, logistic)
+
+    def test_sampling_never_inverts_the_conditional_cdf(self):
+        with mock.patch.object(copulas, "conditional_cdf",
+                               side_effect=AssertionError("conditional_cdf called")):
+            for model in (CopulaModel("logistic", 0.45),
+                          CopulaModel("outer_power_clayton", 0.45),
+                          CopulaModel("asymmetric_logistic", 0.45, (1.0, 0.5))):
+                sample(model, 500, RngStream(62))
 
     def test_conditional_cdf_limits(self):
         for model in (CopulaModel("outer_power_clayton", 0.6),
@@ -102,12 +127,14 @@ class TestTheoreticalChi:
 
     def test_monte_carlo_consistency(self):
         # chi_hat at v = 0.999 on 1e6 draws within 0.02 of the closed form.
-        model = CopulaModel("logistic", 0.45)
-        data = sample(model, 1_000_000, RngStream(56)).data
         v = 0.999
-        cond = data[:, 0] > v
-        chi_hat = float(np.mean(data[cond, 1] > v))
-        assert chi_hat == pytest.approx(theoretical_chi(model), abs=0.02)
+        for model in (CopulaModel("logistic", 0.45),
+                      CopulaModel("outer_power_clayton", 0.45),
+                      CopulaModel("asymmetric_logistic", 0.45, (0.85, 0.6))):
+            data = sample(model, 1_000_000, RngStream(56)).data
+            cond = data[:, 0] > v
+            chi_hat = float(np.mean(data[cond, 1] > v))
+            assert chi_hat == pytest.approx(theoretical_chi(model), abs=0.02), model
 
     def test_asymmetric_reduces_to_logistic_at_unit_weights(self):
         asym = CopulaModel("asymmetric_logistic", 0.45, (1.0, 1.0))

@@ -2,12 +2,13 @@
 
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats as spstats
 
-from tailtest import ConfigError, CopulaModel
+from tailtest import ConfigError, CopulaModel, InsufficientDataError, experiments
 from tailtest.experiments import (ExperimentPlan, NullStudyResult, k_sensitivity_study,
                                   ks_statistic_one_sample, ks_statistic_two_sample,
                                   null_histogram_study, size_power_study,
@@ -43,6 +44,21 @@ class TestPlanValidation:
             small_plan(risk="median", k_grid=None, K_grid=(2, 4), k_exceedances=50)
         small_plan(risk="l1", k_grid=None, K_grid=(2, 4), k_exceedances=50)
 
+    @pytest.mark.parametrize("overrides, error", [
+        (dict(n=100, k_grid=(50, 200)), ConfigError),
+        (dict(k_grid=None, K_grid=(2, 4), k_exceedances=500), ConfigError),
+        (dict(margins="empirical", n=300, k_grid=(40, 80)), InsufficientDataError),
+        (dict(margins="empirical", bootstrap_replicates=50), ConfigError),
+        (dict(k_grid=None, K_grid=(2, 4), k_exceedances=0), ConfigError),
+        (dict(risk="max", num_cells=4), ConfigError),
+        (dict(num_cells=None), ConfigError),
+        (dict(workers=0), ConfigError),
+    ])
+    def test_sizes_and_rules_checked_when_built(self, overrides, error):
+        with mock.patch.object(experiments, "sample", side_effect=AssertionError("sampled")):
+            with pytest.raises(error):
+                small_plan(**overrides)
+
     def test_k_study_constraints(self):
         with pytest.raises(ConfigError):
             ExperimentPlan(CopulaModel("logistic", 0.5), CopulaModel("logistic", 0.5),
@@ -58,6 +74,29 @@ class TestSizePowerStudy:
         a = size_power_study(small_plan(workers=1))
         b = size_power_study(small_plan(workers=2))
         assert a == b
+
+    @pytest.mark.parametrize("workers, repetitions, pool_size", [(8, 3, 3), (4, 1, None)])
+    def test_pool_no_larger_than_repetitions(self, workers, repetitions, pool_size):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args, chunksize):
+                return map(fn, args)
+
+        plan = small_plan(repetitions=repetitions)
+        with mock.patch.object(experiments, "ProcessPoolExecutor", RecordingPool):
+            curve = size_power_study(dataclasses.replace(plan, workers=workers))
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert curve == size_power_study(plan)
 
     def test_alternative_beats_null_mean(self):
         null_curve = size_power_study(small_plan(repetitions=60))
