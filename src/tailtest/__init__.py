@@ -19,7 +19,7 @@ from .inference import (NullDistribution, TestConfig, TestReport, bootstrap_null
                         bootstrap_p_value, build_partition, run_test)
 from .margins import (KNOWN_CDF_STUBS, Sample, to_pareto, to_pseudo,
                       uniform_cdf, unit_exponential_cdf, unit_pareto_cdf)
-from .numerics import RngStream, chisq_cdf, chisq_quantile, chisq_sf, normal_quantile
+from .numerics import RngStream, chisq_cdf, chisq_quantile, chisq_sf
 from .partitions import (CellProbabilities, Partition, RiskFunctional, count_cells,
                          make_angular_partition, make_max_partition, make_min_partition)
 
@@ -33,7 +33,7 @@ __all__ = [
     "bootstrap_null", "bootstrap_p_value", "build_partition", "chisq_cdf",
     "chisq_quantile", "chisq_sf", "copula_cdf", "count_cells", "d3_from_chi",
     "extremal_correlation", "kl_divergence", "make_angular_partition",
-    "make_max_partition", "make_min_partition", "match_chi", "normal_quantile",
-    "run_test", "sample", "symmetric_kl", "theoretical_chi", "to_pareto",
-    "to_pseudo", "uniform_cdf", "unit_exponential_cdf", "unit_pareto_cdf",
+    "make_max_partition", "make_min_partition", "match_chi", "run_test",
+    "sample", "symmetric_kl", "theoretical_chi", "to_pareto", "to_pseudo",
+    "uniform_cdf", "unit_exponential_cdf", "unit_pareto_cdf",
 ]

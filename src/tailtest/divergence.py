@@ -15,8 +15,9 @@ import numpy as np
 
 from .errors import DomainError, InsufficientTailError, ShapeError
 from .margins import Sample
-from .numerics import normal_quantile
 from .partitions import CellProbabilities
+
+_Z_975 = 1.959963984540054  # standard normal 97.5% quantile
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ def extremal_correlation(sample: Sample, quantile_level: float) -> ChiEstimate:
         )
     joint = int((cond & (sample.data[:, 1] > u)).sum())
     chi = joint / m
-    half = normal_quantile(0.975) * np.sqrt(chi * (1.0 - chi) / m)
+    half = _Z_975 * np.sqrt(chi * (1.0 - chi) / m)
     return ChiEstimate(chi, max(0.0, chi - half), min(1.0, chi + half), quantile_level, m)
 
 

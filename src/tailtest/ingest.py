@@ -95,41 +95,44 @@ def load_csv(path: str, timestamp_col: str = "timestamp", depth_col: str = "dept
     timestamps, depths, missing = [], [], []
     n_malformed = 0
     n_masked = 0
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise FormatError(f"{path}: empty file, no header row")
-        if timestamp_col not in reader.fieldnames or depth_col not in reader.fieldnames:
-            raise FormatError(
-                f"{path}: header {reader.fieldnames} lacks required columns "
-                f"{timestamp_col!r} and {depth_col!r}"
-            )
-        for row in reader:
-            ts = _parse_timestamp(row.get(timestamp_col))
-            if ts is None:
-                n_malformed += 1
-                continue
-            field = (row.get(depth_col) or "").strip()
-            if field == missing_token:
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise FormatError(f"{path}: empty file, no header row")
+            if timestamp_col not in reader.fieldnames or depth_col not in reader.fieldnames:
+                raise FormatError(
+                    f"{path}: header {reader.fieldnames} lacks required columns "
+                    f"{timestamp_col!r} and {depth_col!r}"
+                )
+            for row in reader:
+                ts = _parse_timestamp(row.get(timestamp_col))
+                if ts is None:
+                    n_malformed += 1
+                    continue
+                field = (row.get(depth_col) or "").strip()
+                if field == missing_token:
+                    timestamps.append(ts)
+                    depths.append(np.nan)
+                    missing.append(True)
+                    n_masked += 1
+                    continue
+                try:
+                    value = float(field)
+                except ValueError:
+                    n_malformed += 1
+                    continue
+                if value < 0:
+                    timestamps.append(ts)
+                    depths.append(np.nan)
+                    missing.append(True)
+                    n_masked += 1
+                    continue
                 timestamps.append(ts)
-                depths.append(np.nan)
-                missing.append(True)
-                n_masked += 1
-                continue
-            try:
-                value = float(field)
-            except ValueError:
-                n_malformed += 1
-                continue
-            if value < 0:
-                timestamps.append(ts)
-                depths.append(np.nan)
-                missing.append(True)
-                n_masked += 1
-                continue
-            timestamps.append(ts)
-            depths.append(value)
-            missing.append(False)
+                depths.append(value)
+                missing.append(False)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: cannot read CSV: {exc}") from exc
     n_rows = len(timestamps) + n_malformed
     if n_rows == 0:
         raise FormatError(f"{path}: no data rows")

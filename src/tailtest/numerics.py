@@ -1,10 +1,12 @@
-"""Special functions, quantile inversion, and reproducible random streams.
+"""Chi-squared distribution functions and reproducible random streams.
 
-The incomplete-gamma evaluation follows the classical split: a power series
-for small arguments and a Lentz-style continued fraction otherwise, giving
-absolute errors well below 1e-10 over the ranges used by the test (degrees
-of freedom up to a few dozen). Quantiles are obtained by a safeguarded
-Newton iteration inside a maintained bracket.
+The test's degrees of freedom are always integers (one less than the cell
+count), so the chi-squared tail needs no general incomplete-gamma solver.
+Below x = dof + 2 the lower tail comes from the incomplete-gamma power
+series; at or above it the upper tail is the finite closed form for integer
+dof (Abramowitz & Stegun 26.4.4-26.4.5), a sum of positive terms that keeps
+full relative precision far into the tail. Quantiles are obtained by a
+safeguarded Newton iteration inside a maintained bracket.
 
 Random numbers come from numpy's Philox counter-based generator. A stream
 is fully determined by ``(master_seed, stream_id)``, so replicates keyed by
@@ -37,74 +39,52 @@ def _lower_gamma_series(a: float, x: float) -> float:
     raise NumericalError(f"incomplete gamma series failed for a={a}, x={x}")
 
 
-def _upper_gamma_cf(a: float, x: float) -> float:
-    # Q(a,x) by modified Lentz continued fraction, for x >= a+1.
-    log_prefactor = a * math.log(x) - x - math.lgamma(a)
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_SERIES_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return math.exp(log_prefactor) * h
-    raise NumericalError(f"incomplete gamma continued fraction failed for a={a}, x={x}")
+def _upper_gamma_sum(dof: int, y: float) -> float:
+    # Q(dof/2, y) for integer dof (Abramowitz & Stegun 26.4.4-26.4.5):
+    # [dof odd] erfc(sqrt(y)) + sum of y^b e^-y / Gamma(b+1) over
+    # b = dof/2 - 1, dof/2 - 2, ... > -1/2. For y >= dof/2 + 1 each term is
+    # the previous one times b/y < 1, so the first term factors out safely.
+    total = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
+    if dof >= 2:
+        b0 = dof / 2.0 - 1.0
+        ratio, ratios = 1.0, 1.0
+        for i in range(dof // 2 - 1):
+            ratio *= (b0 - i) / y
+            ratios += ratio
+        total += math.exp(b0 * math.log(y) - y - math.lgamma(b0 + 1.0)) * ratios
+    return total
 
 
-def _reg_lower_gamma(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) for a > 0, x >= 0.
-
-    Series expansion for x < a + 1, continued fraction for the complement
-    otherwise (the numerically standard split).
-    """
-    if a <= 0:
-        raise DomainError(f"shape parameter must be positive, got {a}")
-    if x < 0:
-        raise DomainError(f"argument must be non-negative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return _lower_gamma_series(a, x)
-    return max(0.0, 1.0 - _upper_gamma_cf(a, x))
+def _check_dof(dof: int) -> None:
+    if dof < 1 or int(dof) != dof:
+        raise DomainError(f"degrees of freedom must be a positive integer, got {dof}")
 
 
-def _reg_upper_gamma(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x), accurate to full relative
-    precision in the far tail where 1 - P would cancel."""
-    if x < a + 1.0:
-        return max(0.0, 1.0 - _lower_gamma_series(a, x)) if x > 0 else 1.0
-    return _upper_gamma_cf(a, x)
+def _half_argument(x: float, dof: int) -> float:
+    _check_dof(dof)
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"chi-squared argument must be finite and non-negative, got {x}")
+    return x / 2.0
 
 
 def chisq_cdf(x: float, dof: int) -> float:
     """Chi-squared CDF with ``dof`` degrees of freedom, P(a=dof/2, x/2)."""
-    if dof < 1 or int(dof) != dof:
-        raise DomainError(f"degrees of freedom must be a positive integer, got {dof}")
-    if x < 0:
-        raise DomainError(f"chi-squared CDF argument must be non-negative, got {x}")
-    return _reg_lower_gamma(dof / 2.0, x / 2.0)
+    y = _half_argument(x, dof)
+    if y == 0.0:
+        return 0.0
+    if y < dof / 2.0 + 1.0:
+        return _lower_gamma_series(dof / 2.0, y)
+    return 1.0 - _upper_gamma_sum(dof, y)
 
 
 def chisq_sf(x: float, dof: int) -> float:
     """Chi-squared upper tail P(X > x), exact to relative precision in the tail."""
-    if dof < 1 or int(dof) != dof:
-        raise DomainError(f"degrees of freedom must be a positive integer, got {dof}")
-    if x < 0:
-        raise DomainError(f"chi-squared tail argument must be non-negative, got {x}")
-    if x == 0.0:
+    y = _half_argument(x, dof)
+    if y == 0.0:
         return 1.0
-    return _reg_upper_gamma(dof / 2.0, x / 2.0)
+    if y < dof / 2.0 + 1.0:
+        return 1.0 - _lower_gamma_series(dof / 2.0, y)
+    return _upper_gamma_sum(dof, y)
 
 
 def _chisq_pdf(x: float, dof: int) -> float:
@@ -114,89 +94,17 @@ def _chisq_pdf(x: float, dof: int) -> float:
     return 0.5 * math.exp((a - 1.0) * math.log(x / 2.0) - x / 2.0 - math.lgamma(a))
 
 
-# Acklam's rational approximation to the standard normal inverse CDF,
-# used only as a Newton starting point (refined below to ~1e-15).
-_ACK_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACK_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_ACK_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACK_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-
-
-def _acklam(p: float) -> float:
-    a, b, c, d = _ACK_A, _ACK_B, _ACK_C, _ACK_D
-    if p < 0.02425:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 0.97575:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-
-
-def _normal_sf_nonneg(x: float) -> float:
-    # P(Z > x) for x >= 0 through Q(1/2, x^2/2) = 2 P(Z > x); exact in the tail.
-    return 0.5 * _reg_upper_gamma(0.5, 0.5 * x * x)
-
-
-def _normal_quantile_upper(q: float) -> float:
-    """x >= 0 with P(Z > x) = q, for tail mass q in (0, 0.5]."""
-    if q == 0.5:
-        return 0.0
-    x = _acklam(1.0 - q) if q >= 0.02425 else -_acklam(q)
-    for _ in range(4):
-        err = _normal_sf_nonneg(x) - q
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf == 0.0:
-            break
-        step = err / pdf
-        x += step
-        if abs(step) < 1e-14 * (1.0 + abs(x)):
-            break
-    return x
-
-
-def normal_quantile(p: float) -> float:
-    """Standard normal inverse CDF, antisymmetric about p = 0.5 by construction.
-
-    The refinement works on the tail mass min(p, 1-p) directly, so accuracy
-    holds to ~1e-14 even far in the tails.
-    """
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"probability must lie in (0,1), got {p}")
-    if p == 0.5:
-        return 0.0
-    if p < 0.5:
-        return -_normal_quantile_upper(p)
-    return _normal_quantile_upper(1.0 - p)
-
-
 def chisq_quantile(p: float, dof: int) -> float:
     """Inverse chi-squared CDF by bracketed Newton/bisection hybrid.
 
-    Returns x with chisq_cdf(x, dof) = p; the bracket is narrowed until the
-    root is located to well below 1e-8.
+    Returns x with chisq_cdf(x, dof) = p to about 1e-13 relative error; the
+    bracket is narrowed until it is that narrow relative to the root.
     """
-    if dof < 1 or int(dof) != dof:
-        raise DomainError(f"degrees of freedom must be a positive integer, got {dof}")
+    _check_dof(dof)
     if not 0.0 < p < 1.0:
         raise DomainError(f"probability must lie in (0,1), got {p}")
 
-    # Wilson-Hilferty starting point.
-    z = normal_quantile(p)
-    t = 1.0 - 2.0 / (9.0 * dof) + z * math.sqrt(2.0 / (9.0 * dof))
-    x = dof * t ** 3 if t > 0 else dof * math.exp((z - 1.0))
-    x = max(x, 1e-12)
-
-    lo, hi = 0.0, max(2.0 * x, 4.0 * dof)
+    lo, hi = 0.0, 4.0 * dof
     for _ in range(200):
         if chisq_cdf(hi, dof) >= p:
             break
@@ -206,9 +114,13 @@ def chisq_quantile(p: float, dof: int) -> float:
 
     # Solve in whichever tail keeps full relative precision: the residual is
     # cdf - p below the median mass, q - sf above it (q = 1 - p is exact there).
+    # Below the median start from the root of y^a / Gamma(a+1) = p, a lower
+    # bound on the quantile (P(a, y) <= y^a / Gamma(a+1)) that is close in the
+    # far lower tail; above it start from the mean.
     q = 1.0 - p
     use_upper = p > 0.5
-    x = min(x, hi)
+    a = dof / 2.0
+    x = float(dof) if use_upper else 2.0 * math.exp((math.log(p) + math.lgamma(a + 1.0)) / a)
     for _ in range(300):
         f = (q - chisq_sf(x, dof)) if use_upper else (chisq_cdf(x, dof) - p)
         if f > 0.0:
@@ -221,7 +133,7 @@ def chisq_quantile(p: float, dof: int) -> float:
         candidate = x - f / deriv if deriv > 0.0 else 0.5 * (lo + hi)
         if not lo < candidate < hi:
             candidate = 0.5 * (lo + hi)
-        if hi - lo <= 1e-13 * (1.0 + hi):
+        if hi - lo <= 1e-13 * hi:
             return 0.5 * (lo + hi)
         x = candidate
     return 0.5 * (lo + hi)

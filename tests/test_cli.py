@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tailtest import CopulaModel, experiments, ingest
+from tailtest import CopulaModel, RngStream, experiments, ingest
 from tailtest.cli import main
 from tailtest.schemas import get_schema
 from .conftest import make_rain_series
@@ -111,6 +111,19 @@ class TestTestCommand:
         code, _ = run_cli(capsys, "test", "/nonexistent/a.csv", "/nonexistent/b.csv",
                           "--sets", "4", "--k-exceedances", "10")
         assert code == 4
+
+    def test_rainfall_unreadable_file_is_failure(self, capsys, tmp_path):
+        # A missing path, a directory and non-UTF-8 bytes fail at the boundary.
+        garbage = tmp_path / "garbage.csv"
+        garbage.write_bytes(bytes(RngStream(8).permutation(256).astype(np.uint8)) * 16)
+        for path in (tmp_path / "missing.csv", tmp_path, garbage):
+            code = main(["rainfall", str(path), "--sets", "4", "--k-exceedances", "50",
+                         "--outdir", str(tmp_path / "out")])
+            captured = capsys.readouterr()
+            assert code == 4
+            assert captured.out == ""
+            assert captured.err.startswith("tailtest: error: ")
+            assert str(path) in captured.err
 
     def test_independence_coverage_over_seeds(self, capsys, tmp_path):
         # theta = 1 logistic pairs are independent; at level 0.05 the known-margin

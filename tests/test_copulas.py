@@ -113,6 +113,15 @@ class TestSampling:
         assert np.array_equal(a, b)
 
 
+CHI_MODELS = (CopulaModel("logistic", 0.45),
+              CopulaModel("outer_power_clayton", 0.45),
+              CopulaModel("asymmetric_logistic", 0.45, (0.85, 0.6)))
+
+
+def _finite_level_chi(model, v):
+    return (1.0 - 2.0 * v + float(copula_cdf(model, v, v))) / (1.0 - v)
+
+
 class TestTheoreticalChi:
     def test_independence(self):
         assert theoretical_chi(CopulaModel("logistic", 1.0)) == 0.0
@@ -126,15 +135,21 @@ class TestTheoreticalChi:
             pytest.approx(2.0 - 2.0 ** 0.45, abs=1e-12)
 
     def test_monte_carlo_consistency(self):
-        # chi_hat at v = 0.999 on 1e6 draws within 0.02 of the closed form.
-        v = 0.999
-        for model in (CopulaModel("logistic", 0.45),
-                      CopulaModel("outer_power_clayton", 0.45),
-                      CopulaModel("asymmetric_logistic", 0.45, (0.85, 0.6))):
+        # chi_hat at v = 0.99 on 1e6 draws (about 1e4 conditioning points, so
+        # 0.02 is about four standard errors) within 0.02 of the finite-level
+        # chi(v) = P(U2 > v | U1 > v) = (1 - 2v + C(v, v)) / (1 - v).
+        v = 0.99
+        for model in CHI_MODELS:
             data = sample(model, 1_000_000, RngStream(56)).data
             cond = data[:, 0] > v
             chi_hat = float(np.mean(data[cond, 1] > v))
-            assert chi_hat == pytest.approx(theoretical_chi(model), abs=0.02), model
+            assert chi_hat == pytest.approx(_finite_level_chi(model, v), abs=0.02), model
+
+    def test_finite_level_chi_near_limit(self):
+        # The closed-form chi(0.999) is already within 0.001 of the limit.
+        for model in CHI_MODELS:
+            assert _finite_level_chi(model, 0.999) == \
+                pytest.approx(theoretical_chi(model), abs=0.001), model
 
     def test_asymmetric_reduces_to_logistic_at_unit_weights(self):
         asym = CopulaModel("asymmetric_logistic", 0.45, (1.0, 1.0))

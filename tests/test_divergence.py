@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from tailtest import (CellProbabilities, CopulaModel, DomainError,
                       InsufficientTailError, RngStream, Sample, ShapeError,
@@ -113,6 +114,17 @@ class TestExtremalCorrelation:
         std = to_pareto(raw, [uniform_cdf, uniform_cdf])
         est = extremal_correlation(std, 0.99)
         assert est.chi == pytest.approx(2.0 - 2.0 ** 0.45, abs=0.02)
+
+    def test_normal_interval_half_width(self):
+        # 40 of 100 rows exceed u = 2 in coordinate 1, 10 of them jointly:
+        # chi-hat = 1/4 with the 95% Wald half-width z_0.975 sqrt(chi(1-chi)/m).
+        x1 = np.where(np.arange(100) < 40, 3.0, 1.5)
+        x2 = np.where(np.arange(100) < 10, 3.0, 1.5)
+        est = extremal_correlation(Sample(np.column_stack([x1, x2]), "pareto"), 0.5)
+        half = norm.ppf(0.975) * math.sqrt(0.25 * 0.75 / 40)
+        assert (est.chi, est.num_conditioning) == (0.25, 40)
+        assert est.ci_low == pytest.approx(0.25 - half, rel=1e-14, abs=0)
+        assert est.ci_high == pytest.approx(0.25 + half, rel=1e-14, abs=0)
 
     def test_insufficient_tail(self):
         data = 1.0 + RngStream(46).uniform((50, 2))

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.stats import chi2
 
-from tailtest import (DomainError, RngStream, chisq_cdf, chisq_quantile, chisq_sf,
-                      normal_quantile)
+from tailtest import DomainError, RngStream, chisq_cdf, chisq_quantile, chisq_sf
 
 
 def _chisq_pdf(t, dof):
@@ -23,6 +23,18 @@ def quad_chisq_cdf(x, dof):
                               epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-10
     return val
+
+
+# Degrees of freedom checked against scipy: every K - 1 up to 40, and the
+# max-orthant counts 2^d - 2 for d = 3..10 with their looser bound.
+ORACLE_DOFS = [(dof, 1e-12) for dof in range(1, 41)] + \
+    [(2 ** d - 2, 2e-12) for d in range(3, 11)]
+
+
+def oracle_grid(dof):
+    """x on a linear grid to 4 dof + 200 plus geometric points down to 1e-8."""
+    top = 4.0 * dof + 200.0
+    return np.concatenate([np.linspace(top / 200, top, 200), np.geomspace(1e-8, top, 60)])
 
 
 class TestChisqCdf:
@@ -51,6 +63,13 @@ class TestChisqCdf:
         with pytest.raises(DomainError):
             chisq_cdf(1.0, 0)
 
+    def test_against_scipy(self):
+        for dof, _ in ORACLE_DOFS:
+            xs = oracle_grid(dof)
+            ref = chi2.cdf(xs, dof)
+            got = np.array([chisq_cdf(x, dof) for x in xs])
+            assert np.abs(got - ref).max() <= 1e-12, dof
+
     @given(st.floats(0.0, 60.0), st.floats(0.0, 60.0), st.integers(1, 25))
     @settings(max_examples=60, deadline=None)
     def test_nondecreasing(self, x1, x2, dof):
@@ -77,6 +96,13 @@ class TestChisqQuantile:
                 p = chisq_cdf(x, dof)
                 assert chisq_quantile(p, dof) == pytest.approx(x, abs=1e-6)
 
+    def test_against_scipy(self):
+        # The far lower tail holds quantiles far below any absolute tolerance.
+        for dof, _ in ORACLE_DOFS:
+            for p in (1e-100, 1e-30, 1e-15, 1e-8, 1e-6, 0.01, 0.5, 0.9, 0.95, 0.99, 0.999):
+                ref = chi2.ppf(p, dof)
+                assert chisq_quantile(p, dof) == pytest.approx(ref, rel=1e-12, abs=0), (p, dof)
+
     def test_monotone_in_p(self):
         grid = [chisq_quantile(p, 4) for p in np.linspace(0.01, 0.99, 25)]
         assert all(a < b for a, b in zip(grid, grid[1:]))
@@ -99,33 +125,6 @@ class TestChisqQuantile:
         assert chisq_quantile(0.95, 3) == pytest.approx(0.5 * (lo + hi), abs=1e-6)
 
 
-class TestNormalQuantile:
-    def test_median(self):
-        assert normal_quantile(0.5) == 0.0
-
-    def test_reference_value(self):
-        assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-5)
-
-    def test_against_quadrature(self):
-        # Oracle: integrate the normal density from 0 up to the returned point.
-        x = normal_quantile(0.975)
-        val, _ = integrate.quad(lambda t: math.exp(-t * t / 2.0) / math.sqrt(2 * math.pi), 0, x)
-        assert 0.5 + val == pytest.approx(0.975, abs=1e-10)
-
-    def test_antisymmetry(self):
-        # Exact on dyadic pairs whose complement is representable; other pairs
-        # differ only by the rounding of 1 - p itself.
-        for p in (0.25, 0.125, 0.0625, 0.375):
-            assert normal_quantile(p) == -normal_quantile(1.0 - p)
-        for p in (0.01, 0.2, 0.3, 0.45, 0.499, 0.6, 0.9, 0.999):
-            assert normal_quantile(p) == pytest.approx(-normal_quantile(1.0 - p), abs=5e-14)
-
-    def test_domain_errors(self):
-        for p in (0.0, 1.0, -1.0, 2.0):
-            with pytest.raises(DomainError):
-                normal_quantile(p)
-
-
 class TestChiSquaredType:
     def test_dof_invariant(self):
         for fn, arg in ((chisq_cdf, 1.0), (chisq_sf, 1.0), (chisq_quantile, 0.5)):
@@ -135,6 +134,27 @@ class TestChiSquaredType:
     def test_sf_complements_cdf(self):
         assert chisq_sf(7.8147, 3) == pytest.approx(1.0 - chisq_cdf(7.8147, 3), abs=1e-12)
         assert chisq_cdf(chisq_quantile(0.5, 3), 3) == pytest.approx(0.5)
+
+    def test_sf_against_scipy(self):
+        # Relative error wherever the reference tail is a normal double.
+        for dof, bound in ORACLE_DOFS:
+            xs = oracle_grid(dof)
+            ref = chi2.sf(xs, dof)
+            keep = ref >= 1e-300
+            got = np.array([chisq_sf(x, dof) for x in xs[keep]])
+            assert (np.abs(got - ref[keep]) / ref[keep]).max() <= bound, dof
+
+    def test_extreme_arguments(self):
+        for dof in (1, 2, 3, 4, 1022):
+            # The smallest subnormal halves to zero: the endpoint values.
+            assert chisq_sf(5e-324, dof) == 1.0
+            assert chisq_cdf(5e-324, dof) == 0.0
+            assert chisq_sf(1e308, dof) == 0.0
+            assert chisq_cdf(1e308, dof) == 1.0
+            for x in (math.nan, math.inf, -math.inf):
+                for fn in (chisq_cdf, chisq_sf):
+                    with pytest.raises(DomainError):
+                        fn(x, dof)
 
 
 class TestRngStream:
