@@ -7,14 +7,20 @@ meteorological seasons, and runs the empirical-margin divergence test on
 every season pair. Days with any missing slot are dropped, as are dry days
 (both maxima zero), since massive ties at zero would degrade the rank
 standardization; both policies are explicit flags.
+
+``load_csv`` parses the depth series as arrays, block by block of records;
+only tokens outside the common fixed-width timestamp shapes are parsed one
+at a time. Its docstring states the row rules.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import chain, compress, islice
 from typing import Optional
 
 import numpy as np
@@ -87,66 +93,195 @@ def load_csv(path: str, timestamp_col: str = "timestamp", depth_col: str = "dept
              missing_token: str = "", station_id: str = "") -> RainSeries:
     """Parse a depth series from CSV.
 
-    Rows whose timestamp or depth cannot be parsed (or sit off the 6-minute
-    grid) count as malformed and are dropped; rows carrying the missing
-    token or a negative depth are kept but masked. More than 50% malformed
-    rows rejects the file.
+    The first record names the columns; blank lines are skipped, and a row
+    shorter than the header reads as empty fields where it ends. A row is
+    malformed, and dropped, when its timestamp does not parse or sits off
+    the 6-minute grid (``_parse_timestamp``), or when its depth is neither
+    the missing token nor a number. It is kept but masked when its stripped
+    depth equals the missing token or is a number outside [0, inf):
+    negative, infinite or NaN. More than 50% malformed rows rejects the
+    file, as do duplicate timestamps.
+
+    The file is read once and parsed in blocks of records. Timestamps
+    shaped exactly ``YYYY-MM-DDTHH:MM`` or ``YYYY-MM-DD HH:MM`` are decoded
+    together as integer arrays, and the depths are converted in one pass;
+    only the other tokens are parsed one by one.
     """
-    timestamps, depths, missing = [], [], []
-    n_malformed = 0
-    n_masked = 0
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise FormatError(f"{path}: empty file, no header row")
-            if timestamp_col not in reader.fieldnames or depth_col not in reader.fieldnames:
-                raise FormatError(
-                    f"{path}: header {reader.fieldnames} lacks required columns "
-                    f"{timestamp_col!r} and {depth_col!r}"
-                )
-            for row in reader:
-                ts = _parse_timestamp(row.get(timestamp_col))
-                if ts is None:
-                    n_malformed += 1
-                    continue
-                field = (row.get(depth_col) or "").strip()
-                if field == missing_token:
-                    timestamps.append(ts)
-                    depths.append(np.nan)
-                    missing.append(True)
-                    n_masked += 1
-                    continue
-                try:
-                    value = float(field)
-                except ValueError:
-                    n_malformed += 1
-                    continue
-                if value < 0:
-                    timestamps.append(ts)
-                    depths.append(np.nan)
-                    missing.append(True)
-                    n_masked += 1
-                    continue
-                timestamps.append(ts)
-                depths.append(value)
-                missing.append(False)
+            records = _records(fh.read())
+        header = next(records)
+        if header is None:
+            raise FormatError(f"{path}: empty file, no header row")
+        if timestamp_col not in header or depth_col not in header:
+            raise FormatError(
+                f"{path}: header {header} lacks required columns "
+                f"{timestamp_col!r} and {depth_col!r}"
+            )
+        # A repeated column name reads its last occurrence, as csv.DictReader does.
+        columns = [len(header) - 1 - header[::-1].index(name)
+                   for name in (timestamp_col, depth_col)]
+        blocks = [_parse_block(fields, widths, *columns, missing_token)
+                  for fields, widths in records]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: cannot read CSV: {exc}") from exc
-    n_rows = len(timestamps) + n_malformed
+    n_malformed = sum(block[0] for block in blocks)
+    n_rows = n_malformed + sum(block[1].size for block in blocks)
     if n_rows == 0:
         raise FormatError(f"{path}: no data rows")
     if n_malformed > 0.5 * n_rows:
         raise FormatError(
             f"{path}: {n_malformed} of {n_rows} rows malformed; refusing to continue"
         )
-    ts = np.array(timestamps, dtype="datetime64[m]")
+    minutes, depths, missing = (np.concatenate(part) for part in list(zip(*blocks))[1:])
+    ts = minutes.view("datetime64[m]")
     order = np.argsort(ts, kind="stable")
     ts = ts[order]
     if np.any(np.diff(ts) == np.timedelta64(0, "m")):
         raise FormatError(f"{path}: duplicate timestamps")
-    return RainSeries(ts, np.array(depths)[order], np.array(missing)[order],
-                      station_id=station_id, n_malformed=n_malformed, n_masked=n_masked)
+    return RainSeries(ts, depths[order], missing[order], station_id=station_id,
+                      n_malformed=n_malformed, n_masked=int(missing.sum()))
+
+
+_BLOCK_CHARS = 1 << 20
+_BLOCK_ROWS = 1 << 16
+
+
+def _records(text: str):
+    """Yield the header record (None for an empty text), then the non-blank
+    records after it in blocks, each as one flat object array of fields and
+    the field count of each record.
+
+    Quote-free text is split on line endings and commas, which gives the
+    records the csv module gives. Text with quotes, where a field may hold
+    commas and line breaks, or with NUL characters goes through the csv
+    module, as does a block holding a line longer than the csv field limit.
+    Blocks bound the memory that the per-field strings take.
+    """
+    if '"' in text or "\0" in text:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        yield next(reader, None)
+        while chunk := list(islice(reader, _BLOCK_ROWS)):
+            yield _flatten(chunk)
+        return
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    first, _, body = text.partition("\n")
+    yield next(csv.reader([first])) if text else None
+    body += "\n"
+    while "\n\n" in body:
+        body = body.replace("\n\n", "\n")
+    body = body.lstrip("\n")
+    start = 0
+    while start < len(body):
+        stop = body.find("\n", start + _BLOCK_CHARS) + 1 or len(body)
+        yield _split_block(body[start:stop])
+        start = stop
+
+
+def _split_block(block: str):
+    """Fields and field counts of newline-terminated, non-blank lines."""
+    # In UTF-8 no multi-byte character holds a comma or newline byte, and a
+    # line has at least as many bytes as characters.
+    data = np.frombuffer(block.encode(), np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    if np.diff(ends, prepend=-1).max() > csv.field_size_limit() + 1:
+        return _flatten(csv.reader(io.StringIO(block, newline="")))
+    commas = np.searchsorted(np.flatnonzero(data == ord(",")), ends)
+    fields = block.replace("\n", ",").split(",")
+    fields.pop()
+    return np.array(fields, dtype=object), np.diff(commas, prepend=0) + 1
+
+
+def _flatten(rows):
+    rows = [row for row in rows if row]
+    return (np.array(list(chain.from_iterable(rows)), dtype=object),
+            np.fromiter(map(len, rows), np.intp, len(rows)))
+
+
+def _parse_block(fields: np.ndarray, widths: np.ndarray, ts_col: int, depth_col: int,
+                 missing_token: str):
+    """The row rules on one block of records: the number of malformed rows,
+    then the minutes since the epoch, depth (NaN where masked) and missing
+    flag of every kept row, in file order."""
+    starts = np.cumsum(widths) - widths
+
+    def column(j):
+        tokens = np.full(widths.size, "", dtype=object)
+        present = widths > j
+        tokens[present] = fields[starts[present] + j]
+        return tokens
+
+    parsed, minutes = _grid_minutes(column(ts_col))
+    depth_tokens = list(map(str.strip, column(depth_col)[parsed].tolist()))
+    is_token = np.fromiter(map(missing_token.__eq__, depth_tokens), bool, len(depth_tokens))
+    numbers = ~is_token
+    values = np.full(is_token.size, np.nan)
+    bad = np.zeros(is_token.size, dtype=bool)
+    values[numbers], bad[numbers] = _floats(list(compress(depth_tokens, numbers)))
+    kept = ~bad
+    missing = (is_token | ~((values >= 0) & (values < np.inf)))[kept]
+    return (widths.size - int(kept.sum()), minutes[parsed][kept],
+            np.where(missing, np.nan, values[kept]), missing)
+
+
+# Character positions of the digits in YYYY-MM-DDTHH:MM.
+_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15]
+
+
+def _grid_minutes(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which timestamp tokens parse onto the 6-minute grid, and their
+    minutes since the epoch (0 where they do not).
+
+    Tokens shaped exactly ``YYYY-MM-DDTHH:MM`` or ``YYYY-MM-DD HH:MM`` with
+    a valid date, hour and grid minute are read by integer arithmetic on
+    their code points; numpy's own string-to-datetime cast would accept
+    "NaT", "today" and partial dates. Every other token goes through
+    ``_parse_timestamp``, which owns the rule.
+    """
+    parsed = np.zeros(tokens.size, dtype=bool)
+    minutes = np.zeros(tokens.size, dtype=np.int64)
+    fixed = np.flatnonzero(np.fromiter(map(len, tokens.tolist()), np.intp, tokens.size) == 16)
+    # One byte per character: a non-ASCII one becomes "?", which no clean token holds.
+    text = "".join(tokens[fixed].tolist()).encode("ascii", "replace")
+    codes = np.frombuffer(text, np.uint8).reshape(-1, 16)
+    # Below "0" the subtraction wraps round, so capping at 10 marks every non-digit.
+    digits = np.minimum(codes[:, _DIGITS] - np.uint8(48), 10)
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1], dtype=np.int32)
+    month, day, hour, minute = (digits[:, i:i + 2] @ np.array([10, 1], dtype=np.int32)
+                                for i in (4, 6, 8, 10))
+    month_start = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    first_day = month_start.astype("datetime64[D]").astype(np.int64)
+    month_length = (month_start + 1).astype("datetime64[D]").astype(np.int64) - first_day
+    clean = ((digits <= 9).all(axis=1)
+             & (codes[:, 4] == ord("-")) & (codes[:, 7] == ord("-"))
+             & ((codes[:, 10] == ord("T")) | (codes[:, 10] == ord(" ")))
+             & (codes[:, 13] == ord(":"))
+             & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_length)
+             & (hour < 24) & (minute < 60) & (minute % 6 == 0))
+    parsed[fixed[clean]] = True
+    minutes[fixed[clean]] = ((first_day + day - 1) * 1440 + hour * 60 + minute)[clean]
+    for i in np.flatnonzero(~parsed):
+        stamp = _parse_timestamp(tokens[i])
+        if stamp is not None:
+            parsed[i] = True
+            minutes[i] = stamp.astype(np.int64)
+    return parsed, minutes
+
+
+def _floats(tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``float`` of every token in one pass, and which tokens are not numbers
+    (NaN there). Only when one fails are the tokens converted one by one."""
+    bad = np.zeros(len(tokens), dtype=bool)
+    try:
+        return np.fromiter(map(float, tokens), np.float64, len(tokens)), bad
+    except ValueError:
+        values = np.full(len(tokens), np.nan)
+    for i, token in enumerate(tokens):
+        try:
+            values[i] = float(token)
+        except ValueError:
+            bad[i] = True
+    return values, bad
 
 
 def _parse_timestamp(text: Optional[str]):

@@ -6,7 +6,8 @@ Below x = dof + 2 the lower tail comes from the incomplete-gamma power
 series; at or above it the upper tail is the finite closed form for integer
 dof (Abramowitz & Stegun 26.4.4-26.4.5), a sum of positive terms that keeps
 full relative precision far into the tail. Quantiles are obtained by a
-safeguarded Newton iteration inside a maintained bracket.
+safeguarded Newton iteration inside a maintained bracket, finished by
+bisection in log x where Newton stalls in the far lower tail.
 
 Random numbers come from numpy's Philox counter-based generator. A stream
 is fully determined by ``(master_seed, stream_id)``, so replicates keyed by
@@ -120,9 +121,13 @@ def chisq_quantile(p: float, dof: int) -> float:
     q = 1.0 - p
     use_upper = p > 0.5
     a = dof / 2.0
+
+    def residual(x):
+        return (q - chisq_sf(x, dof)) if use_upper else (chisq_cdf(x, dof) - p)
+
     x = float(dof) if use_upper else 2.0 * math.exp((math.log(p) + math.lgamma(a + 1.0)) / a)
     for _ in range(300):
-        f = (q - chisq_sf(x, dof)) if use_upper else (chisq_cdf(x, dof) - p)
+        f = residual(x)
         if f > 0.0:
             hi = x
         else:
@@ -136,6 +141,17 @@ def chisq_quantile(p: float, dof: int) -> float:
         if hi - lo <= 1e-13 * hi:
             return 0.5 * (lo + hi)
         x = candidate
+    # Far in the lower tail at large dof, Newton from the right crawls down the
+    # convex CDF, shrinking x by about a factor 1 - 2/dof per step. Bisect the
+    # bracket left over in log x, which halves the decades it spans each step.
+    while hi - lo > 1e-13 * hi:
+        x = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
+        if not lo < x < hi:  # a bracket among the smallest subnormals
+            break
+        if residual(x) > 0.0:
+            hi = x
+        else:
+            lo = x
     return 0.5 * (lo + hi)
 
 

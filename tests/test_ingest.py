@@ -1,9 +1,19 @@
 """CSV ingestion, daily aggregation, seasonal splitting, season-pair tests."""
 
+import csv
+import math
+import tempfile
+from datetime import datetime, timezone
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailtest import CopulaModel, DomainError, FormatError, InsufficientDataError, TestConfig
+from tailtest import ingest
 from tailtest.ingest import (SEASONS, RainSeries, SLOTS_PER_DAY, build_pairs, load_csv,
                              season_of_month, seasonal_tests)
 from .conftest import make_rain_series
@@ -279,3 +289,232 @@ class TestSeasonalTests:
                             margins="known")
         with pytest.raises(DomainError):
             seasonal_tests(two_season_series, config)
+
+
+def oracle_load_csv(path, timestamp_col="timestamp", depth_col="depth", missing_token="",
+                    station_id=""):
+    """The per-row loader: one ``csv.DictReader`` row and one ``datetime`` at a
+    time. Any depth outside [0, inf) is masked."""
+    timestamps, depths, missing = [], [], []
+    n_malformed = 0
+    n_masked = 0
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise FormatError(f"{path}: empty file, no header row")
+            if timestamp_col not in reader.fieldnames or depth_col not in reader.fieldnames:
+                raise FormatError(
+                    f"{path}: header {reader.fieldnames} lacks required columns "
+                    f"{timestamp_col!r} and {depth_col!r}"
+                )
+            for row in reader:
+                ts = oracle_timestamp(row.get(timestamp_col))
+                if ts is None:
+                    n_malformed += 1
+                    continue
+                field = (row.get(depth_col) or "").strip()
+                if field == missing_token:
+                    value = None
+                else:
+                    try:
+                        value = float(field)
+                    except ValueError:
+                        n_malformed += 1
+                        continue
+                    if not 0 <= value < math.inf:
+                        value = None
+                timestamps.append(ts)
+                depths.append(np.nan if value is None else value)
+                missing.append(value is None)
+                n_masked += value is None
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: cannot read CSV: {exc}") from exc
+    n_rows = len(timestamps) + n_malformed
+    if n_rows == 0:
+        raise FormatError(f"{path}: no data rows")
+    if n_malformed > 0.5 * n_rows:
+        raise FormatError(
+            f"{path}: {n_malformed} of {n_rows} rows malformed; refusing to continue"
+        )
+    ts = np.array(timestamps, dtype="datetime64[m]")
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    if np.any(np.diff(ts) == np.timedelta64(0, "m")):
+        raise FormatError(f"{path}: duplicate timestamps")
+    return RainSeries(ts, np.array(depths)[order], np.array(missing)[order],
+                      station_id=station_id, n_malformed=n_malformed, n_masked=n_masked)
+
+
+def oracle_timestamp(text):
+    if not text:
+        return None
+    try:
+        dt = datetime.fromisoformat(text.strip())
+    except ValueError:
+        return None
+    if dt.tzinfo is not None:
+        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    if dt.minute % 6 != 0 or dt.second != 0 or dt.microsecond != 0:
+        return None
+    return np.datetime64(dt, "m")
+
+
+def outcome(loader, path, **kwargs):
+    """Every field of the returned series, or the FormatError message."""
+    try:
+        series = loader(path, **kwargs)
+    except FormatError as exc:
+        return str(exc)
+    return (series.timestamps.tolist(), series.depths.tolist(), series.missing.tolist(),
+            series.n_malformed, series.n_masked, series.station_id)
+
+
+def assert_matches_oracle(path, **kwargs):
+    got, want = outcome(load_csv, path, **kwargs), outcome(oracle_load_csv, path, **kwargs)
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple), got
+        # NaN-equal depths: NaN != NaN, so compare their positions separately.
+        assert np.array_equal(np.array(got[1]), np.array(want[1]), equal_nan=True)
+        got, want = got[:1] + got[2:], want[:1] + want[2:]
+    assert got == want
+
+
+EPOCH = np.datetime64("2006-01-01T00:00")
+
+
+def stamp(slot, sep="T"):
+    return str(EPOCH + np.timedelta64(6 * slot, "m")).replace("T", sep)
+
+
+# Each kind maps a 6-minute slot and a depth to (timestamp field, depth field);
+# None for the depth drops it and every field after it from the row.
+ROW_KINDS = {
+    "clean": lambda slot, d, tok: (stamp(slot), d),
+    "space": lambda slot, d, tok: (stamp(slot, " "), d),
+    "off_grid": lambda slot, d, tok: (stamp(slot)[:-1] + "3", d),
+    "off_grid_by_1": lambda slot, d, tok: (stamp(slot)[:-1] + "1", d),
+    "month_13": lambda slot, d, tok: ("2006-13-01T00:00", d),
+    "feb_29_2007": lambda slot, d, tok: ("2007-02-29T00:00", d),
+    "feb_29_2008": lambda slot, d, tok: ("2008-02-29T00:%02d" % (6 * (slot % 10)), d),
+    "april_31": lambda slot, d, tok: ("2006-04-31T12:00", d),
+    "hour_24": lambda slot, d, tok: ("2006-03-01T24:00", d),
+    "year_0": lambda slot, d, tok: ("0000-01-01T00:00", d),
+    "seconds_00": lambda slot, d, tok: (stamp(slot) + ":00", d),
+    "seconds_30": lambda slot, d, tok: (stamp(slot) + ":30", d),
+    "utc_offset": lambda slot, d, tok: (stamp(slot) + "+01:00", d),
+    "negative_offset": lambda slot, d, tok: (stamp(slot) + "-02:30", d),
+    "spaces": lambda slot, d, tok: (f" {stamp(slot)} ", f"  {d} "),
+    "wide_digits": lambda slot, d, tok: ("\uff12" + stamp(slot)[1:], d),
+    "not_a_date": lambda slot, d, tok: ("not-a-date-at-al", d),
+    "missing_token": lambda slot, d, tok: (stamp(slot), tok),
+    "negative": lambda slot, d, tok: (stamp(slot), "-0.5"),
+    "nan": lambda slot, d, tok: (stamp(slot), "nan"),
+    "inf": lambda slot, d, tok: (stamp(slot), "inf"),
+    "minus_inf": lambda slot, d, tok: (stamp(slot), "-Infinity"),
+    "unparsable": lambda slot, d, tok: (stamp(slot), "abc"),
+    "short": lambda slot, d, tok: (stamp(slot), None),
+    "quoted": lambda slot, d, tok: (f'"{stamp(slot)}"', f'"{d}"'),
+    "quoted_comma": lambda slot, d, tok: (stamp(slot), '"1,5"'),
+}
+CLEAN_WEIGHT = 4  # clean rows outnumber each odd kind, so most files parse
+
+
+@st.composite
+def rain_files(draw):
+    """A CSV text mixing every row kind, plus the loader's keyword arguments."""
+    names = draw(st.sampled_from([("timestamp", "depth"), ("ts", "mm")]))
+    extra = draw(st.sampled_from([None, "station", "note"]))
+    columns = list(names) + ([extra] if extra else [])
+    columns = draw(st.permutations(columns))
+    missing_token = draw(st.sampled_from(["", "NA", "-999"]))
+    kinds = draw(st.lists(st.sampled_from(["clean"] * CLEAN_WEIGHT + sorted(ROW_KINDS)),
+                          min_size=1, max_size=30))
+    slots = draw(st.lists(st.integers(0, 10 ** 6), min_size=len(kinds), max_size=len(kinds),
+                          unique=True))
+    depths = draw(st.lists(st.sampled_from(["0", "0.2", "1.5398969322723608", "1e-3", "7"]),
+                           min_size=len(kinds), max_size=len(kinds)))
+    lines = [",".join(columns)]
+    for kind, slot, depth in zip(kinds, slots, depths):
+        ts_field, depth_field = ROW_KINDS[kind](slot, depth, missing_token)
+        values = {names[0]: ts_field, names[1]: depth_field, extra: '"a\nb"' if slot % 2 else "x"}
+        row = []
+        for column in columns:
+            if values[column] is None:
+                break
+            row.append(values[column])
+        lines.append(",".join(row))
+        if draw(st.booleans()) and draw(st.booleans()):
+            lines.append("")  # a blank line
+    endings = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, endings))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no trailing newline
+    return text, {"timestamp_col": names[0], "depth_col": names[1],
+                  "missing_token": missing_token}
+
+
+@settings(max_examples=300, deadline=None)
+@given(rain_files(), st.sampled_from([None, (1, 1), (40, 3)]))
+def test_load_csv_matches_per_row_oracle(case, block):
+    """Tiny blocks (characters of quote-free text, records of quoted text)
+    put block boundaries inside the generated files."""
+    text, kwargs = case
+    chars, rows = block or (ingest._BLOCK_CHARS, ingest._BLOCK_ROWS)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.multiple(ingest, _BLOCK_CHARS=chars, _BLOCK_ROWS=rows):
+        path = Path(tmp) / "rain.csv"
+        path.write_bytes(text.encode())
+        assert_matches_oracle(str(path), **kwargs)
+
+
+class TestLoadCsvAgainstOracle:
+    @pytest.mark.parametrize("text", [
+        "",
+        "\n",
+        "timestamp,depth\n",
+        "timestamp,depth\n\n\r\n",
+        "time,mm\n2006-01-01T00:00,0.2\n",
+        '"timestamp",depth\n"2006-01-01T00:00",1\n',
+        "timestamp,depth\n2006-01-01T00:00,1\n2006-01-01 00:00,2\n",
+        "timestamp,depth\n2006-01-01T01:00+01:00,1\n2006-01-01T00:00,2\n",
+        "timestamp,depth\njunk,1\n2006-01-01T00:00,1\nmore junk,2\n",
+        "timestamp,depth\n2006-01-01T00:00,1\n2006-01-01T00:06,x\n",
+    ])
+    def test_format_errors_and_edge_files(self, tmp_path, text):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(text.encode())
+        assert_matches_oracle(str(path))
+
+    def test_duplicate_column_reads_last_occurrence(self, tmp_path):
+        path = tmp_path / "dup_cols.csv"
+        path.write_text("depth,timestamp,depth\n1,2006-01-01T00:00,2\n3,2006-01-01T00:06\n")
+        assert_matches_oracle(str(path))
+        series = load_csv(str(path))
+        assert series.depths[0] == 2.0 and series.missing.tolist() == [False, True]
+
+    def test_nul_and_long_fields(self, tmp_path):
+        path = tmp_path / "nul.csv"
+        path.write_text("timestamp,depth\n2006-01-01T00:00\0,1\n2006-01-01T00:06,1\n"
+                        "2006-01-01T00:12,1\n")
+        assert_matches_oracle(str(path))
+        long_line = "2006-01-01T00:06,1," + "," * (csv.field_size_limit() + 1)
+        path.write_text(f"timestamp,depth\n2006-01-01T00:00,2\n{long_line}\n")
+        assert_matches_oracle(str(path))
+        assert load_csv(str(path)).depths.tolist() == [2.0, 1.0]
+        path.write_text("timestamp,depth\n2006-01-01T00:00," + "1" * (csv.field_size_limit() + 1)
+                        + "\n")
+        assert_matches_oracle(str(path))
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "bin.csv"
+        path.write_bytes(b"timestamp,depth\n2006-01-01T00:00,\xff\n")
+        with pytest.raises(FormatError, match="cannot read CSV"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_depths_masked(self, tmp_path, token):
+        rows = ["2006-01-01T00:00,1.0", f"2006-01-01T00:06,{token}", "2006-01-01T00:12,0.0"]
+        series = load_csv(write_csv(tmp_path / "nonfinite.csv", rows))
+        assert series.missing.tolist() == [False, True, False]
+        assert series.n_masked == 1 and series.n_malformed == 0

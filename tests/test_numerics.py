@@ -102,6 +102,10 @@ class TestChisqQuantile:
             for p in (1e-100, 1e-30, 1e-15, 1e-8, 1e-6, 0.01, 0.5, 0.9, 0.95, 0.99, 0.999):
                 ref = chi2.ppf(p, dof)
                 assert chisq_quantile(p, dof) == pytest.approx(ref, rel=1e-12, abs=0), (p, dof)
+        # Astronomically small p at large dof, where Newton from the right stalls.
+        for p, dof in ((1e-200, 510), (1e-300, 1022)):
+            ref = chi2.ppf(p, dof)
+            assert chisq_quantile(p, dof) == pytest.approx(ref, rel=1e-12, abs=0), (p, dof)
 
     def test_monotone_in_p(self):
         grid = [chisq_quantile(p, 4) for p in np.linspace(0.01, 0.99, 25)]
