@@ -121,13 +121,9 @@ def chisq_quantile(p: float, dof: int) -> float:
     q = 1.0 - p
     use_upper = p > 0.5
     a = dof / 2.0
-
-    def residual(x):
-        return (q - chisq_sf(x, dof)) if use_upper else (chisq_cdf(x, dof) - p)
-
     x = float(dof) if use_upper else 2.0 * math.exp((math.log(p) + math.lgamma(a + 1.0)) / a)
     for _ in range(300):
-        f = residual(x)
+        f = (q - chisq_sf(x, dof)) if use_upper else (chisq_cdf(x, dof) - p)
         if f > 0.0:
             hi = x
         else:
@@ -148,7 +144,8 @@ def chisq_quantile(p: float, dof: int) -> float:
         x = math.sqrt(lo) * math.sqrt(hi) if lo > 0.0 else 0.5 * hi
         if not lo < x < hi:  # a bracket among the smallest subnormals
             break
-        if residual(x) > 0.0:
+        f = (q - chisq_sf(x, dof)) if use_upper else (chisq_cdf(x, dof) - p)
+        if f > 0.0:
             hi = x
         else:
             lo = x
