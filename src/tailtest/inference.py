@@ -206,7 +206,8 @@ def bootstrap_null(source: Sample, config: TestConfig,
                    source_label: str = "x") -> NullDistribution | list[NullDistribution]:
     """Split-half subsample bootstrap of the null distribution.
 
-    Replicate b permutes the source with ``stream.child(b)``, takes the first
+    Replicate b permutes the source with ``stream.child(b)`` (drawn by
+    ``stream.child_permutations``, which re-keys one generator), takes the first
     floor(n/2) rows as one half and the rest as the other, computes the
     two-half statistic and divides it by 2 (the rate correction for the
     halved sample size). For known margins the source must already be on
@@ -247,7 +248,7 @@ def bootstrap_null(source: Sample, config: TestConfig,
     replicates = np.empty((len(targets), num))
     for start in range(0, num, chunk):
         stop = min(num, start + chunk)
-        perms = np.stack([stream.child(b).permutation(n) for b in range(start, stop)])
+        perms = stream.child_permutations(start, stop, n)
         if config.margins == "empirical":
             halves = _half_pseudo(data, order_pos, tied_columns, perms, scales)
         else:
@@ -281,8 +282,21 @@ class Calibration:
         return float(np.quantile(self.null.replicates, 1.0 - level))
 
 
+def _source_nulls(source: Sample, label: str, targets: Sequence[tuple[Partition, int]],
+                  config: TestConfig, cache: Optional[dict]) -> list[NullDistribution]:
+    """The multi-target bootstrap of ``source`` on ``bootstrap_stream(config.seed)``,
+    read from ``cache`` when it already holds that source, config and targets."""
+    if cache is None:
+        return bootstrap_null(source, config, targets, bootstrap_stream(config.seed), label)
+    key = (source.data.shape, source.data.tobytes(), source.margin_state, config, tuple(targets))
+    if key not in cache:
+        cache[key] = bootstrap_null(source, config, targets, bootstrap_stream(config.seed), label)
+    return [dataclasses.replace(null, source_sample=label) for null in cache[key]]
+
+
 def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partition, int]],
-              config: TestConfig, xs: Sample, ys: Sample) -> list[Calibration]:
+              config: TestConfig, xs: Sample, ys: Sample, *,
+              nulls: Optional[dict] = None) -> list[Calibration]:
     """Calibrate the observed divergence of each ``(partition, k_n)`` target.
 
     Known margins refer k_n * D / 2 to chi-squared(K - 1). Empirical margins
@@ -290,27 +304,32 @@ def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partiti
     stream ``bootstrap_stream(config.seed)``; the symmetric source also
     bootstraps ``ys`` on that stream and averages the two p-values, so
     swapping the samples leaves them unchanged. The null kept is that of xs.
+
+    ``nulls``, when given, is a cache the caller owns across calls: keyed by
+    the standardized source, the config and the targets, it hands back a
+    bootstrap already made for that source, as x or as y, relabelled.
     """
     if config.margins == "known":
         return [Calibration(chisq_sf(div.normalized, part.num_cells - 1), part.num_cells, k_n)
                 for div, (part, k_n) in zip(divergences, targets)]
-    nulls = bootstrap_null(xs, config, targets, bootstrap_stream(config.seed), "x")
-    p_values = [bootstrap_p_value(div, null) for div, null in zip(divergences, nulls)]
+    nulls_x = _source_nulls(xs, "x", targets, config, nulls)
+    p_values = [bootstrap_p_value(div, null) for div, null in zip(divergences, nulls_x)]
     if config.bootstrap_source == "symmetric":
-        nulls_y = bootstrap_null(ys, config, targets, bootstrap_stream(config.seed), "y")
+        nulls_y = _source_nulls(ys, "y", targets, config, nulls)
         p_values = [0.5 * (p + bootstrap_p_value(div, null))
                     for p, div, null in zip(p_values, divergences, nulls_y)]
     return [Calibration(p, part.num_cells, k_n, null)
-            for p, (part, k_n), null in zip(p_values, targets, nulls)]
+            for p, (part, k_n), null in zip(p_values, targets, nulls_x)]
 
 
 def run_test(x: Sample, y: Sample, config: TestConfig,
-             known_cdfs=None) -> TestReport:
+             known_cdfs=None, *, nulls: Optional[dict] = None) -> TestReport:
     """Run the full two-sample extremal dependence test.
 
     ``known_cdfs`` may be one CDF list applied to both samples or a pair of
     lists (one per sample); it is only consulted for raw samples in
-    known-margin mode.
+    known-margin mode. ``nulls`` is a bootstrap cache shared by the tests of
+    one batch (see ``calibrate``); the report is the same with or without it.
     """
     if x.d != y.d:
         raise ConfigError(f"samples must share dimension, got {x.d} and {y.d}")
@@ -331,7 +350,8 @@ def run_test(x: Sample, y: Sample, config: TestConfig,
     cells_x = count_cells(xs, partition, config.k_exceedances)
     cells_y = count_cells(ys, partition, config.k_exceedances)
     div = kl_divergence(cells_x, cells_y)
-    calibration = calibrate([div], [(partition, config.k_exceedances)], config, xs, ys)[0]
+    calibration = calibrate([div], [(partition, config.k_exceedances)], config, xs, ys,
+                            nulls=nulls)[0]
 
     bootstrap, warnings = None, []
     if calibration.null is not None:

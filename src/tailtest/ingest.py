@@ -45,7 +45,8 @@ class RainSeries:
     """6-minute depth records with a missing-data mask.
 
     Timestamps are UTC instants on the 6-minute grid, strictly increasing.
-    Masked entries keep their timestamp but carry no usable depth.
+    Masked entries keep their timestamp but carry no usable depth; every
+    unmasked depth is finite and non-negative.
     """
 
     timestamps: np.ndarray  # datetime64[m]
@@ -67,6 +68,8 @@ class RainSeries:
             raise FormatError("timestamps must be strictly increasing")
         if np.any(depths[~missing] < 0):
             raise FormatError("negative depths must be masked as missing")
+        if not np.isfinite(depths[~missing]).all():
+            raise FormatError("NaN and infinite depths must be masked as missing")
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "depths", depths)
         object.__setattr__(self, "missing", missing)
@@ -95,12 +98,12 @@ def load_csv(path: str, timestamp_col: str = "timestamp", depth_col: str = "dept
 
     The first record names the columns; blank lines are skipped, and a row
     shorter than the header reads as empty fields where it ends. A row is
-    malformed, and dropped, when its timestamp does not parse or sits off
-    the 6-minute grid (``_parse_timestamp``), or when its depth is neither
-    the missing token nor a number. It is kept but masked when its stripped
-    depth equals the missing token or is a number outside [0, inf):
-    negative, infinite or NaN. More than 50% malformed rows rejects the
-    file, as do duplicate timestamps.
+    malformed, and dropped, when its timestamp does not parse, sits off the
+    6-minute grid or falls outside years 1-9999 in UTC (``_parse_timestamp``),
+    or when its depth is neither the missing token nor a number. It is kept
+    but masked when its stripped depth equals the missing token or is a
+    number outside [0, inf): negative, infinite or NaN. More than 50%
+    malformed rows rejects the file, as do duplicate timestamps.
 
     The file is read once and parsed in blocks of records. Timestamps
     shaped exactly ``YYYY-MM-DDTHH:MM`` or ``YYYY-MM-DD HH:MM`` are decoded
@@ -293,10 +296,10 @@ def _parse_timestamp(text: Optional[str]):
         return None
     try:
         dt = datetime.fromisoformat(text.strip())
-    except ValueError:
+        if dt.tzinfo is not None:
+            dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    except (ValueError, OverflowError):  # unparsable, or in UTC outside years 1-9999
         return None
-    if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
     if dt.minute % 6 != 0 or dt.second != 0 or dt.microsecond != 0:
         return None
     return np.datetime64(dt, "m")
@@ -384,6 +387,8 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
     same exceedance count is applied to both, capped at one below the
     smaller season (with a warning, which the pair's report also carries).
     Pairs lacking data report an error while the remaining pairs still run.
+    The pairs share one bootstrap cache, so each season is bootstrapped once
+    per exceedance count rather than once per pair.
     """
     if config.margins != "empirical":
         raise DomainError("seasonal tests use empirical margins and bootstrap calibration")
@@ -396,6 +401,7 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
             pairs_by_season[season] = str(exc)
 
     outcomes = SeasonalOutcomes(pairs_by_season)
+    nulls: dict = {}
     for i, season_x in enumerate(SEASONS):
         for season_y in SEASONS[i + 1:]:
             key = (season_x, season_y)
@@ -414,7 +420,7 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
                 k = cap
             pair_config = replace(config, k_exceedances=k)
             try:
-                report = run_test(Sample(px.data), Sample(py.data), pair_config)
+                report = run_test(Sample(px.data), Sample(py.data), pair_config, nulls=nulls)
             except (DomainError, InsufficientDataError, ValueError) as exc:
                 outcomes[key] = SeasonPairOutcome(season_x, season_y, px.n, py.n, k,
                                                   error=str(exc))

@@ -12,12 +12,15 @@ bisection in log x where Newton stalls in the far lower tail.
 Random numbers come from numpy's Philox counter-based generator. A stream
 is fully determined by ``(master_seed, stream_id)``, so replicates keyed by
 distinct ids are reproducible regardless of execution order or thread
-scheduling.
+scheduling. Philox is keyed (Salmon et al., SC'11), so a run of child
+streams is drawn by re-keying one generator with the keys their
+SeedSequences would derive, rather than by building each child.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -152,6 +155,73 @@ def chisq_quantile(p: float, dof: int) -> float:
     return 0.5 * (lo + hi)
 
 
+# numpy's SeedSequence hash (numpy.random.bit_generator), on 32-bit words.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _int_words(value: int) -> list[int]:
+    """32-bit words of a non-negative int, least significant first ([0] for 0)."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _entropy_words(master_seed: int, key: tuple[int, ...]) -> int:
+    """Word count of the entropy of ``SeedSequence(master_seed, spawn_key=key)``
+    for a non-empty key: the seed's, zero-padded to the pool size, and the key's."""
+    return max(_POOL_SIZE, len(_int_words(master_seed))) + sum(len(_int_words(k)) for k in key)
+
+
+def _hash(value, hash_const, next_const):
+    """One hash step of ``value`` whose constant moves from ``hash_const`` to
+    ``next_const``."""
+    value = (value ^ hash_const) * next_const & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _const_column(hash_const: int, mult: int, count: int) -> np.ndarray:
+    """``hash_const`` and the ``count`` hash constants after it, as a column."""
+    consts = [hash_const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint64)[:, None]
+
+
+# The hash constants of SeedSequence.generate_state over four words.
+_STATE_CONSTS = _const_column(_INIT_B, _MULT_B, 4)
+
+
+def _child_keys(pool: np.ndarray, hash_const: int, index: range) -> np.ndarray:
+    """Philox keys of the children ``index`` of the stream whose entropy pool
+    (a uint64 column) and hash constant are ``pool`` and ``hash_const``: row r
+    is ``SeedSequence(..., spawn_key=key + (index[r],)).generate_state(2, np.uint64)``.
+
+    Each word of a child's index is hashed into all four pool words at once,
+    for all children whose indices have that many words."""
+    words = [_int_words(b) for b in index]
+    keys = np.empty((len(words), 2), dtype=np.uint64)
+    consts = _const_column(hash_const, _MULT_A, 4 * max(map(len, words), default=0))
+    for length in set(map(len, words)):
+        rows = [r for r, w in enumerate(words) if len(w) == length]
+        mixed = pool
+        for i, word in enumerate(np.array([words[r] for r in rows], dtype=np.uint64).T):
+            mixed = _mix(mixed, _hash(word, consts[4 * i:4 * i + 4], consts[4 * i + 1:4 * i + 5]))
+        # generate_state(2, np.uint64): four words, read as two little-endian pairs.
+        state = _hash(mixed, _STATE_CONSTS[:4], _STATE_CONSTS[1:])
+        keys[rows] = (state[0::2] | state[1::2] << 32).T
+    return keys
+
+
 class RngStream:
     """Reproducible random stream keyed by ``(master_seed, stream_id)``.
 
@@ -205,6 +275,38 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
+
+    def child_permutations(self, start: int, stop: int, n: int) -> np.ndarray:
+        """Permutations of range(n) by children ``start .. stop - 1``, one per
+        row: ``np.stack([self.child(b).permutation(n) for b in range(start,
+        stop)])`` bit for bit.
+
+        Each child's Philox key is derived from this stream's SeedSequence
+        entropy pool, built once per stream, and loaded into one reused Philox
+        through its state, which costs about a tenth of building the child.
+        Like its generator, a stream is not for concurrent use.
+        """
+        pool, hash_const, gen = self._child_keying
+        index = range(start, stop)
+        out = np.empty((len(index), n), dtype=np.int_)
+        state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for row, key in enumerate(_child_keys(pool, hash_const, index)):
+            state["state"] = {"counter": np.zeros(4, np.uint64), "key": key}
+            gen.bit_generator.state = state
+            out[row] = gen.permutation(n)
+        return out
+
+    @cached_property
+    def _child_keying(self) -> tuple[np.ndarray, int, np.random.Generator]:
+        # SeedSequence's mix_entropy hashes once per (entropy word, pool word)
+        # pair, each hash moving the constant on; a child's index words
+        # continue from the constant reached.
+        pool = np.random.SeedSequence(self.master_seed, spawn_key=self._key).pool
+        hashes = _POOL_SIZE * _entropy_words(self.master_seed, self._key)
+        hash_const = _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _MASK32
+        return (pool.astype(np.uint64)[:, None], hash_const,
+                np.random.Generator(np.random.Philox(key=0)))
 
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"

@@ -264,6 +264,17 @@ class TestRainfallCommand:
         assert (tmp_path / "rain_out" / "report_DJF_MAM.json").exists()
 
 
+    def test_offset_stamps_leaving_utc_years_are_malformed_rows(self, capsys, tmp_path,
+                                                                 rainfall_csv):
+        with open(rainfall_csv, "a") as fh:
+            fh.write("0001-01-01T00:00+01:00,1.0\n9999-12-31T23:54-01:00,1.0\n")
+        code, doc = run_cli(capsys, "rainfall", rainfall_csv, "--sets", "4",
+                            "--k-exceedances", "120", "--bootstrap", "100",
+                            "--seed", "6", "--outdir", str(tmp_path / "rain_out"))
+        assert code == 0
+        assert doc["seasons"]["DJF"] == {"days": 520, "error": None}
+        assert doc["pairs"]["DJF_MAM"]["error"] is None
+
     def test_builds_each_season_once(self, capsys, tmp_path, rainfall_csv):
         with mock.patch.object(ingest, "build_pairs", wraps=ingest.build_pairs) as spy:
             code, doc = run_cli(capsys, "rainfall", rainfall_csv, "--sets", "4",

@@ -302,3 +302,27 @@ class TestBootstrapPValue:
         reps = [0.1, 0.2, 0.3, 0.4]
         div = Divergence(0.25, 12.5, 4)
         assert bootstrap_p_value(div, self._null(reps)) == 0.5
+
+
+def test_calibrate_cache_reuses_and_relabels_nulls():
+    # The symmetric source bootstraps both samples; swapping them hits the
+    # cache for both, and the kept null is relabelled as x's.
+    xs = to_pseudo(sample(CopulaModel("logistic", 0.5), 200, RngStream(31)))
+    ys = to_pseudo(sample(CopulaModel("logistic", 0.6), 200, RngStream(32)))
+    config = TestConfig(k_exceedances=20, risk="euclidean", num_cells=4,
+                        bootstrap_replicates=100, bootstrap_source="symmetric", seed=3)
+    partition = inference.build_partition(config, 2)
+    targets = [(partition, 20)]
+    div = inference.kl_divergence(inference.count_cells(xs, partition, 20),
+                                  inference.count_cells(ys, partition, 20))
+    cache = {}
+    first = inference.calibrate([div], targets, config, xs, ys, nulls=cache)[0]
+    with mock.patch.object(inference, "bootstrap_null") as spy:
+        swapped = inference.calibrate([div], targets, config, ys, xs, nulls=cache)[0]
+    assert spy.call_count == 0
+    assert len(cache) == 2
+    assert swapped.null.source_sample == "x"
+    uncached = inference.calibrate([div], targets, config, ys, xs)[0]
+    assert swapped.p_value == uncached.p_value
+    assert np.array_equal(swapped.null.replicates, uncached.null.replicates)
+    assert swapped.p_value == first.p_value

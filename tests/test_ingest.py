@@ -3,6 +3,7 @@
 import csv
 import math
 import tempfile
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from unittest import mock
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailtest import CopulaModel, DomainError, FormatError, InsufficientDataError, TestConfig
-from tailtest import ingest
+from tailtest import Sample, inference, ingest, run_test
 from tailtest.ingest import (SEASONS, RainSeries, SLOTS_PER_DAY, build_pairs, load_csv,
                              season_of_month, seasonal_tests)
 from .conftest import make_rain_series
@@ -96,6 +97,14 @@ class TestLoadCsv:
         with pytest.raises(FormatError):
             load_csv(write_csv(tmp_path / "dup.csv", rows))
 
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:00+01:00", "9999-12-31T23:54-01:00"])
+    def test_offset_leaving_utc_year_range_is_malformed(self, tmp_path, stamp):
+        # In UTC these instants fall in year 0 and year 10000.
+        rows = ["2006-01-01 00:00:00,1.0", f"{stamp},2.0", "2006-01-01 00:06:00,0.5"]
+        series = load_csv(write_csv(tmp_path / "far.csv", rows))
+        assert series.n == 2
+        assert series.n_malformed == 1
+
 
 class TestRainSeriesType:
     def test_strictly_increasing(self):
@@ -107,6 +116,14 @@ class TestRainSeriesType:
         ts = np.array(["2006-01-01T00:00", "2006-01-01T00:06"], dtype="datetime64[m]")
         with pytest.raises(FormatError):
             RainSeries(ts, np.array([-1.0, 0.0]), np.zeros(2, dtype=bool))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_unmasked_non_finite_rejected(self, bad):
+        ts = np.array(["2006-01-01T00:00", "2006-01-01T00:06"], dtype="datetime64[m]")
+        with pytest.raises(FormatError, match="masked"):
+            RainSeries(ts, np.array([bad, 0.0]), np.zeros(2, dtype=bool))
+        masked = RainSeries(ts, np.array([bad, 0.0]), np.array([True, False]))
+        assert masked.missing.tolist() == [True, False]
 
 
 class TestBuildPairs:
@@ -284,11 +301,71 @@ class TestSeasonalTests:
         assert result.k_used == 89
         assert result.error is not None
 
+    @pytest.mark.parametrize("source, bootstraps", [("x", 3), ("symmetric", 4)])
+    def test_each_season_bootstrapped_once(self, monkeypatch, source, bootstraps):
+        # Six pairs, but only three distinct x seasons and four distinct seasons.
+        series = make_rain_series({season: (200, CopulaModel("logistic", 0.4 + 0.1 * i))
+                                   for i, season in enumerate(SEASONS)}, seed=14)
+        config = TestConfig(k_exceedances=40, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=100, bootstrap_source=source, seed=5)
+        calls = count_bootstraps(monkeypatch)
+        outcomes = seasonal_tests(series, config)
+        assert len(calls) == bootstraps
+        assert sorted(set(calls)) == sorted(calls)
+        assert_pairs_match_uncached(outcomes, config)
+
+    def test_k_caps_that_differ_between_pairs(self, monkeypatch):
+        # MAM caps DJF-MAM at k=99; the other DJF pairs keep k=100, so DJF is
+        # bootstrapped once per k. MAM as x fails the n >= 4k floor.
+        series = make_rain_series({"DJF": (420, CopulaModel("logistic", 0.4)),
+                                   "MAM": (100, CopulaModel("logistic", 0.5)),
+                                   "JJA": (420, CopulaModel("logistic", 0.6)),
+                                   "SON": (420, CopulaModel("logistic", 0.7))}, seed=15)
+        config = TestConfig(k_exceedances=100, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=100, seed=6)
+        calls = count_bootstraps(monkeypatch)
+        with pytest.warns(UserWarning, match="capping"):
+            outcomes = seasonal_tests(series, config)
+        assert [outcomes[pair].k_used for pair in (("DJF", "MAM"), ("DJF", "JJA"))] == [99, 100]
+        assert outcomes[("MAM", "JJA")].error is not None
+        assert len(calls) == 3
+        assert_pairs_match_uncached(outcomes, config)
+
     def test_requires_empirical_margins(self, two_season_series):
         config = TestConfig(k_exceedances=50, risk="euclidean", num_cells=4,
                             margins="known")
         with pytest.raises(DomainError):
             seasonal_tests(two_season_series, config)
+
+
+def count_bootstraps(monkeypatch):
+    """Record the (source bytes, k_n targets) of every ``bootstrap_null`` call."""
+    calls = []
+    real = inference.bootstrap_null
+
+    def counting(source, config, targets, *args, **kwargs):
+        calls.append((source.data.tobytes(), tuple(k for _, k in targets)))
+        return real(source, config, targets, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "bootstrap_null", counting)
+    return calls
+
+
+def assert_pairs_match_uncached(outcomes, config):
+    """Each pair's report equals a fresh run_test of that pair, plus its cap note."""
+    ran = 0
+    for (season_x, season_y), result in outcomes.items():
+        if result.report is None:
+            continue
+        px, py = outcomes.seasons[season_x], outcomes.seasons[season_y]
+        fresh = run_test(Sample(px.data), Sample(py.data),
+                         replace(config, k_exceedances=result.k_used)).to_dict()
+        if result.k_used != config.k_exceedances:
+            fresh["warnings"].append(f"k_exceedances={config.k_exceedances} exceeds the smaller "
+                                     f"season size; capping at {result.k_used}")
+        assert result.report.to_dict() == fresh
+        ran += 1
+    assert ran >= 4
 
 
 def oracle_load_csv(path, timestamp_col="timestamp", depth_col="depth", missing_token="",
@@ -351,10 +428,10 @@ def oracle_timestamp(text):
         return None
     try:
         dt = datetime.fromisoformat(text.strip())
-    except ValueError:
+        if dt.tzinfo is not None:
+            dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+    except (ValueError, OverflowError):
         return None
-    if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
     if dt.minute % 6 != 0 or dt.second != 0 or dt.microsecond != 0:
         return None
     return np.datetime64(dt, "m")
@@ -404,6 +481,8 @@ ROW_KINDS = {
     "seconds_30": lambda slot, d, tok: (stamp(slot) + ":30", d),
     "utc_offset": lambda slot, d, tok: (stamp(slot) + "+01:00", d),
     "negative_offset": lambda slot, d, tok: (stamp(slot) + "-02:30", d),
+    "offset_before_year_1": lambda slot, d, tok: ("0001-01-01T00:00+01:00", d),
+    "offset_after_year_9999": lambda slot, d, tok: ("9999-12-31T23:54-01:00", d),
     "spaces": lambda slot, d, tok: (f" {stamp(slot)} ", f"  {d} "),
     "wide_digits": lambda slot, d, tok: ("\uff12" + stamp(slot)[1:], d),
     "not_a_date": lambda slot, d, tok: ("not-a-date-at-al", d),

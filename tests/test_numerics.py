@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import chi2
 
-from tailtest import DomainError, RngStream, chisq_cdf, chisq_quantile, chisq_sf
+from tailtest import DomainError, RngStream, chisq_cdf, chisq_quantile, chisq_sf, numerics
 
 
 def _chisq_pdf(t, dof):
@@ -211,3 +211,56 @@ class TestRngStream:
         c = RngStream(9).child(4).uniform(10)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+# Master seeds and stream-id parts of one to seven 32-bit words.
+MASTER_SEEDS = st.one_of(st.just(0), st.integers(1, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1),
+                         st.integers(2 ** 64, 2 ** 96), st.just(2 ** 200 + 3))
+ID_PARTS = st.integers(0, 2 ** 32 - 1) | st.integers(2 ** 32, 2 ** 80)
+STREAM_IDS = ID_PARTS | st.lists(ID_PARTS, min_size=1, max_size=3).map(tuple)
+
+
+def stacked_children(stream, start, stop, n):
+    return np.stack([stream.child(b).permutation(n) for b in range(start, stop)])
+
+
+class TestChildPermutations:
+    @settings(max_examples=60, deadline=None)
+    @given(MASTER_SEEDS, STREAM_IDS, st.integers(0, 5000), st.integers(1, 10),
+           st.sampled_from([1, 2, 360, 2000]))
+    def test_equal_to_stacked_children(self, seed, stream_id, start, count, n):
+        stream = RngStream(seed, stream_id)
+        got = stream.child_permutations(start, start + count, n)
+        want = stacked_children(stream, start, start + count, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 12345, 2 ** 32 + 1, 2 ** 64 + 3, 2 ** 200 + 3])
+    @pytest.mark.parametrize("stream_id", [0, 2 ** 40, (1_000_003, 0), (2 ** 33, 5, 2 ** 70)])
+    def test_seed_and_id_word_counts(self, seed, stream_id):
+        stream = RngStream(seed, stream_id)
+        assert np.array_equal(stream.child_permutations(3, 9, 360),
+                              stacked_children(stream, 3, 9, 360))
+
+    @pytest.mark.parametrize("start", [2 ** 32 - 2, 2 ** 64 - 2])
+    def test_child_indices_across_a_word_boundary(self, start):
+        # Children of one and two (two and three) index words in one call.
+        stream = RngStream(8, (4,))
+        assert np.array_equal(stream.child_permutations(start, start + 4, 50),
+                              stacked_children(stream, start, start + 4, 50))
+
+    @pytest.mark.parametrize("seed, stream_id", [(0, 0), (7, (1_000_003, 0)), (2 ** 200 + 3, 2 ** 40),
+                                                 (2 ** 32, (2 ** 33, 1))])
+    def test_keys_are_the_seed_sequence_keys(self, seed, stream_id):
+        stream = RngStream(seed, stream_id)
+        pool, hash_const, _ = stream._child_keying
+        index = range(10, 40)
+        key = (stream_id,) if isinstance(stream_id, int) else stream_id
+        want = np.stack([np.random.SeedSequence(seed, spawn_key=key + (b,)).generate_state(2, np.uint64)
+                         for b in index])
+        assert np.array_equal(numerics._child_keys(pool, hash_const, index), want)
+
+    def test_own_draws_untouched(self):
+        stream = RngStream(21, 3)
+        stream.child_permutations(0, 5, 100)
+        assert np.array_equal(stream.uniform(20), RngStream(21, 3).uniform(20))
