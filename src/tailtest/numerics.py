@@ -155,8 +155,7 @@ def chisq_quantile(p: float, dof: int) -> float:
     return 0.5 * (lo + hi)
 
 
-# numpy's SeedSequence hash (numpy.random.bit_generator), on 32-bit words.
-_POOL_SIZE = 4
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on 32-bit words.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
@@ -171,55 +170,28 @@ def _int_words(value: int) -> list[int]:
     return words
 
 
-def _entropy_words(master_seed: int, key: tuple[int, ...]) -> int:
-    """Word count of the entropy of ``SeedSequence(master_seed, spawn_key=key)``
-    for a non-empty key: the seed's, zero-padded to the pool size, and the key's."""
-    return max(_POOL_SIZE, len(_int_words(master_seed))) + sum(len(_int_words(k)) for k in key)
-
-
-def _hash(value, hash_const, next_const):
-    """One hash step of ``value`` whose constant moves from ``hash_const`` to
-    ``next_const``."""
-    value = (value ^ hash_const) * next_const & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ result >> 16
-
-
-def _const_column(hash_const: int, mult: int, count: int) -> np.ndarray:
-    """``hash_const`` and the ``count`` hash constants after it, as a column."""
-    consts = [hash_const]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint64)[:, None]
-
-
-# The hash constants of SeedSequence.generate_state over four words.
-_STATE_CONSTS = _const_column(_INIT_B, _MULT_B, 4)
-
-
-def _child_keys(pool: np.ndarray, hash_const: int, index: range) -> np.ndarray:
-    """Philox keys of the children ``index`` of the stream whose entropy pool
-    (a uint64 column) and hash constant are ``pool`` and ``hash_const``: row r
-    is ``SeedSequence(..., spawn_key=key + (index[r],)).generate_state(2, np.uint64)``.
-
-    Each word of a child's index is hashed into all four pool words at once,
-    for all children whose indices have that many words."""
-    words = [_int_words(b) for b in index]
-    keys = np.empty((len(words), 2), dtype=np.uint64)
-    consts = _const_column(hash_const, _MULT_A, 4 * max(map(len, words), default=0))
-    for length in set(map(len, words)):
-        rows = [r for r, w in enumerate(words) if len(w) == length]
-        mixed = pool
-        for i, word in enumerate(np.array([words[r] for r in rows], dtype=np.uint64).T):
-            mixed = _mix(mixed, _hash(word, consts[4 * i:4 * i + 4], consts[4 * i + 1:4 * i + 5]))
-        # generate_state(2, np.uint64): four words, read as two little-endian pairs.
-        state = _hash(mixed, _STATE_CONSTS[:4], _STATE_CONSTS[1:])
-        keys[rows] = (state[0::2] | state[1::2] << 32).T
-    return keys
+def _child_key(pool: list[int], hash_const: int, index: int) -> list[int]:
+    """Philox key of child ``index`` of the stream whose SeedSequence entropy
+    pool is ``pool`` and whose entropy hash ended at constant ``hash_const``:
+    ``SeedSequence(..., spawn_key=key + (index,)).generate_state(2, np.uint64)``.
+    """
+    pool = list(pool)
+    # mix_entropy: each further entropy word is hashed into every pool word.
+    for word in _int_words(index):
+        for i, mixed in enumerate(pool):
+            value = word ^ hash_const
+            hash_const = hash_const * _MULT_A & _MASK32
+            value = value * hash_const & _MASK32
+            value = (_MIX_MULT_L * mixed - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
+            pool[i] = value ^ value >> 16
+    # generate_state: four words, read as two little-endian uint64 pairs.
+    words, hash_const = [], _INIT_B
+    for mixed in pool:
+        value = mixed ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        words.append(value ^ value >> 16)
+    return [words[0] | words[1] << 32, words[2] | words[3] << 32]
 
 
 class RngStream:
@@ -282,31 +254,31 @@ class RngStream:
         stop)])`` bit for bit.
 
         Each child's Philox key is derived from this stream's SeedSequence
-        entropy pool, built once per stream, and loaded into one reused Philox
-        through its state, which costs about a tenth of building the child.
+        entropy pool, taken once per stream, and loaded into one reused Philox
+        through its state, which costs about a quarter of building the child.
         Like its generator, a stream is not for concurrent use.
         """
+        if not 0 <= start <= stop:
+            raise DomainError(f"child range must satisfy 0 <= start <= stop, got {start}, {stop}")
         pool, hash_const, gen = self._child_keying
-        index = range(start, stop)
-        out = np.empty((len(index), n), dtype=np.int_)
-        state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+        out = np.empty((stop - start, n), dtype=np.int_)
+        state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
-        for row, key in enumerate(_child_keys(pool, hash_const, index)):
-            state["state"] = {"counter": np.zeros(4, np.uint64), "key": key}
+        for row, index in enumerate(range(start, stop)):
+            state["state"] = {"counter": [0] * 4, "key": _child_key(pool, hash_const, index)}
             gen.bit_generator.state = state
             out[row] = gen.permutation(n)
         return out
 
     @cached_property
-    def _child_keying(self) -> tuple[np.ndarray, int, np.random.Generator]:
-        # SeedSequence's mix_entropy hashes once per (entropy word, pool word)
-        # pair, each hash moving the constant on; a child's index words
-        # continue from the constant reached.
-        pool = np.random.SeedSequence(self.master_seed, spawn_key=self._key).pool
-        hashes = _POOL_SIZE * _entropy_words(self.master_seed, self._key)
-        hash_const = _INIT_A * pow(_MULT_A, hashes, 1 << 32) & _MASK32
-        return (pool.astype(np.uint64)[:, None], hash_const,
-                np.random.Generator(np.random.Philox(key=0)))
+    def _child_keying(self) -> tuple[list[int], int, np.random.Generator]:
+        # mix_entropy hashes four times per entropy word (the seed's words,
+        # zero-padded to the pool's four, then the key's), each hash moving
+        # the constant on; a child's index words continue from there.
+        seq = np.random.SeedSequence(self.master_seed, spawn_key=self._key)
+        words = max(4, len(_int_words(self.master_seed))) + sum(len(_int_words(k)) for k in self._key)
+        hash_const = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
+        return seq.pool.tolist(), hash_const, np.random.Generator(np.random.Philox(key=0))
 
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"

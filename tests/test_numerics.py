@@ -254,13 +254,21 @@ class TestChildPermutations:
     def test_keys_are_the_seed_sequence_keys(self, seed, stream_id):
         stream = RngStream(seed, stream_id)
         pool, hash_const, _ = stream._child_keying
-        index = range(10, 40)
         key = (stream_id,) if isinstance(stream_id, int) else stream_id
-        want = np.stack([np.random.SeedSequence(seed, spawn_key=key + (b,)).generate_state(2, np.uint64)
-                         for b in index])
-        assert np.array_equal(numerics._child_keys(pool, hash_const, index), want)
+        for b in (*range(10, 40), 2 ** 32, 2 ** 70 + 1):
+            want = np.random.SeedSequence(seed, spawn_key=key + (b,)).generate_state(2, np.uint64)
+            assert numerics._child_key(pool, hash_const, b) == want.tolist()
 
     def test_own_draws_untouched(self):
         stream = RngStream(21, 3)
         stream.child_permutations(0, 5, 100)
         assert np.array_equal(stream.uniform(20), RngStream(21, 3).uniform(20))
+
+    @pytest.mark.parametrize("start, stop", [(-1, 3), (-2 ** 40, 0), (5, 4)])
+    def test_bad_child_range(self, start, stop):
+        # As child(-1) does, rather than looping on -1's 32-bit words.
+        with pytest.raises(DomainError):
+            RngStream(3).child_permutations(start, stop, 10)
+
+    def test_empty_child_range(self):
+        assert RngStream(3).child_permutations(4, 4, 10).shape == (0, 10)
