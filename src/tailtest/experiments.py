@@ -328,8 +328,9 @@ def _fresh_nulls(model: CopulaModel, n: int, k_n: int, partition: Partition, cou
     chunk = max(1, _CHUNK_POINTS // n)
     for start in range(0, count, chunk):
         stop = min(count, start + chunk)
-        raw = np.array([[sample(model, n, stream.child(b).child(side)).data for side in (0, 1)]
-                        for b in range(start, stop)])
+        pairs = [stream.child(b) for b in range(start, stop)]
+        raw = np.array([[sample(model, n, pair.child(side)).data for side in (0, 1)]
+                        for pair in pairs])
         for margins in fresh:
             # to_pareto with uniform CDFs, or to_pseudo, of every sample at once.
             data = _pareto(raw) if margins == "known" else _pseudo(raw)

@@ -91,12 +91,37 @@ def _pareto(f: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 - f)
 
 
-def _ordinal_ranks(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Stable ordinal ranks 1..n along ``axis``; ties broken by position."""
-    order = np.argsort(np.moveaxis(values, axis, -1), axis=-1, kind="stable")
-    ranks = np.empty(order.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
-    return np.moveaxis(ranks, -1, axis)
+def _ordinal_ranks(values: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Stable ordinal ranks 1..n along ``axis`` (ties broken by position) and
+    the mask of entries whose value occurs more than once in their lane.
+
+    Each lane takes one default, unstable argsort: without ties every sort
+    order gives the same ranks. Ties are read off the sorted values, and the
+    lanes that hold one are repaired by sorting them again with
+    ``kind="stable"``, so the ranks equal those of a stable sort of every lane
+    bit for bit. Values must not be NaN, which never compares equal to itself.
+    """
+    lanes = np.ascontiguousarray(np.moveaxis(values, axis, -1))
+    n = lanes.shape[-1]
+    starts = n * np.arange(lanes.size // n).reshape(lanes.shape[:-1] + (1,))
+    flat = np.argsort(lanes, axis=-1)
+    flat += starts                          # positions in the flattened lanes
+    ordered = lanes.take(flat)
+    same = ordered[..., 1:] == ordered[..., :-1]
+    tied_lanes = same.any(axis=-1)
+    tied = np.zeros(lanes.size, dtype=bool)
+    if tied_lanes.any():
+        stable = np.argsort(lanes[tied_lanes], axis=-1, kind="stable")
+        flat[tied_lanes] = stable + starts[tied_lanes]
+        # A sorted value is tied if it equals either neighbour.
+        run = np.zeros(lanes.shape, dtype=bool)
+        run[..., 1:] = same
+        run[..., :-1] |= same
+        tied[flat[run]] = True
+    ranks = np.empty(lanes.size, dtype=np.int64)
+    ranks[flat] = np.arange(1, n + 1)
+    return (np.moveaxis(ranks.reshape(lanes.shape), -1, axis),
+            np.moveaxis(tied.reshape(lanes.shape), -1, axis))
 
 
 def to_pseudo(raw: Sample) -> Sample:
@@ -117,22 +142,16 @@ def pseudo_scale(m: int) -> np.ndarray:
 def _pseudo(data: np.ndarray) -> np.ndarray:
     """Pseudo-observations of each column of ``data`` (..., n, d), ranked
     along the rows; leading axes are batch axes."""
-    return pseudo_scale(data.shape[-2])[_ordinal_ranks(data, axis=-2)]
-
-
-def _tied(data: np.ndarray) -> np.ndarray:
-    """Mask over each column's sorted values of ``data`` (n, d): True where
-    the value also occurs in another row."""
-    same = np.diff(np.sort(data, axis=0), axis=0) == 0
-    return np.pad(same, ((0, 1), (0, 0))) | np.pad(same, ((1, 0), (0, 0)))
+    return pseudo_scale(data.shape[-2])[_ordinal_ranks(data, axis=-2)[0]]
 
 
 def _rank_transform(data: np.ndarray) -> tuple[np.ndarray, int]:
     """Rank transform of an arbitrary matrix and its number of tied entries;
     re-ranking already-standardized data equals ranking the raw data."""
+    ranks, tied = _ordinal_ranks(data)
     # Row-major like the input; the gather alone is column-major, which the
     # studies read slightly slower.
-    return np.ascontiguousarray(_pseudo(data)), int(_tied(data).sum())
+    return np.ascontiguousarray(pseudo_scale(data.shape[0])[ranks]), int(tied.sum())
 
 
 def standardize(sample: Sample, margins: str,

@@ -198,6 +198,9 @@ def top_k(r_vals: np.ndarray, k_n: int) -> tuple[np.ndarray, np.ndarray]:
     threshold = np.partition(r_vals, n - k_n - 1, axis=-1)[..., n - k_n - 1]
     above = r_vals > threshold[..., None]
     spare = k_n - above.sum(axis=-1, keepdims=True)
+    if not spare.any():
+        # No threshold tie is selected in any lane: the top k_n are the values above.
+        return threshold, above
     tied = r_vals == threshold[..., None]
     tied_from_end = np.cumsum(tied[..., ::-1], axis=-1)[..., ::-1]
     return threshold, above | (tied & (tied_from_end <= spare))

@@ -2,7 +2,8 @@
 
 ``reference_bootstrap_null`` is the per-replicate loop the engine replaced,
 kept here (with the stable-sort top-k and the Jeffreys sum it called) as the
-oracle: every replicate must agree bit for bit.
+oracle: every replicate must agree bit for bit. ``reference_ordinal_ranks``
+is the stable-argsort ranking that every rank in the package must equal.
 """
 
 from unittest import mock
@@ -28,6 +29,21 @@ def _reference_rank_transform(data):
         ranks[order] = np.arange(1, n + 1)
         out[:, j] = (n + 1.0) / (n + 1.0 - ranks)
     return out
+
+
+def reference_ordinal_ranks(values, axis=0):
+    """Ordinal ranks 1..n along ``axis`` from one stable argsort per lane."""
+    order = np.argsort(np.moveaxis(values, axis, -1), axis=-1, kind="stable")
+    ranks = np.empty(order.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, order.shape[-1] + 1), axis=-1)
+    return np.moveaxis(ranks, -1, axis)
+
+
+def reference_tied(values, axis=0):
+    """True where an entry's value occurs more than once along ``axis``."""
+    lanes = np.moveaxis(values, axis, -1)
+    equal = lanes[..., :, None] == lanes[..., None, :]
+    return np.moveaxis(equal.sum(axis=-1) > 1, -1, axis)
 
 
 def _reference_count_cells(sample, partition, k_n):

@@ -2,14 +2,51 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tailtest import (ConfigError, DegenerateMarginError, DomainError, InsufficientDataError,
                       RngStream, Sample, to_pareto, to_pseudo, uniform_cdf,
                       unit_exponential_cdf, unit_pareto_cdf)
-from tailtest.margins import _rank_transform, standardize
+from tailtest.margins import _ordinal_ranks, _rank_transform, standardize
+
+from .test_bootstrap_engine import (_reference_rank_transform, reference_ordinal_ranks,
+                                    reference_tied)
+
+
+TIE_DENSITIES = ("none", "sparse", "fiftieths", "seven_values", "all_equal", "signed_zero")
+
+
+def _with_ties(values, density, rng):
+    """``values`` with ties of the given density."""
+    if density == "sparse":
+        flat = values.ravel()
+        picks = rng.integers(0, flat.size, size=(2, max(1, flat.size // 20)))
+        flat[picks[0]] = flat[picks[1]]
+    elif density == "fiftieths":
+        values = np.round(values * 50.0) / 50.0
+    elif density == "seven_values":
+        values = np.floor(rng.random(values.shape) * 7.0)
+    elif density == "all_equal":
+        values = np.full_like(values, 0.7)
+    elif density == "signed_zero":
+        zeros = rng.random(values.shape) < 0.5
+        signs = np.where(rng.random(values.shape) < 0.5, -0.0, 0.0)
+        values = np.where(zeros, signs, values)
+    return values
+
+
+@st.composite
+def rank_cases(draw, ndim=None):
+    """(values, axis): a batch of lanes of one tie density along ``axis``."""
+    ndim = draw(st.integers(1, 4)) if ndim is None else ndim
+    shape = tuple(draw(st.lists(st.integers(1, 5), min_size=ndim, max_size=ndim)))
+    axis = draw(st.integers(-ndim, ndim - 1))
+    shape = shape[:axis % ndim] + (draw(st.integers(1, 60)),) + shape[axis % ndim + 1:]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from(TIE_DENSITIES))
+    return _with_ties(rng.standard_normal(shape), density, rng), axis
 
 
 class TestSampleType:
@@ -107,8 +144,6 @@ class TestToPseudo:
     @given(arrays(np.float64, (17, 2), elements=st.floats(-100, 100, allow_nan=False)))
     @settings(max_examples=40, deadline=None)
     def test_rank_invariance_under_monotone_maps(self, data):
-        from hypothesis import assume
-
         raw = Sample(data)
         warped_cols = [np.exp(data[:, 0] / 50.0), data[:, 1] ** 3 + 2.0 * data[:, 1]]
         # The maps are strictly increasing; skip draws where rounding collapses
@@ -134,14 +169,42 @@ class TestToPseudo:
         assert out.data[:, 0] == pytest.approx([5 / 3, 5 / 4, 5 / 2, 5.0])
         assert out.ties == 2
 
-    @given(arrays(np.float64, (23, 3), elements=st.integers(0, 6).map(float)))
-    @settings(max_examples=40, deadline=None)
-    def test_tie_count_matches_value_counts(self, data):
+    @given(rank_cases(ndim=2))
+    @settings(max_examples=60, deadline=None)
+    def test_tie_count_matches_value_counts(self, case):
+        data = case[0]
+        assume(data.shape[0] >= 2)
         expected = 0
         for j in range(data.shape[1]):
             counts = np.unique(data[:, j], return_counts=True)[1]
             expected += int(counts[counts > 1].sum())
-        assert _rank_transform(data)[1] == expected == to_pseudo(Sample(data)).ties
+        pseudo, ties = _rank_transform(data)
+        assert np.array_equal(pseudo, _reference_rank_transform(data))
+        assert ties == expected == to_pseudo(Sample(data)).ties
+
+
+class TestOrdinalRanks:
+    @given(rank_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_ranks_and_tie_mask_equal_the_stable_sort(self, case):
+        values, axis = case
+        ranks, tied = _ordinal_ranks(values, axis=axis)
+        assert ranks.dtype == np.int64
+        assert np.array_equal(ranks, reference_ordinal_ranks(values, axis=axis))
+        assert np.array_equal(tied, reference_tied(values, axis=axis))
+
+    def test_signed_zeros_tie_in_row_order(self):
+        values = np.array([0.0, -0.0, 1.0, -0.0, 0.0])
+        ranks, tied = _ordinal_ranks(values)
+        assert ranks.tolist() == [1, 2, 5, 3, 4]
+        assert tied.tolist() == [True, True, False, True, True]
+
+    def test_tied_lanes_repaired_beside_untied_ones(self):
+        # Columns 0 and 2 hold ties; column 1 does not.
+        data = np.array([[2.0, 0.3, 5.0], [1.0, 0.1, 5.0], [2.0, 0.2, 4.0], [2.0, 0.4, 5.0]])
+        ranks, tied = _ordinal_ranks(data)
+        assert ranks.T.tolist() == [[2, 1, 3, 4], [3, 1, 2, 4], [2, 3, 1, 4]]
+        assert tied.any(axis=0).tolist() == [True, False, True]
 
 
 class TestStandardize:

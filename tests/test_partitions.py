@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tailtest import (DomainError, RiskFunctional, RngStream, Sample, count_cells,
                       make_angular_partition, make_max_partition,
                       make_min_partition)
+from tailtest.partitions import top_k
 
 
 class TestRiskFunctionals:
@@ -216,3 +219,68 @@ class TestCountCells:
             cells = part.classify(inside)
             assert cells.shape == (len(inside),)
             assert ((cells >= 1) & (cells <= part.num_cells)).all()
+
+
+def full_tie_break(r_vals, k_n):
+    """``top_k`` without its shortcut: every lane's threshold ties resolved by
+    the reversed cumulative count, whether or not a lane has a spare slot."""
+    n = r_vals.shape[-1]
+    threshold = np.partition(r_vals, n - k_n - 1, axis=-1)[..., n - k_n - 1]
+    above = r_vals > threshold[..., None]
+    spare = k_n - above.sum(axis=-1, keepdims=True)
+    tied = r_vals == threshold[..., None]
+    tied_from_end = np.cumsum(tied[..., ::-1], axis=-1)[..., ::-1]
+    return threshold, above | (tied & (tied_from_end <= spare))
+
+
+@st.composite
+def risk_batches(draw):
+    """(points, k_n): batches of Pareto points whose euclidean risks may tie
+    at the threshold, some through mirror pairs (a, b) and (b, a)."""
+    batch = draw(st.integers(1, 4))
+    n = draw(st.integers(4, 60))
+    k_n = draw(st.integers(1, n - 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = 1.0 / (1.0 - rng.random((batch, n, 2)))
+    ties = draw(st.sampled_from(["none", "grid", "mirror"]))
+    if ties == "grid":
+        points = 1.0 + np.floor(points * 2.0) / 2.0
+    elif ties == "mirror":
+        # Mirror the point whose risk becomes the threshold (or its
+        # neighbour in the order) into another row of the same lane.
+        for lane in points:
+            order = np.argsort(np.hypot(lane[:, 0], lane[:, 1]), kind="stable")
+            pick = order[n - k_n - 1 + draw(st.integers(-1, 1))]
+            lane[draw(st.integers(0, n - 1))] = lane[pick, ::-1]
+    return points, k_n
+
+
+class TestTopK:
+    @given(risk_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_full_tie_break_and_the_stable_sort(self, case):
+        points, k_n = case
+        r_vals = make_angular_partition("euclidean", 4).risk(points)
+        threshold, mask = top_k(r_vals, k_n)
+        expected_threshold, expected_mask = full_tie_break(r_vals, k_n)
+        assert np.array_equal(threshold, expected_threshold)
+        assert np.array_equal(mask, expected_mask)
+        assert (mask.sum(axis=-1) == k_n).all()
+        n = r_vals.shape[-1]
+        for lane, lane_mask in zip(r_vals, mask):
+            order = np.argsort(lane, kind="stable")
+            assert np.flatnonzero(lane_mask).tolist() == sorted(order[n - k_n:])
+
+    def test_mirror_pair_at_the_threshold(self):
+        # Rows 1 and 3 share the threshold risk; the later one is selected
+        # when one slot is spare (first lane) and neither when none is
+        # (second). Alone, the second lane takes the no-spare shortcut.
+        lanes = np.array([[[1.0, 9.0], [2.0, 3.0], [1.0, 1.0], [3.0, 2.0], [1.5, 1.0]],
+                          [[1.0, 9.0], [2.0, 3.0], [8.0, 8.0], [3.0, 2.0], [1.5, 1.0]]])
+        r_vals = make_angular_partition("euclidean", 4).risk(lanes)
+        threshold, mask = top_k(r_vals, 2)
+        assert np.array_equal(threshold, [np.hypot(2.0, 3.0)] * 2)
+        assert mask.tolist() == [[True, False, False, True, False],
+                                 [True, False, True, False, False]]
+        for lane, lane_mask in zip(r_vals, mask):
+            assert np.array_equal(top_k(lane, 2)[1], lane_mask)
