@@ -1,12 +1,12 @@
 """Rainfall series ingestion and the seasonal pair pipeline.
 
-Input is a 6-minute depth series (240 slots per day). For every complete
-wet day the pipeline forms the bivariate observation (daily maximum of the
-6-minute depths, daily maximum of the 24 hourly sums), splits days into
-meteorological seasons, and runs the empirical-margin divergence test on
-every season pair. Days with any missing slot are dropped, as are dry days
-(both maxima zero), since massive ties at zero would degrade the rank
-standardization; both policies are explicit flags.
+Input is a 6-minute depth series (240 slots per day). ``build_pairs`` forms,
+in one array pass, each day's bivariate observation over its unmasked slots
+(daily maximum of the 6-minute depths, daily maximum of the 24 hourly sums);
+``seasonal_tests`` splits days into meteorological seasons and runs the
+empirical-margin divergence test on every season pair. Days with a missing or
+masked slot are dropped, as are dry days (both maxima zero), since massive
+ties at zero would degrade the rank standardization; both policies are flags.
 
 ``load_csv`` parses the depth series as arrays, block by block of records;
 only tokens outside the common fixed-width timestamp shapes are parsed one
@@ -29,12 +29,8 @@ from .errors import DomainError, FormatError, InsufficientDataError
 from .inference import TestConfig, TestReport, run_test
 from .margins import Sample
 
+# Month m (1-12) belongs to SEASONS[m % 12 // 3].
 SEASONS = ("DJF", "MAM", "JJA", "SON")
-_SEASON_OF_MONTH = {12: "DJF", 1: "DJF", 2: "DJF",
-                    3: "MAM", 4: "MAM", 5: "MAM",
-                    6: "JJA", 7: "JJA", 8: "JJA",
-                    9: "SON", 10: "SON", 11: "SON"}
-_SEASON_LOOKUP = np.array([""] + [_SEASON_OF_MONTH[m] for m in range(1, 13)])
 
 SLOTS_PER_HOUR = 10
 SLOTS_PER_DAY = 24 * SLOTS_PER_HOUR
@@ -306,7 +302,9 @@ def _parse_timestamp(text: Optional[str]):
 
 
 def season_of_month(month: int) -> str:
-    return _SEASON_OF_MONTH[month]
+    if not 1 <= month <= 12:
+        raise DomainError(f"month must lie in 1-12, got {month}")
+    return SEASONS[month % 12 // 3]
 
 
 def build_pairs(series: RainSeries, season: str, drop_incomplete_days: bool = True,
@@ -316,44 +314,39 @@ def build_pairs(series: RainSeries, season: str, drop_incomplete_days: bool = Tr
     December belongs to the winter spanning into the following January and
     February. A day is retained when all 240 six-minute slots are present
     and unmasked (unless ``drop_incomplete_days`` is off, in which case the
-    maxima run over whatever slots exist).
+    maxima run over whatever unmasked slots exist).
+
+    Each day's unmasked slots are one contiguous run of the series; maxima
+    and hourly sums take each run in slot order, as a per-day loop would,
+    so every value is the same to the bit.
     """
     if season not in SEASONS:
         raise DomainError(f"season must be one of {SEASONS}, got {season!r}")
-    ts = series.timestamps
-    months = ts.astype("datetime64[M]").astype(int) % 12 + 1
-    in_season = _SEASON_LOOKUP[months] == season
-    usable = in_season & ~series.missing
-    if not np.any(usable):
+    present = ~series.missing
+    hours = series.timestamps[present].astype(np.int64) // 60
+    depths = series.depths[present]
+    days = hours // 24
+    starts = np.flatnonzero(np.diff(days, prepend=days[:1] - 1))
+    counts = np.diff(starts, append=days.size)
+    dates = days[starts]
+    months = dates.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64)
+    keep = (months + 1) % 12 // 3 == SEASONS.index(season)
+    if not np.any(keep):
         raise InsufficientDataError(f"no usable {season} observations in the series")
 
-    days = ts.astype("datetime64[D]")
-    minutes_of_day = (ts - days).astype("timedelta64[m]").astype(int)
-    hour_of_day = minutes_of_day // 60
-
-    season_days = days[usable]
-    unique_days, first_index, counts = np.unique(season_days, return_index=True,
-                                                 return_counts=True)
-    depths = series.depths[usable]
-    hours = hour_of_day[usable]
-
-    dates, rows = [], []
-    for day, start, count in zip(unique_days, first_index, counts):
-        if drop_incomplete_days and count != SLOTS_PER_DAY:
-            continue
-        block = depths[start:start + count]
-        block_hours = hours[start:start + count]
-        max6 = float(block.max())
-        hourly = np.bincount(block_hours, weights=block, minlength=24)
-        max_hourly = float(hourly.max())
-        if drop_dry_days and max6 == 0.0 and max_hourly == 0.0:
-            continue
-        dates.append(day)
-        rows.append((max6, max_hourly))
-    if not rows:
+    max6 = np.maximum.reduceat(depths, starts)
+    # Bin j of run i is 24 i + j: keyed by run, the bins stay as few as the days.
+    hour_keys = hours - np.repeat(24 * (dates - np.arange(dates.size)), counts)
+    max_hourly = np.bincount(hour_keys, weights=depths,
+                             minlength=24 * dates.size).reshape(-1, 24).max(axis=1)
+    if drop_incomplete_days:
+        keep &= counts == SLOTS_PER_DAY
+    if drop_dry_days:  # depths are non-negative, so only a dry day has max6 == 0
+        keep &= max6 != 0.0
+    if not np.any(keep):
         raise InsufficientDataError(f"no retained {season} days after filtering")
-    return SeasonalPairs(season, np.array(dates, dtype="datetime64[D]"),
-                         np.array(rows, dtype=np.float64))
+    return SeasonalPairs(season, dates[keep].astype("datetime64[D]"),
+                         np.column_stack((max6, max_hourly))[keep])
 
 
 @dataclass(frozen=True)

@@ -224,7 +224,9 @@ class RngStream:
     def uniform(self, size=None):
         """Uniform draws strictly inside (0, 1)."""
         bits = self._gen.integers(0, 1 << 53, size=size)
-        return (bits + 0.5) * (1.0 / (1 << 53))
+        # The top draw, (2**53 - 0.5) / 2**53, rounds to 1.0; cap it at the
+        # largest double below 1, which no other draw gives.
+        return np.minimum((bits + 0.5) * (1.0 / (1 << 53)), 1.0 - 2.0 ** -53)
 
     def exponential(self, size=None):
         """Unit-rate exponential draws, strictly positive."""

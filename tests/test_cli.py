@@ -1,6 +1,7 @@
 """CLI surface: flags, exit codes, JSON documents against their schemas."""
 
 import json
+import math
 import subprocess
 import sys
 from unittest import mock
@@ -274,6 +275,31 @@ class TestRainfallCommand:
         assert code == 0
         assert doc["seasons"]["DJF"] == {"days": 520, "error": None}
         assert doc["pairs"]["DJF_MAM"]["error"] is None
+
+    def test_keep_incomplete_days(self, capsys, tmp_path, rainfall_csv):
+        # Mask the first slot of 2006-01-01 and remove slots 15-19 of
+        # 2006-01-02: both days stay, with maxima over their unmasked slots.
+        header, *rows = open(rainfall_csv).read().splitlines()
+        assert rows[0].startswith("2006-01-01T00:00") and rows[240].startswith("2006-01-02")
+        rows[0] = rows[0].split(",")[0] + ","
+        del rows[240 + 15:240 + 20]
+        with open(rainfall_csv, "w") as fh:
+            fh.write("\n".join([header, *rows]) + "\n")
+        day1 = [float(row.split(",")[1]) for row in rows[10:20]]
+        day2 = [float(row.split(",")[1]) for row in rows[240:240 + 15]]
+        expected = [[max(day1), math.fsum(day1)],
+                    [max(day2), max(day2[0], math.fsum(day2[10:15]))]]
+        days = {}
+        for flags in ([], ["--keep-incomplete-days"]):
+            outdir = tmp_path / f"out{len(flags)}"
+            code, doc = run_cli(capsys, "rainfall", rainfall_csv, "--sets", "4",
+                                "--k-exceedances", "120", "--bootstrap", "100",
+                                "--seed", "6", "--outdir", str(outdir), *flags)
+            assert code in (0, 3)
+            days[len(flags)] = doc["seasons"]["DJF"]["days"]
+        assert days == {0: 518, 1: 520}
+        kept = np.loadtxt(tmp_path / "out1" / "pairs_DJF.csv", delimiter=",", skiprows=1)
+        assert kept[:2] == pytest.approx(np.array(expected), rel=1e-12)
 
     def test_builds_each_season_once(self, capsys, tmp_path, rainfall_csv):
         with mock.patch.object(ingest, "build_pairs", wraps=ingest.build_pairs) as spy:

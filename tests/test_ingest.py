@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailtest import CopulaModel, DomainError, FormatError, InsufficientDataError, TestConfig
@@ -170,6 +170,10 @@ class TestBuildPairs:
         assert season_of_month(12) == "DJF"
         assert season_of_month(1) == "DJF"
         assert season_of_month(2) == "DJF"
+        assert [season_of_month(m) for m in range(1, 13)] == SEASON_OF_MONTH[1:].tolist()
+        for month in (0, 13):
+            with pytest.raises(DomainError):
+                season_of_month(month)
         series = make_rain_series({"DJF": (95, CopulaModel("logistic", 0.5))}, seed=3)
         pairs = build_pairs(series, "DJF")
         # hand-built calendar oracle for 2006-2007: DJF days are Jan 1 - Feb 28
@@ -202,6 +206,23 @@ class TestBuildPairs:
         hourly = np.bincount(hours, weights=day_depths, minlength=24)
         assert hourly.sum() == pytest.approx(day_depths.sum(), abs=1e-12)
 
+    def test_keep_incomplete_days_uses_unmasked_slots_only(self):
+        # Day 1 masks slot 13, which holds its largest depth; day 2 lacks
+        # slots 100-129. Both are kept, with maxima over their unmasked slots.
+        day1 = np.full(SLOTS_PER_DAY, 1.0)
+        day1[13] = 9.0
+        day2 = np.where(np.arange(SLOTS_PER_DAY) < 10, 2.0, 0.5)
+        present = np.r_[0:100, 130:SLOTS_PER_DAY]
+        slots = np.r_[np.arange(SLOTS_PER_DAY), SLOTS_PER_DAY + present]
+        ts = np.datetime64("2006-01-01T00:00") + (6 * slots).astype("timedelta64[m]")
+        missing = slots == 13
+        series = RainSeries(ts, np.r_[day1, day2[present]], missing)
+        with pytest.raises(InsufficientDataError, match="no retained DJF days"):
+            build_pairs(series, "DJF")
+        pairs = build_pairs(series, "DJF", drop_incomplete_days=False)
+        assert pairs.dates.astype(str).tolist() == ["2006-01-01", "2006-01-02"]
+        assert pairs.data.tolist() == [[1.0, 10.0], [2.0, 20.0]]
+
     def test_filter_order_independence(self, tmp_path):
         # Removing a dry day's rows entirely equals dropping it by policy.
         wet = full_day_rows("2006-01-02", lambda slot: 2.0 if slot == 0 else 0.0)
@@ -212,6 +233,99 @@ class TestBuildPairs:
         b = build_pairs(without_dry, "DJF")
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(a.dates, b.dates)
+
+
+SEASON_OF_MONTH = np.array(["", "DJF", "DJF", "MAM", "MAM", "MAM", "JJA", "JJA", "JJA",
+                            "SON", "SON", "SON", "DJF"])
+
+
+def reference_build_pairs(series, season, drop_incomplete_days=True, drop_dry_days=True):
+    """``build_pairs`` as a loop over days: the reference its array pass
+    must match bit for bit."""
+    if season not in SEASONS:
+        raise DomainError(f"season must be one of {SEASONS}, got {season!r}")
+    ts = series.timestamps
+    months = ts.astype("datetime64[M]").astype(int) % 12 + 1
+    in_season = SEASON_OF_MONTH[months] == season
+    usable = in_season & ~series.missing
+    if not np.any(usable):
+        raise InsufficientDataError(f"no usable {season} observations in the series")
+
+    days = ts.astype("datetime64[D]")
+    minutes_of_day = (ts - days).astype("timedelta64[m]").astype(int)
+    hour_of_day = minutes_of_day // 60
+
+    season_days = days[usable]
+    unique_days, first_index, counts = np.unique(season_days, return_index=True,
+                                                 return_counts=True)
+    depths = series.depths[usable]
+    hours = hour_of_day[usable]
+
+    dates, rows = [], []
+    for day, start, count in zip(unique_days, first_index, counts):
+        if drop_incomplete_days and count != SLOTS_PER_DAY:
+            continue
+        block = depths[start:start + count]
+        block_hours = hours[start:start + count]
+        max6 = float(block.max())
+        hourly = np.bincount(block_hours, weights=block, minlength=24)
+        max_hourly = float(hourly.max())
+        if drop_dry_days and max6 == 0.0 and max_hourly == 0.0:
+            continue
+        dates.append(day)
+        rows.append((max6, max_hourly))
+    if not rows:
+        raise InsufficientDataError(f"no retained {season} days after filtering")
+    return ingest.SeasonalPairs(season, np.array(dates, dtype="datetime64[D]"),
+                                np.array(rows, dtype=np.float64))
+
+
+# Starts next to season and year boundaries, two of them before 1970.
+FIRST_DAYS = ["0001-02-27", "1969-11-29", "1969-12-30", "2005-11-30", "2006-02-27",
+              "2006-05-31"]
+
+
+@st.composite
+def rain_series(draw):
+    """Up to eight days after a start in FIRST_DAYS, each complete or with
+    missing slots, some slots masked, depths drawn from 0.0, -0.0, 0.1 mm
+    steps and unrounded values."""
+    day = np.datetime64(draw(st.sampled_from(FIRST_DAYS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    slots, depths, missing = [], [], []
+    for _ in range(draw(st.integers(1, 8))):
+        present = np.arange(SLOTS_PER_DAY)
+        if draw(st.booleans()):
+            present = present[rng.random(SLOTS_PER_DAY) < draw(st.sampled_from([0.02, 0.5, 0.99]))]
+        kind = rng.choice(4, present.size,
+                          p=draw(st.sampled_from([(1, 0, 0, 0), (.5, .5, 0, 0),
+                                                  (.4, .3, .3, 0), (.3, .2, .3, .2)])))
+        depth = np.choose(kind, [0.0, -0.0, rng.integers(1, 40, present.size) / 10,
+                                 rng.random(present.size) * 30])
+        masked = rng.random(present.size) < draw(st.sampled_from([0.0, 0.01, 0.3, 1.0]))
+        slots.append(day.astype("datetime64[m]") + (6 * present).astype("timedelta64[m]"))
+        depths.append(np.where(masked, np.nan, depth))
+        missing.append(masked)
+        day += np.timedelta64(draw(st.sampled_from([1, 1, 2, 28, 31])), "D")
+    ts = np.concatenate(slots)
+    assume(ts.size > 0)
+    return RainSeries(ts, np.concatenate(depths), np.concatenate(missing))
+
+
+def pairs_outcome(build, *args):
+    try:
+        pairs = build(*args)
+    except (DomainError, InsufficientDataError) as exc:
+        return type(exc), str(exc)
+    return (pairs.season, pairs.dates.dtype, pairs.dates.tolist(), pairs.data.dtype,
+            pairs.data.shape, pairs.data.tobytes())
+
+
+@settings(max_examples=400, deadline=None)
+@given(rain_series(), st.sampled_from(SEASONS + ("WINTER",)), st.booleans(), st.booleans())
+def test_build_pairs_matches_per_day_loop(series, season, drop_incomplete, drop_dry):
+    assert (pairs_outcome(build_pairs, series, season, drop_incomplete, drop_dry)
+            == pairs_outcome(reference_build_pairs, series, season, drop_incomplete, drop_dry))
 
 
 class TestSeasonalTests:

@@ -1,6 +1,7 @@
 """Special functions validated against quadrature oracles, and stream behavior."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -175,6 +176,25 @@ class TestRngStream:
     def test_uniform_open_interval(self):
         u = RngStream(3).uniform(200_000)
         assert u.min() > 0.0 and u.max() < 1.0
+
+    @pytest.mark.parametrize("size", [None, 2])
+    def test_uniform_extreme_bits_stay_inside(self, size):
+        stream = RngStream(3)
+        for bits, want in [((1 << 53) - 1, 1.0 - 2.0 ** -53), (0, 2.0 ** -54)]:
+            raw = np.int64(bits) if size is None else np.full(size, bits, dtype=np.int64)
+            with mock.patch.object(stream, "_gen") as gen:
+                gen.integers.return_value = raw
+                u = stream.uniform(size)
+                e = stream.exponential(size)
+            assert np.all(u == want)
+            assert np.all(e > 0.0)
+
+    def test_uniform_below_top_bits_unchanged(self):
+        bits = np.arange((1 << 53) - 4, (1 << 53) - 1, dtype=np.int64)
+        stream = RngStream(3)
+        with mock.patch.object(stream, "_gen") as gen:
+            gen.integers.return_value = bits
+            assert np.array_equal(stream.uniform(3), (bits + 0.5) * 2.0 ** -53)
 
     def test_exponential_positive(self):
         e = RngStream(4).exponential(10_000)
