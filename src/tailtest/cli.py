@@ -80,12 +80,8 @@ def _add_test_flags(parser):
 
 def _add_bootstrap_flags(parser):
     parser.add_argument("--margins", default="empirical", choices=["known", "empirical"])
-    parser.add_argument("--known-cdf", default="uniform", choices=sorted(KNOWN_CDF_STUBS))
     parser.add_argument("--bootstrap", type=int, default=1000,
                         help="bootstrap replicates for empirical margins")
-    parser.add_argument("--bootstrap-exceedances", default="proportional",
-                        choices=["proportional", "same"])
-    parser.add_argument("--bootstrap-source", default="x", choices=["x", "symmetric"])
 
 
 def _default_outdir(args) -> str:
@@ -305,6 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("y")
     _add_test_flags(p_test)
     _add_bootstrap_flags(p_test)
+    p_test.add_argument("--known-cdf", default="uniform", choices=sorted(KNOWN_CDF_STUBS))
+    p_test.add_argument("--bootstrap-exceedances", default="proportional",
+                        choices=["proportional", "same"])
+    p_test.add_argument("--bootstrap-source", default="x", choices=["x", "symmetric"])
     p_test.add_argument("--out", default=None, help="also write the report JSON here")
     p_test.set_defaults(func=_cmd_test)
 

@@ -297,8 +297,8 @@ def null_histogram_study(model: CopulaModel, n: int, k_exceedances: int,
     modes = {}
     for mode_ix, (margins, config) in enumerate(configs.items()):
         source = standardize(raw, margins, _UNIFORM_PAIR)
-        null = bootstrap_null(source, config, partition,
-                              base_stream.child(1).child(mode_ix), "x")
+        [null] = bootstrap_null(source, [(partition, k_exceedances)], config,
+                                base_stream.child(1).child(mode_ix))
         boot = null.replicates[:bootstrap_replicates]
         fresh = fresh_nulls[margins]
 

@@ -106,9 +106,7 @@ class NullDistribution:
     """Rate-corrected bootstrap replicates of the statistic under the null."""
 
     replicates: np.ndarray
-    source_sample: str
     k_half: int
-    exceedance_rule: str
 
     def __post_init__(self):
         reps = np.asarray(self.replicates, dtype=np.float64)
@@ -201,11 +199,11 @@ def _half_pseudo(data: np.ndarray, order_pos: np.ndarray, tied_columns: np.ndarr
     return tuple(scale.take(np.moveaxis(r, 0, -1)) for scale, r in zip(scales, ranks))
 
 
-def bootstrap_null(source: Sample, config: TestConfig,
-                   partition: Partition | Sequence[tuple[Partition, int]] | None = None,
-                   stream: Optional[RngStream] = None,
-                   source_label: str = "x") -> NullDistribution | list[NullDistribution]:
-    """Split-half subsample bootstrap of the null distribution.
+def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
+                   config: TestConfig, stream: RngStream,
+                   source_label: str = "x") -> list[NullDistribution]:
+    """Split-half subsample bootstrap of the null distribution of each
+    ``(partition, k_n)`` target.
 
     Replicate b permutes the source with ``stream.child(b)`` (drawn by
     ``stream.child_permutations``, which re-keys one generator), takes the first
@@ -217,24 +215,17 @@ def bootstrap_null(source: Sample, config: TestConfig,
     computed in chunks of array operations and equal the one-at-a-time
     definition bit for bit.
 
-    ``partition`` may also be a list of ``(partition, k_n)`` targets, for
-    which a list of nulls is returned. The targets share each replicate's
-    permutation and half-sample ranks, and ``cell_counts`` shares the risk
-    values of each risk kind and the exceedances of each risk kind and
-    half-sample k; only classification and the statistic are per target.
-    Each null equals the one-target null of its partition and k_n.
+    The targets share each replicate's permutation and half-sample ranks,
+    and ``cell_counts`` shares the risk values of each risk kind and the
+    exceedances of each risk kind and half-sample k; only classification
+    and the statistic are per target. Each null equals the null of its
+    target bootstrapped alone. ``source_label`` names the source in errors.
     """
-    single = partition is None or isinstance(partition, Partition)
-    targets = [(partition, config.k_exceedances)] if single else list(partition)
     n = source.n
     for _, k_n in targets:
         _check_bootstrap_size(n, k_n, source_label)
     if config.margins == "known" and source.margin_state == "raw":
         raise ConfigError("bootstrap with known margins needs a standardized source sample")
-    if partition is None:
-        targets = [(build_partition(config, source.d), config.k_exceedances)]
-    if stream is None:
-        stream = bootstrap_stream(config.seed)
     half = n // 2
     proportional = config.bootstrap_exceedances == "proportional"
     half_targets = [(part, max(1, k_n // 2) if proportional else k_n) for part, k_n in targets]
@@ -262,9 +253,7 @@ def bootstrap_null(source: Sample, config: TestConfig,
         counts_a, counts_b = ([c for _, c in cell_counts(h, half_targets)] for h in halves)
         for t, (_, k_half) in enumerate(half_targets):
             replicates[t, start:stop] = jeffreys(counts_a[t], counts_b[t], k_half)[0] / 2.0
-    nulls = [NullDistribution(reps, source_label, k_half, config.bootstrap_exceedances)
-             for reps, (_, k_half) in zip(replicates, half_targets)]
-    return nulls[0] if single else nulls
+    return [NullDistribution(reps, k_half) for reps, (_, k_half) in zip(replicates, half_targets)]
 
 
 def bootstrap_p_value(observed: Divergence, null: NullDistribution) -> float:
@@ -289,15 +278,13 @@ class Calibration:
 
 
 def _source_nulls(source: Sample, label: str, targets: Sequence[tuple[Partition, int]],
-                  config: TestConfig, cache: Optional[dict]) -> list[NullDistribution]:
-    """The multi-target bootstrap of ``source`` on ``bootstrap_stream(config.seed)``,
-    read from ``cache`` when it already holds that source, config and targets."""
-    if cache is None:
-        return bootstrap_null(source, config, targets, bootstrap_stream(config.seed), label)
+                  config: TestConfig, cache: dict) -> list[NullDistribution]:
+    """The bootstrap of ``source`` on ``bootstrap_stream(config.seed)``, read
+    from ``cache`` when it already holds that source, config and targets."""
     key = (source.data.shape, source.data.tobytes(), source.margin_state, config, tuple(targets))
     if key not in cache:
-        cache[key] = bootstrap_null(source, config, targets, bootstrap_stream(config.seed), label)
-    return [dataclasses.replace(null, source_sample=label) for null in cache[key]]
+        cache[key] = bootstrap_null(source, targets, config, bootstrap_stream(config.seed), label)
+    return cache[key]
 
 
 def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partition, int]],
@@ -313,11 +300,13 @@ def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partiti
 
     ``nulls``, when given, is a cache the caller owns across calls: keyed by
     the standardized source, the config and the targets, it hands back a
-    bootstrap already made for that source, as x or as y, relabelled.
+    bootstrap already made for that source, as x or as y.
     """
     if config.margins == "known":
         return [Calibration(chisq_sf(div.normalized, part.num_cells - 1), part.num_cells, k_n)
                 for div, (part, k_n) in zip(divergences, targets)]
+    if nulls is None:
+        nulls = {}
     nulls_x = _source_nulls(xs, "x", targets, config, nulls)
     p_values = [bootstrap_p_value(div, null) for div, null in zip(divergences, nulls_x)]
     if config.bootstrap_source == "symmetric":

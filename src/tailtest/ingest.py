@@ -2,8 +2,8 @@
 
 Input is a 6-minute depth series (240 slots per day). ``build_pairs`` forms,
 in one array pass, each day's bivariate observation over its unmasked slots
-(daily maximum of the 6-minute depths, daily maximum of the 24 hourly sums);
-``seasonal_tests`` splits days into meteorological seasons and runs the
+(daily maximum of the 6-minute depths, daily maximum of the 24 hourly sums)
+and splits the days into meteorological seasons; ``seasonal_tests`` runs the
 empirical-margin divergence test on every season pair. Days with a missing or
 masked slot are dropped, as are dry days (both maxima zero), since massive
 ties at zero would degrade the rank standardization; both policies are flags.
@@ -307,10 +307,11 @@ def season_of_month(month: int) -> str:
     return SEASONS[month % 12 // 3]
 
 
-def build_pairs(series: RainSeries, season: str, drop_incomplete_days: bool = True,
-                drop_dry_days: bool = True) -> SeasonalPairs:
-    """Daily (6-minute max, hourly-sum max) pairs for one meteorological season.
+def build_pairs(series: RainSeries, drop_incomplete_days: bool = True,
+                drop_dry_days: bool = True) -> dict[str, SeasonalPairs | str]:
+    """Daily (6-minute max, hourly-sum max) pairs of every meteorological season.
 
+    Maps each of ``SEASONS`` to its pairs, or to the reason it has none.
     December belongs to the winter spanning into the following January and
     February. A day is retained when all 240 six-minute slots are present
     and unmasked (unless ``drop_incomplete_days`` is off, in which case the
@@ -318,10 +319,9 @@ def build_pairs(series: RainSeries, season: str, drop_incomplete_days: bool = Tr
 
     Each day's unmasked slots are one contiguous run of the series; maxima
     and hourly sums take each run in slot order, as a per-day loop would,
-    so every value is the same to the bit.
+    so every value is the same to the bit. They are computed once for the
+    whole series, and each season keeps its own days.
     """
-    if season not in SEASONS:
-        raise DomainError(f"season must be one of {SEASONS}, got {season!r}")
     present = ~series.missing
     hours = series.timestamps[present].astype(np.int64) // 60
     depths = series.depths[present]
@@ -330,23 +330,32 @@ def build_pairs(series: RainSeries, season: str, drop_incomplete_days: bool = Tr
     counts = np.diff(starts, append=days.size)
     dates = days[starts]
     months = dates.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64)
-    keep = (months + 1) % 12 // 3 == SEASONS.index(season)
-    if not np.any(keep):
-        raise InsufficientDataError(f"no usable {season} observations in the series")
+    seasons = (months + 1) % 12 // 3
 
-    max6 = np.maximum.reduceat(depths, starts)
+    # A fully masked series has no day runs: skip reduceat rather than rely on its empty case.
+    max6 = np.maximum.reduceat(depths, starts) if starts.size else depths
     # Bin j of run i is 24 i + j: keyed by run, the bins stay as few as the days.
     hour_keys = hours - np.repeat(24 * (dates - np.arange(dates.size)), counts)
     max_hourly = np.bincount(hour_keys, weights=depths,
                              minlength=24 * dates.size).reshape(-1, 24).max(axis=1)
+    kept = np.ones(dates.size, dtype=bool)
     if drop_incomplete_days:
-        keep &= counts == SLOTS_PER_DAY
+        kept &= counts == SLOTS_PER_DAY
     if drop_dry_days:  # depths are non-negative, so only a dry day has max6 == 0
-        keep &= max6 != 0.0
-    if not np.any(keep):
-        raise InsufficientDataError(f"no retained {season} days after filtering")
-    return SeasonalPairs(season, dates[keep].astype("datetime64[D]"),
-                         np.column_stack((max6, max_hourly))[keep])
+        kept &= max6 != 0.0
+    pairs = np.column_stack((max6, max_hourly))
+    by_season: dict[str, SeasonalPairs | str] = {}
+    for index, season in enumerate(SEASONS):
+        in_season = seasons == index
+        keep = in_season & kept
+        if not np.any(in_season):
+            by_season[season] = f"no usable {season} observations in the series"
+        elif not np.any(keep):
+            by_season[season] = f"no retained {season} days after filtering"
+        else:
+            by_season[season] = SeasonalPairs(season, dates[keep].astype("datetime64[D]"),
+                                              pairs[keep])
+    return by_season
 
 
 @dataclass(frozen=True)
@@ -385,14 +394,7 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
     """
     if config.margins != "empirical":
         raise DomainError("seasonal tests use empirical margins and bootstrap calibration")
-    pairs_by_season: dict[str, SeasonalPairs | str] = {}
-    for season in SEASONS:
-        try:
-            pairs_by_season[season] = build_pairs(series, season, drop_incomplete_days,
-                                                  drop_dry_days)
-        except (InsufficientDataError, FormatError) as exc:
-            pairs_by_season[season] = str(exc)
-
+    pairs_by_season = build_pairs(series, drop_incomplete_days, drop_dry_days)
     outcomes = SeasonalOutcomes(pairs_by_season)
     nulls: dict = {}
     for i, season_x in enumerate(SEASONS):

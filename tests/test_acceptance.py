@@ -18,6 +18,7 @@ from tailtest import (CopulaModel, RngStream, Sample, TestConfig, bootstrap_null
 from tailtest.experiments import (ExperimentPlan, k_sensitivity_study,
                                   ks_statistic_one_sample, ks_statistic_two_sample,
                                   size_power_study)
+from tailtest.inference import bootstrap_stream
 from tailtest.ingest import seasonal_tests
 from tailtest.numerics import chisq_cdf
 from .conftest import make_rain_series
@@ -89,7 +90,8 @@ class TestCriterion3BootstrapFidelity:
             config = TestConfig(k_exceedances=200, risk="euclidean", num_cells=4,
                                 margins=margins, bootstrap_replicates=1000, seed=205)
             source = to_pareto(raw, UNIFORM_PAIR) if margins == "known" else to_pseudo(raw)
-            null = bootstrap_null(source, config, part)
+            [null] = bootstrap_null(source, [(part, config.k_exceedances)], config,
+                                    bootstrap_stream(config.seed))
             results[margins] = ks_statistic_two_sample(null.replicates, fresh)
         ok = results["known"] <= 0.10 and results["empirical"] <= 0.10
         report("criterion 3 (bootstrap fidelity)", ok,

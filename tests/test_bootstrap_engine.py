@@ -96,11 +96,12 @@ def assert_matches_reference(source, config, chunk_points=None):
     partition = build_partition(config, source.d)
     expected = reference_bootstrap_null(source, config, partition,
                                         bootstrap_stream(config.seed))
+    targets = [(partition, config.k_exceedances)]
     if chunk_points is None:
-        null = bootstrap_null(source, config, partition)
+        [null] = bootstrap_null(source, targets, config, bootstrap_stream(config.seed))
     else:
         with mock.patch.object(inference, "_CHUNK_POINTS", chunk_points):
-            null = bootstrap_null(source, config, partition)
+            [null] = bootstrap_null(source, targets, config, bootstrap_stream(config.seed))
     assert np.array_equal(null.replicates, expected)
     return null
 

@@ -209,6 +209,21 @@ class TestPowerCommand:
         assert captured.out == ""
         assert captured.err.startswith("tailtest: error: ")
 
+    @pytest.mark.parametrize("flag, value", [("--bootstrap-source", "symmetric"),
+                                             ("--bootstrap-exceedances", "same"),
+                                             ("--known-cdf", "uniform")])
+    def test_test_only_flags_rejected(self, capsys, tmp_path, flag, value):
+        # The study does not read these, so accepting them would ignore them silently.
+        with mock.patch.object(experiments, "sample", side_effect=AssertionError("sampled")):
+            code = main(["power", "--family-x", "logistic", "--theta-x", "0.5",
+                         "--family-y", "logistic", "--theta-y", "0.5", "-n", "400",
+                         "--reps", "2", "--k-grid", "40", "--sets", "4", "--workers", "1",
+                         flag, value, "--outdir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag}" in captured.err
+
 
 class TestNullsCommand:
     def test_outputs(self, capsys, tmp_path):
@@ -307,7 +322,7 @@ class TestRainfallCommand:
                                 "--k-exceedances", "120", "--bootstrap", "100",
                                 "--seed", "6", "--outdir", str(tmp_path / "rain_out"))
         assert code in (0, 3)
-        assert spy.call_count == 4
+        assert spy.call_count == 1
         assert doc["seasons"]["MAM"] == {"days": 520, "error": None}
         assert doc["seasons"]["SON"]["error"] is not None
 

@@ -240,12 +240,20 @@ class TestSymmetricSourceSwap:
         assert a.p_value == b.p_value
 
 
+def bootstrap_own_null(source, config):
+    """The bootstrap null of the test's own partition and k on its bootstrap stream."""
+    [null] = bootstrap_null(source, [(inference.build_partition(config, source.d),
+                                      config.k_exceedances)],
+                            config, inference.bootstrap_stream(config.seed))
+    return null
+
+
 class TestBootstrapNull:
     def test_replicates_non_negative_finite(self):
         src = to_pareto(simulate(CopulaModel("logistic", 0.5), 1000, 8), UNIFORM_PAIR)
         config = TestConfig(k_exceedances=100, risk="euclidean", num_cells=4,
                             margins="known", bootstrap_replicates=200, seed=31)
-        null = bootstrap_null(src, config)
+        null = bootstrap_own_null(src, config)
         assert null.B == 200
         assert (null.replicates >= 0).all()
         assert np.isfinite(null.replicates).all()
@@ -255,7 +263,7 @@ class TestBootstrapNull:
         config = TestConfig(k_exceedances=100, risk="euclidean", num_cells=4,
                             margins="known", bootstrap_replicates=100)
         with pytest.raises(InsufficientDataError):
-            bootstrap_null(src, config)
+            bootstrap_own_null(src, config)
 
     def test_known_margin_replicates_match_chisq(self):
         # Normalized replicates k_n D/2 against the chi-squared(K-1) limit.
@@ -263,7 +271,7 @@ class TestBootstrapNull:
                         UNIFORM_PAIR)
         config = TestConfig(k_exceedances=200, risk="euclidean", num_cells=4,
                             margins="known", bootstrap_replicates=1000, seed=32)
-        null = bootstrap_null(src, config)
+        null = bootstrap_own_null(src, config)
         assert null.k_half == 100
         norm = np.sort(config.k_exceedances * null.replicates / 2.0)
         cdf_vals = np.array([chisq_cdf(v, 3) for v in norm])
@@ -276,19 +284,19 @@ class TestBootstrapNull:
         config = TestConfig(k_exceedances=100, risk="euclidean", num_cells=4,
                             margins="known", bootstrap_replicates=100, seed=33,
                             bootstrap_exceedances="same")
-        assert bootstrap_null(src, config).k_half == 100
+        assert bootstrap_own_null(src, config).k_half == 100
 
     def test_raw_source_rejected_for_known_margins(self):
         raw = simulate(CopulaModel("logistic", 0.5), 1000, 12)
         config = TestConfig(k_exceedances=100, risk="euclidean", num_cells=4,
                             margins="known", bootstrap_replicates=100)
         with pytest.raises(ConfigError):
-            bootstrap_null(raw, config)
+            bootstrap_own_null(raw, config)
 
 
 class TestBootstrapPValue:
     def _null(self, values):
-        return NullDistribution(np.asarray(values, dtype=float), "x", 10, "proportional")
+        return NullDistribution(np.asarray(values, dtype=float), 10)
 
     def test_below_all(self):
         div = Divergence(0.0, 0.0, 4)
@@ -304,9 +312,9 @@ class TestBootstrapPValue:
         assert bootstrap_p_value(div, self._null(reps)) == 0.5
 
 
-def test_calibrate_cache_reuses_and_relabels_nulls():
+def test_calibrate_cache_reuses_nulls():
     # The symmetric source bootstraps both samples; swapping them hits the
-    # cache for both, and the kept null is relabelled as x's.
+    # cache for both and hands back the nulls made for each sample.
     xs = to_pseudo(sample(CopulaModel("logistic", 0.5), 200, RngStream(31)))
     ys = to_pseudo(sample(CopulaModel("logistic", 0.6), 200, RngStream(32)))
     config = TestConfig(k_exceedances=20, risk="euclidean", num_cells=4,
@@ -321,7 +329,7 @@ def test_calibrate_cache_reuses_and_relabels_nulls():
         swapped = inference.calibrate([div], targets, config, ys, xs, nulls=cache)[0]
     assert spy.call_count == 0
     assert len(cache) == 2
-    assert swapped.null.source_sample == "x"
+    assert any(null is swapped.null for nulls in cache.values() for null in nulls)
     uncached = inference.calibrate([div], targets, config, ys, xs)[0]
     assert swapped.p_value == uncached.p_value
     assert np.array_equal(swapped.null.replicates, uncached.null.replicates)

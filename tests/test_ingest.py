@@ -131,21 +131,21 @@ class TestBuildPairs:
         # 1 mm per slot: 6-minute max 1, hourly sum 10 everywhere.
         rows = full_day_rows("2006-01-01", lambda slot: 1.0)
         series = load_csv(write_csv(tmp_path / "c.csv", rows))
-        pairs = build_pairs(series, "DJF")
+        pairs = build_pairs(series)["DJF"]
         assert pairs.n == 1
         assert pairs.data[0] == pytest.approx([1.0, 10.0])
 
     def test_single_wet_slot_day(self, tmp_path):
         rows = full_day_rows("2006-01-01", lambda slot: 5.0 if slot == 37 else 0.0)
         series = load_csv(write_csv(tmp_path / "s.csv", rows))
-        pairs = build_pairs(series, "DJF")
+        pairs = build_pairs(series)["DJF"]
         assert pairs.data[0] == pytest.approx([5.0, 5.0])
 
     def test_incomplete_day_dropped(self, tmp_path):
         rows = full_day_rows("2006-01-01", lambda slot: 1.0)[:-1]
         rows += full_day_rows("2006-01-02", lambda slot: 1.0)
         series = load_csv(write_csv(tmp_path / "i.csv", rows))
-        pairs = build_pairs(series, "DJF")
+        pairs = build_pairs(series)["DJF"]
         assert pairs.n == 1
         assert str(pairs.dates[0]) == "2006-01-02"
 
@@ -153,16 +153,15 @@ class TestBuildPairs:
         rows = full_day_rows("2006-01-01", lambda slot: 1.0)
         rows[13] = rows[13].rsplit(",", 1)[0] + ","
         series = load_csv(write_csv(tmp_path / "mask.csv", rows))
-        with pytest.raises(InsufficientDataError):
-            build_pairs(series, "DJF")
+        assert build_pairs(series)["DJF"] == "no retained DJF days after filtering"
 
     def test_dry_day_dropped(self, tmp_path):
         rows = full_day_rows("2006-01-01", lambda slot: 0.0)
         rows += full_day_rows("2006-01-02", lambda slot: 0.5 if slot < 3 else 0.0)
         series = load_csv(write_csv(tmp_path / "dry.csv", rows))
-        pairs = build_pairs(series, "DJF")
+        pairs = build_pairs(series)["DJF"]
         assert pairs.n == 1
-        pairs_kept = build_pairs(series, "DJF", drop_dry_days=False)
+        pairs_kept = build_pairs(series, drop_dry_days=False)["DJF"]
         assert pairs_kept.n == 2
 
     def test_djf_spans_year_boundary(self):
@@ -175,7 +174,7 @@ class TestBuildPairs:
             with pytest.raises(DomainError):
                 season_of_month(month)
         series = make_rain_series({"DJF": (95, CopulaModel("logistic", 0.5))}, seed=3)
-        pairs = build_pairs(series, "DJF")
+        pairs = build_pairs(series)["DJF"]
         # hand-built calendar oracle for 2006-2007: DJF days are Jan 1 - Feb 28
         # 2006 (59), Dec 1-31 2006 (31), then Jan 2007 onward.
         dates = pairs.dates.astype("datetime64[D]").astype(str)
@@ -186,15 +185,9 @@ class TestBuildPairs:
         months = pairs.dates.astype("datetime64[M]").astype(int) % 12 + 1
         assert set(months) <= {12, 1, 2}
 
-    def test_unknown_season(self, tmp_path):
-        rows = full_day_rows("2006-01-01", lambda slot: 1.0)
-        series = load_csv(write_csv(tmp_path / "u.csv", rows))
-        with pytest.raises(DomainError):
-            build_pairs(series, "WINTER")
-
     def test_hourly_conservation_and_bounds(self):
         series = make_rain_series({"JJA": (40, CopulaModel("logistic", 0.6))}, seed=4)
-        pairs = build_pairs(series, "JJA")
+        pairs = build_pairs(series)["JJA"]
         # bounds: max6 <= maxH <= 10 * max6 for every retained day
         assert np.all(pairs.data[:, 0] <= pairs.data[:, 1] + 1e-12)
         assert np.all(pairs.data[:, 1] <= 10.0 * pairs.data[:, 0] + 1e-12)
@@ -217,9 +210,8 @@ class TestBuildPairs:
         ts = np.datetime64("2006-01-01T00:00") + (6 * slots).astype("timedelta64[m]")
         missing = slots == 13
         series = RainSeries(ts, np.r_[day1, day2[present]], missing)
-        with pytest.raises(InsufficientDataError, match="no retained DJF days"):
-            build_pairs(series, "DJF")
-        pairs = build_pairs(series, "DJF", drop_incomplete_days=False)
+        assert build_pairs(series)["DJF"] == "no retained DJF days after filtering"
+        pairs = build_pairs(series, drop_incomplete_days=False)["DJF"]
         assert pairs.dates.astype(str).tolist() == ["2006-01-01", "2006-01-02"]
         assert pairs.data.tolist() == [[1.0, 10.0], [2.0, 20.0]]
 
@@ -229,10 +221,36 @@ class TestBuildPairs:
         dry = full_day_rows("2006-01-01", lambda slot: 0.0)
         with_dry = load_csv(write_csv(tmp_path / "wd.csv", dry + wet))
         without_dry = load_csv(write_csv(tmp_path / "nd.csv", wet))
-        a = build_pairs(with_dry, "DJF")
-        b = build_pairs(without_dry, "DJF")
+        a = build_pairs(with_dry)["DJF"]
+        b = build_pairs(without_dry)["DJF"]
         assert np.array_equal(a.data, b.data)
         assert np.array_equal(a.dates, b.dates)
+
+    def test_every_slot_masked(self):
+        # 500 slots span three days; reduceat has no day runs to start from.
+        ts = np.datetime64("2006-01-01T00:00") + (6 * np.arange(500)).astype("timedelta64[m]")
+        series = RainSeries(ts, np.full(ts.size, np.nan), np.ones(ts.size, dtype=bool))
+        for flags in ((True, True), (False, False)):
+            assert build_pairs(series, *flags) == {
+                season: f"no usable {season} observations in the series" for season in SEASONS}
+
+    def test_one_season_series(self):
+        series = make_rain_series({"SON": (30, CopulaModel("logistic", 0.5))}, seed=5)
+        by_season = build_pairs(series)
+        assert list(by_season) == list(SEASONS)
+        assert by_season["SON"].season == "SON"
+        assert by_season["SON"].n == 30
+        for season in ("DJF", "MAM", "JJA"):
+            assert by_season[season] == f"no usable {season} observations in the series"
+
+    def test_season_of_dry_days_only(self, tmp_path):
+        rows = full_day_rows("2006-01-01", lambda slot: 0.0)
+        rows += full_day_rows("2006-03-01", lambda slot: 0.5 if slot < 3 else 0.0)
+        series = load_csv(write_csv(tmp_path / "dry.csv", rows))
+        by_season = build_pairs(series)
+        assert by_season["DJF"] == "no retained DJF days after filtering"
+        assert by_season["MAM"].data.tolist() == [[0.5, 1.5]]
+        assert build_pairs(series, drop_dry_days=False)["DJF"].data.tolist() == [[0.0, 0.0]]
 
 
 SEASON_OF_MONTH = np.array(["", "DJF", "DJF", "MAM", "MAM", "MAM", "JJA", "JJA", "JJA",
@@ -240,10 +258,8 @@ SEASON_OF_MONTH = np.array(["", "DJF", "DJF", "MAM", "MAM", "MAM", "JJA", "JJA",
 
 
 def reference_build_pairs(series, season, drop_incomplete_days=True, drop_dry_days=True):
-    """``build_pairs`` as a loop over days: the reference its array pass
-    must match bit for bit."""
-    if season not in SEASONS:
-        raise DomainError(f"season must be one of {SEASONS}, got {season!r}")
+    """One season of ``build_pairs`` as a loop over days: the reference its
+    array pass must match bit for bit."""
     ts = series.timestamps
     months = ts.astype("datetime64[M]").astype(int) % 12 + 1
     in_season = SEASON_OF_MONTH[months] == season
@@ -312,20 +328,28 @@ def rain_series(draw):
     return RainSeries(ts, np.concatenate(depths), np.concatenate(missing))
 
 
-def pairs_outcome(build, *args):
-    try:
-        pairs = build(*args)
-    except (DomainError, InsufficientDataError) as exc:
-        return type(exc), str(exc)
+def pairs_outcome(pairs):
+    if isinstance(pairs, str):
+        return pairs
     return (pairs.season, pairs.dates.dtype, pairs.dates.tolist(), pairs.data.dtype,
             pairs.data.shape, pairs.data.tobytes())
 
 
+def reference_outcome(series, season, drop_incomplete, drop_dry):
+    try:
+        return pairs_outcome(reference_build_pairs(series, season, drop_incomplete, drop_dry))
+    except InsufficientDataError as exc:
+        return str(exc)
+
+
 @settings(max_examples=400, deadline=None)
-@given(rain_series(), st.sampled_from(SEASONS + ("WINTER",)), st.booleans(), st.booleans())
-def test_build_pairs_matches_per_day_loop(series, season, drop_incomplete, drop_dry):
-    assert (pairs_outcome(build_pairs, series, season, drop_incomplete, drop_dry)
-            == pairs_outcome(reference_build_pairs, series, season, drop_incomplete, drop_dry))
+@given(rain_series(), st.booleans(), st.booleans())
+def test_build_pairs_matches_per_day_loop(series, drop_incomplete, drop_dry):
+    by_season = build_pairs(series, drop_incomplete, drop_dry)
+    assert list(by_season) == list(SEASONS)
+    for season in SEASONS:
+        assert (pairs_outcome(by_season[season])
+                == reference_outcome(series, season, drop_incomplete, drop_dry))
 
 
 class TestSeasonalTests:
@@ -391,10 +415,8 @@ class TestSeasonalTests:
         outcomes = seasonal_tests(two_season_series, config)
         assert list(outcomes.seasons) == list(SEASONS)
         assert np.array_equal(outcomes.seasons["DJF"].data,
-                              build_pairs(two_season_series, "DJF").data)
-        with pytest.raises(InsufficientDataError) as missing:
-            build_pairs(two_season_series, "JJA")
-        assert outcomes.seasons["JJA"] == str(missing.value)
+                              build_pairs(two_season_series)["DJF"].data)
+        assert outcomes.seasons["JJA"] == "no usable JJA observations in the series"
         # No k cap, so the only warning is the one for a bootstrap p-value of 0.
         report = outcomes[("DJF", "MAM")].report
         assert report.p_value == 0.0
@@ -457,9 +479,9 @@ def count_bootstraps(monkeypatch):
     calls = []
     real = inference.bootstrap_null
 
-    def counting(source, config, targets, *args, **kwargs):
+    def counting(source, targets, *args, **kwargs):
         calls.append((source.data.tobytes(), tuple(k for _, k in targets)))
-        return real(source, config, targets, *args, **kwargs)
+        return real(source, targets, *args, **kwargs)
 
     monkeypatch.setattr(inference, "bootstrap_null", counting)
     return calls

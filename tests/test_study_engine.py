@@ -48,7 +48,8 @@ def _reference_evaluate(xs, ys, partition, k, plan, config):
         p_value = chisq_sf(div.normalized, dof)
         critical = 2.0 * chisq_quantile(1.0 - plan.level, dof) / k
     else:
-        null = bootstrap_null(xs, config, partition, bootstrap_stream(config.seed), "x")
+        [null] = bootstrap_null(xs, [(partition, config.k_exceedances)], config,
+                                bootstrap_stream(config.seed))
         p_value = bootstrap_p_value(div, null)
         critical = float(np.quantile(null.replicates, 1.0 - plan.level))
     return div.value, p_value, critical
@@ -140,10 +141,10 @@ class TestMultiTargetBootstrap:
 
     def _assert_matches_single_calls(self, source, config):
         targets = self._targets()
-        nulls = bootstrap_null(source, config, targets)
+        nulls = bootstrap_null(source, targets, config, bootstrap_stream(config.seed))
         assert len(nulls) == len(targets)
-        for null, (partition, k) in zip(nulls, targets):
-            single = bootstrap_null(source, replace(config, k_exceedances=k), partition)
+        for null, target in zip(nulls, targets):
+            [single] = bootstrap_null(source, [target], config, bootstrap_stream(config.seed))
             assert np.array_equal(null.replicates, single.replicates)
             assert null.k_half == single.k_half
 
@@ -178,8 +179,9 @@ class TestNullHistogramStudy:
                                 margins=margins, bootstrap_replicates=max(count, 100),
                                 seed=seed)
             source = to_pareto(raw, UNIFORM_PAIR) if margins == "known" else to_pseudo(raw)
-            boot = bootstrap_null(source, config, partition,
-                                  base_stream.child(1).child(mode_ix)).replicates[:count]
+            [null] = bootstrap_null(source, [(partition, k)], config,
+                                    base_stream.child(1).child(mode_ix))
+            boot = null.replicates[:count]
             assert np.array_equal(mode.bootstrap, boot)
             assert np.array_equal(mode.fresh,
                                   reference_fresh(model, n, k, partition, count, seed, margins))
