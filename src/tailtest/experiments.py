@@ -4,6 +4,10 @@ count K, and bootstrap-vs-fresh null comparisons.
 Repetition r of any study draws its data from streams keyed by the plan
 seed and r, so results are reproducible and independent of the worker
 count; partial re-runs of a repetition range produce identical numbers.
+The k study and the K study run the same repetition: ``_targets`` turns the
+grid into ``(partition, k)`` targets, each sample is counted once over all of
+them, and one calibration serves every grid point. ``_aggregate`` reduces
+all grid points in one array pass.
 Studies emit plot-ready long-format CSV rows plus a JSON manifest carrying
 the plan, seed and package version.
 """
@@ -26,7 +30,7 @@ from .divergence import jeffreys, kl_divergence
 from .errors import ConfigError
 from .inference import (_CHUNK_POINTS, RISK_ALIASES, TestConfig, _check_bootstrap_size,
                         bootstrap_null, build_partition, calibrate)
-from .margins import Sample, _pareto, _pseudo, standardize, uniform_cdf
+from .margins import _pareto, _pseudo, standardize, uniform_cdf
 from .numerics import RngStream, chisq_cdf
 from .partitions import (Partition, cell_counts, count_cells, make_angular_partition,
                          make_max_partition)
@@ -66,6 +70,9 @@ class ExperimentPlan:
                 raise ConfigError("k_grid must be non-empty")
             if min(self.k_grid) < 1:
                 raise ConfigError(f"k_grid values must be >= 1, got {self.k_grid}")
+            if self.k_exceedances is not None:
+                raise ConfigError("the k study takes its k values from k_grid; "
+                                  "k_exceedances must not be set")
         else:
             object.__setattr__(self, "K_grid", tuple(int(K) for K in self.K_grid))
             if not self.K_grid:
@@ -76,6 +83,9 @@ class ExperimentPlan:
                 raise ConfigError("the K study varies angular partitions; risk must be euclidean or sum")
             if self.k_exceedances is None:
                 raise ConfigError("the K study needs a fixed k_exceedances")
+            if self.num_cells is not None:
+                raise ConfigError("the K study takes its cell counts from K_grid; "
+                                  "num_cells must not be set")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         # Every size, test and partition rule fires here, before any repetition samples.
@@ -84,9 +94,7 @@ class ExperimentPlan:
                 raise ConfigError(f"every k must be below n={self.n}, got k={k}")
             if self.margins == "empirical":
                 _check_bootstrap_size(self.n, k, "x")
-        config = _rep_config(self, 0)
-        if self.k_grid is not None:
-            build_partition(config, 2)      # every copula sample is bivariate
+        _targets(self, _rep_config(self, 0))
 
     def to_manifest(self) -> dict:
         plan = dataclasses.asdict(self)
@@ -125,13 +133,6 @@ class PowerCurve:
         return rows
 
 
-def _simulate_standardized(plan: ExperimentPlan, rep: int) -> tuple[Sample, Sample]:
-    rep_stream = RngStream(plan.seed, (rep,))
-    x = sample(plan.model_x, plan.n, rep_stream.child(0))
-    y = sample(plan.model_y, plan.n, rep_stream.child(1))
-    return standardize(x, plan.margins, _UNIFORM_PAIR), standardize(y, plan.margins, _UNIFORM_PAIR)
-
-
 def derived_seed(master_seed: int, index: int) -> int:
     """Deterministic per-repetition seed, collision-free across indices."""
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(index,))
@@ -144,7 +145,7 @@ def _rep_config(plan: ExperimentPlan, rep: int) -> TestConfig:
     return TestConfig(
         k_exceedances=plan.k_grid[0] if plan.k_grid else plan.k_exceedances,
         risk=plan.risk,
-        num_cells=plan.num_cells if plan.k_grid else None,
+        num_cells=plan.num_cells,
         level=plan.level,
         margins=plan.margins,
         bootstrap_replicates=plan.bootstrap_replicates,
@@ -152,82 +153,76 @@ def _rep_config(plan: ExperimentPlan, rep: int) -> TestConfig:
     )
 
 
-def _evaluate(xs: Sample, ys: Sample, targets: list[tuple[Partition, int]],
-              config: TestConfig) -> np.ndarray:
-    """Statistic, p-value and D-scale critical value of each (partition, k)
-    grid point of one repetition; all grid points share one calibration."""
-    divs = [kl_divergence(count_cells(xs, part, k), count_cells(ys, part, k))
-            for part, k in targets]
+def _targets(plan: ExperimentPlan, config: TestConfig) -> list[tuple[Partition, int]]:
+    """The ``(partition, k)`` target of each grid point: the configured
+    partition at every k of the k study, or the angular partition of every K
+    of the K study at its fixed k with the max-risk baseline last."""
+    if plan.k_grid is not None:
+        partition = build_partition(config, 2)      # every copula sample is bivariate
+        return [(partition, k) for k in plan.k_grid]
+    partitions = [make_angular_partition(config.risk, K) for K in plan.K_grid]
+    partitions.append(make_max_partition(2))
+    return [(part, plan.k_exceedances) for part in partitions]
+
+
+def _study_rep(args: tuple[ExperimentPlan, int]) -> np.ndarray:
+    """Statistic, p-value and D-scale critical value (one row per target) of
+    repetition ``rep``: each sample is counted once over all targets, and all
+    targets share one calibration."""
+    plan, rep = args
+    rep_stream = RngStream(plan.seed, (rep,))
+    x = sample(plan.model_x, plan.n, rep_stream.child(0))
+    y = sample(plan.model_y, plan.n, rep_stream.child(1))
+    xs, ys = (standardize(s, plan.margins, _UNIFORM_PAIR) for s in (x, y))
+    config = _rep_config(plan, rep)
+    targets = _targets(plan, config)
+    divs = [kl_divergence(cx, cy) for cx, cy in zip(count_cells(xs, targets),
+                                                    count_cells(ys, targets))]
     calibrations = calibrate(divs, targets, config, xs, ys)
     return np.array([(div.value, cal.p_value, cal.critical_value(config.level))
                      for div, cal in zip(divs, calibrations)])
 
 
-def _power_rep(args: tuple[ExperimentPlan, int]) -> np.ndarray:
-    plan, rep = args
-    xs, ys = _simulate_standardized(plan, rep)
-    config = _rep_config(plan, rep)
-    partition = build_partition(config, xs.d)
-    return _evaluate(xs, ys, [(partition, k) for k in plan.k_grid], config)
-
-
-def _k_sensitivity_rep(args: tuple[ExperimentPlan, int]) -> np.ndarray:
-    plan, rep = args
-    xs, ys = _simulate_standardized(plan, rep)
-    config = _rep_config(plan, rep)
-    partitions = [make_angular_partition(config.risk, K) for K in plan.K_grid]
-    partitions.append(make_max_partition(xs.d))      # the max-risk baseline
-    return _evaluate(xs, ys, [(part, plan.k_exceedances) for part in partitions], config)
-
-
-def _map_reps(worker, plan: ExperimentPlan) -> list[np.ndarray]:
+def _map_reps(plan: ExperimentPlan) -> np.ndarray:
+    """The (repetitions, targets, 3) rows of every repetition of ``plan``."""
     args = [(plan, r) for r in range(plan.repetitions)]
     workers = min(plan.workers, plan.repetitions)
     if workers > 1:
         chunk = max(1, plan.repetitions // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, args, chunksize=chunk))
-    return [worker(a) for a in args]
+            return np.stack(list(pool.map(_study_rep, args, chunksize=chunk)))
+    return np.stack([_study_rep(a) for a in args])
 
 
 def _aggregate(grid_values, results: np.ndarray, level: float) -> list[PowerCurvePoint]:
-    points = []
-    for i, g in enumerate(grid_values):
-        stats = results[:, i, 0]
-        pvals = results[:, i, 1]
-        crits = results[:, i, 2]
-        points.append(PowerCurvePoint(
-            grid_value=int(g),
-            mean_statistic=float(stats.mean()),
-            q05=float(np.quantile(stats, 0.05)),
-            q95=float(np.quantile(stats, 0.95)),
-            rejection_rate=float(np.mean(pvals < level)),
-            critical_value=float(crits.mean()),
-        ))
-    return points
+    """One point per grid value from the (repetitions, G, 3) study rows. Each
+    reduction runs along a contiguous axis of repetitions, which numpy sums
+    pairwise like each grid point's own 1-D run (over axis 0 it would not)."""
+    stats, pvals, crits = np.ascontiguousarray(results.T)      # each (G, repetitions)
+    q05, q95 = np.quantile(stats, [0.05, 0.95], axis=-1)
+    return [PowerCurvePoint(int(g), float(mean), float(lo), float(hi), float(rate), float(crit))
+            for g, mean, lo, hi, rate, crit in zip(grid_values, stats.mean(axis=-1), q05, q95,
+                                                   (pvals < level).mean(axis=-1),
+                                                   crits.mean(axis=-1))]
 
 
 def size_power_study(plan: ExperimentPlan) -> PowerCurve:
     """Rejection rate and statistic quantiles over the k_n grid."""
     if plan.k_grid is None:
         raise ConfigError("size_power_study needs a k_grid plan")
-    results = np.stack(_map_reps(_power_rep, plan))
-    return PowerCurve("k_exceedances", tuple(_aggregate(plan.k_grid, results, plan.level)))
+    return PowerCurve("k_exceedances", tuple(_aggregate(plan.k_grid, _map_reps(plan), plan.level)))
 
 
 def k_sensitivity_study(plan: ExperimentPlan) -> PowerCurve:
     """Rejection rate over the number of angular cells, with a max-risk baseline."""
     if plan.K_grid is None:
         raise ConfigError("k_sensitivity_study needs a K_grid plan")
-    results = np.stack(_map_reps(_k_sensitivity_rep, plan))
-    points = _aggregate(plan.K_grid, results[:, :-1, :], plan.level)
-    base_stats = results[:, -1, 0]
-    base_pvals = results[:, -1, 1]
+    *points, base = _aggregate((*plan.K_grid, 2 ** 2 - 1), _map_reps(plan), plan.level)
     baseline = {
         "risk": "max",
-        "num_cells": 2 ** 2 - 1,
-        "mean_statistic": float(base_stats.mean()),
-        "rejection_rate": float(np.mean(base_pvals < plan.level)),
+        "num_cells": base.grid_value,
+        "mean_statistic": base.mean_statistic,
+        "rejection_rate": base.rejection_rate,
     }
     return PowerCurve("num_cells", tuple(points), baseline=baseline)
 
@@ -350,11 +345,10 @@ def write_power_outputs(curve: PowerCurve, plan: ExperimentPlan, outdir: str,
         writer.writerows(curve.to_rows())
     manifest = plan.to_manifest()
     manifest["command"] = name
-    manifest["outputs"] = {"csv": csv_path}
     manifest_path = os.path.join(outdir, f"{name}_manifest.json")
+    manifest["outputs"] = {"csv": csv_path, "manifest": manifest_path}
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2)
-    manifest["outputs"]["manifest"] = manifest_path
     return manifest
 
 
@@ -362,6 +356,7 @@ def write_nulls_outputs(result: NullStudyResult, outdir: str) -> dict:
     """Replicate vectors per margin mode plus KS distances and a manifest."""
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "null_replicates.csv")
+    manifest_path = os.path.join(outdir, "nulls_manifest.json")
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["margins", "source", "replicate", "value"])
@@ -383,10 +378,8 @@ def write_nulls_outputs(result: NullStudyResult, outdir: str) -> dict:
             "empirical_bootstrap_vs_fresh": result.empirical.ks_bootstrap_vs_fresh,
             "known_fresh_vs_chisq": result.known.ks_fresh_vs_chisq,
         },
-        "outputs": {"csv": csv_path},
+        "outputs": {"csv": csv_path, "manifest": manifest_path},
     }
-    manifest_path = os.path.join(outdir, "nulls_manifest.json")
     with open(manifest_path, "w") as fh:
         json.dump(manifest, fh, indent=2)
-    manifest["outputs"]["manifest"] = manifest_path
     return manifest

@@ -56,7 +56,6 @@ class TestConfig:
     bootstrap_replicates: int = 1000
     bootstrap_exceedances: str = "proportional"  # or "same"
     bootstrap_source: str = "x"                  # or "symmetric"
-    angles: Optional[tuple[float, ...]] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -91,8 +90,7 @@ def build_partition(config: TestConfig, d: int) -> Partition:
     else:
         if config.num_cells is None:
             raise ConfigError("angular partitions need an explicit num_cells")
-        part = make_angular_partition(config.risk, config.num_cells,
-                                      list(config.angles) if config.angles else None)
+        part = make_angular_partition(config.risk, config.num_cells)
     if config.num_cells is not None and part.num_cells != config.num_cells:
         raise ConfigError(
             f"{config.risk} risk in dimension {d} implies {part.num_cells} cells, "
@@ -342,11 +340,10 @@ def run_test(x: Sample, y: Sample, config: TestConfig,
     ys = standardize(y, config.margins, cdfs_y)
     partition = build_partition(config, x.d)
 
-    cells_x = count_cells(xs, partition, config.k_exceedances)
-    cells_y = count_cells(ys, partition, config.k_exceedances)
+    targets = [(partition, config.k_exceedances)]
+    [cells_x], [cells_y] = count_cells(xs, targets), count_cells(ys, targets)
     div = kl_divergence(cells_x, cells_y)
-    calibration = calibrate([div], [(partition, config.k_exceedances)], config, xs, ys,
-                            nulls=nulls)[0]
+    [calibration] = calibrate([div], targets, config, xs, ys, nulls=nulls)
 
     bootstrap, warnings = None, []
     if calibration.null is not None:

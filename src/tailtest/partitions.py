@@ -238,12 +238,20 @@ def cell_counts(data: np.ndarray, targets: Sequence[tuple[Partition, int]]
     return results
 
 
-def count_cells(sample: Sample, partition: Partition, k_n: int) -> CellProbabilities:
-    """Empirical cell probabilities of the top-k_n risk exceedances (see ``top_k``)."""
+def count_cells(sample: Sample, targets: Sequence[tuple[Partition, int]]
+                ) -> list[CellProbabilities]:
+    """Empirical cell probabilities of the top-k_n risk exceedances (see ``top_k``)
+    of ``sample`` for each ``(partition, k_n)`` target.
+
+    Every target's k_n is checked before anything is counted; then one
+    ``cell_counts`` pass serves all targets, so risk values are computed once
+    per risk kind and the rescaled exceedances once per (risk kind, k_n). Each
+    result equals that of its target counted alone."""
     if sample.margin_state not in ("pareto", "pseudo"):
         raise DomainError(f"count_cells needs a standardized sample, got state {sample.margin_state!r}")
     n = sample.n
-    if not 1 <= k_n < n:
-        raise DomainError(f"need 1 <= k_n < n, got k_n={k_n}, n={n}")
-    threshold, counts = cell_counts(sample.data, [(partition, k_n)])[0]
-    return CellProbabilities(counts, k_n, float(threshold))
+    for _, k_n in targets:
+        if not 1 <= k_n < n:
+            raise DomainError(f"need 1 <= k_n < n, got k_n={k_n}, n={n}")
+    return [CellProbabilities(counts, k_n, float(threshold))
+            for (threshold, counts), (_, k_n) in zip(cell_counts(sample.data, targets), targets)]

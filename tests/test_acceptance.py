@@ -54,11 +54,11 @@ def fresh_null_statistics():
         pair_stream = base.child(b)
         x = sample(model, 2000, pair_stream.child(0))
         y = sample(model, 2000, pair_stream.child(1))
-        kx = count_cells(to_pareto(x, UNIFORM_PAIR), part, 200)
-        ky = count_cells(to_pareto(y, UNIFORM_PAIR), part, 200)
+        kx = count_cells(to_pareto(x, UNIFORM_PAIR), [(part, 200)])[0]
+        ky = count_cells(to_pareto(y, UNIFORM_PAIR), [(part, 200)])[0]
         known[b] = kl_divergence(kx, ky).value
-        ex = count_cells(to_pseudo(x), part, 200)
-        ey = count_cells(to_pseudo(y), part, 200)
+        ex = count_cells(to_pseudo(x), [(part, 200)])[0]
+        ey = count_cells(to_pseudo(y), [(part, 200)])[0]
         empirical[b] = kl_divergence(ex, ey).value
     return known, empirical
 
@@ -182,7 +182,7 @@ class TestCriterion8OracleEquivalence:
             else:
                 part = make_angular_partition("euclidean", 2 + trial % 5)
             k_n = 1 + int(rng.uniform() * (n - 1))
-            cells = count_cells(Sample(data, "pareto"), part, k_n)
+            cells = count_cells(Sample(data, "pareto"), [(part, k_n)])[0]
             # independent O(n*K) oracle: explicit loops over points and cells
             r = np.array([part.risk(row) for row in data])
             order = np.argsort(r, kind="stable")

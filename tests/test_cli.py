@@ -164,6 +164,9 @@ class TestPowerCommand:
         jsonschema.validate(doc, get_schema("power"))
         rows = (tmp_path / "power" / "power.csv").read_text().splitlines()
         assert len(rows) == 1 + 10
+        stored = json.loads((tmp_path / "power" / "power_manifest.json").read_text())
+        assert stored == doc
+        jsonschema.validate(stored, get_schema("power"))
 
     def test_set_grid_study(self, capsys, tmp_path):
         code, doc = run_cli(capsys, "power", "--family-x", "outer-power-clayton",
@@ -176,6 +179,9 @@ class TestPowerCommand:
         jsonschema.validate(doc, get_schema("power"))
         text = (tmp_path / "ksets" / "ksets.csv").read_text()
         assert "baseline" in text
+        stored = json.loads((tmp_path / "ksets" / "ksets_manifest.json").read_text())
+        assert stored == doc
+        jsonschema.validate(stored, get_schema("power"))
 
     def test_missing_sets_for_k_grid_is_usage_error(self, capsys):
         code = main(["power", "--family-x", "logistic", "--theta-x", "0.5",
@@ -193,21 +199,42 @@ class TestPowerCommand:
         assert (tmp_path / "envout" / "power.csv").exists()
 
     @pytest.mark.parametrize("flags", [
-        ("-n", "100", "--k-grid", "50,200", "--margins", "known"),
-        ("-n", "300", "--k-grid", "40,80", "--margins", "empirical"),
-        ("-n", "600", "--k-grid", "40", "--margins", "empirical", "--bootstrap", "50"),
+        ("-n", "100", "--k-grid", "50,200", "--sets", "4", "--margins", "known"),
+        ("-n", "300", "--k-grid", "40,80", "--sets", "4", "--margins", "empirical"),
+        ("-n", "600", "--k-grid", "40", "--sets", "4", "--margins", "empirical",
+         "--bootstrap", "50"),
         ("-n", "300", "--set-grid", "2,4", "--k-exceedances", "300", "--margins", "known"),
-        ("-n", "600", "--k-grid", "40", "--margins", "known", "--workers", "0"),
+        ("-n", "600", "--k-grid", "40", "--sets", "4", "--margins", "known", "--workers", "0"),
     ])
     def test_bad_sizes_fail_before_sampling(self, capsys, tmp_path, flags):
         with mock.patch.object(experiments, "sample", side_effect=AssertionError("sampled")):
             code = main(["power", "--family-x", "logistic", "--theta-x", "0.5",
                          "--family-y", "logistic", "--theta-y", "0.5", "--reps", "2",
-                         "--sets", "4", *flags, "--outdir", str(tmp_path)])
+                         *flags, "--outdir", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
         assert captured.err.startswith("tailtest: error: ")
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--k-grid", "20,40", "--sets", "4", "--k-exceedances", "300"),
+         "k_exceedances must not be set"),
+        (("--set-grid", "2,3", "--k-exceedances", "40", "--sets", "7"),
+         "num_cells must not be set"),
+    ])
+    def test_other_studys_fixed_value_rejected(self, capsys, tmp_path, flags, message):
+        # The study never reads the other study's fixed value, so accepting it would
+        # ignore it silently and still write it into the manifest.
+        with mock.patch.object(experiments, "sample", side_effect=AssertionError("sampled")):
+            code = main(["power", "--family-x", "logistic", "--theta-x", "0.5",
+                         "--family-y", "logistic", "--theta-y", "0.5", "-n", "400",
+                         "--reps", "2", "--margins", "known", "--workers", "1", *flags,
+                         "--outdir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert message in captured.err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [("--bootstrap-source", "symmetric"),
                                              ("--bootstrap-exceedances", "same"),
@@ -234,6 +261,9 @@ class TestNullsCommand:
         assert code == 0
         jsonschema.validate(doc, get_schema("nulls"))
         assert (tmp_path / "null_replicates.csv").exists()
+        stored = json.loads((tmp_path / "nulls_manifest.json").read_text())
+        assert stored == doc
+        jsonschema.validate(stored, get_schema("nulls"))
 
     @pytest.mark.parametrize("flags", [
         ("-n", "600", "--k-exceedances", "60", "--bootstrap", "0"),

@@ -187,7 +187,7 @@ class TestTailProperties:
             model = CopulaModel(family, 0.45)
             raw = sample(model, 50_000, RngStream(57))
             std = to_pareto(raw, [uniform_cdf, uniform_cdf])
-            counts = count_cells(std, part, k_n).counts
+            counts = count_cells(std, [(part, k_n)])[0].counts
             for j in range(part.num_cells // 2):
                 assert abs(counts[j] - counts[part.num_cells - 1 - j]) <= 3.0 * np.sqrt(k_n)
 
@@ -196,7 +196,7 @@ class TestTailProperties:
         model = CopulaModel("asymmetric_logistic", 0.45, (1.0, 0.4))
         raw = sample(model, 200_000, RngStream(58))
         std = to_pareto(raw, [uniform_cdf, uniform_cdf])
-        counts = count_cells(std, part, 4000).counts
+        counts = count_cells(std, [(part, 4000)])[0].counts
         gaps = [abs(counts[j] - counts[part.num_cells - 1 - j])
                 for j in range(part.num_cells // 2)]
         assert max(gaps) > 3.0 * np.sqrt(4000)
@@ -212,7 +212,7 @@ class TestTailProperties:
         cells = {}
         for name, model, seed in (("log", log_model, 59), ("clay", clay_model, 60)):
             std = to_pareto(sample(model, n, RngStream(seed)), [uniform_cdf, uniform_cdf])
-            cells[name] = count_cells(std, part, k_n).probs
+            cells[name] = count_cells(std, [(part, k_n)])[0].probs
         assert np.max(np.abs(cells["log"] - cells["clay"])) <= 0.04
         body_gap = abs(float(copula_cdf(log_model, 0.5, 0.5)) -
                        float(copula_cdf(clay_model, 0.5, 0.5)))

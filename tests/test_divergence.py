@@ -179,7 +179,7 @@ class TestCellConsistencyMonteCarlo:
         part = make_angular_partition("euclidean", 5)
         raw = sample(model, 100_000, RngStream(49))
         std = to_pareto(raw, [uniform_cdf, uniform_cdf])
-        cells = count_cells(std, part, 2000)
+        cells = count_cells(std, [(part, 2000)])[0]
 
         fresh = sample(model, 1_000_000, RngStream(50))
         fresh_std = to_pareto(fresh, [uniform_cdf, uniform_cdf]).data

@@ -31,7 +31,7 @@ class TestPlanValidation:
         with pytest.raises(ConfigError):
             small_plan(k_grid=None)
         with pytest.raises(ConfigError):
-            small_plan(K_grid=(2, 4))
+            small_plan(K_grid=(2, 4), num_cells=None)
 
     def test_k_grid_values_positive(self):
         with pytest.raises(ConfigError, match="k_grid values"):
@@ -41,18 +41,22 @@ class TestPlanValidation:
         with pytest.raises(ConfigError, match="risk must be one of"):
             small_plan(risk="median", k_grid=(10,), num_cells=3)
         with pytest.raises(ConfigError, match="risk must be one of"):
-            small_plan(risk="median", k_grid=None, K_grid=(2, 4), k_exceedances=50)
-        small_plan(risk="l1", k_grid=None, K_grid=(2, 4), k_exceedances=50)
+            small_plan(risk="median", k_grid=None, K_grid=(2, 4), k_exceedances=50,
+                       num_cells=None)
+        small_plan(risk="l1", k_grid=None, K_grid=(2, 4), k_exceedances=50, num_cells=None)
 
     @pytest.mark.parametrize("overrides, error", [
         (dict(n=100, k_grid=(50, 200)), ConfigError),
-        (dict(k_grid=None, K_grid=(2, 4), k_exceedances=500), ConfigError),
+        (dict(k_grid=None, K_grid=(2, 4), k_exceedances=500, num_cells=None), ConfigError),
         (dict(margins="empirical", n=300, k_grid=(40, 80)), InsufficientDataError),
         (dict(margins="empirical", bootstrap_replicates=50), ConfigError),
-        (dict(k_grid=None, K_grid=(2, 4), k_exceedances=0), ConfigError),
+        (dict(k_grid=None, K_grid=(2, 4), k_exceedances=0, num_cells=None), ConfigError),
         (dict(risk="max", num_cells=4), ConfigError),
         (dict(num_cells=None), ConfigError),
         (dict(workers=0), ConfigError),
+        # Each study reads only its own grid, so the other study's fixed value is refused.
+        (dict(k_exceedances=40), ConfigError),
+        (dict(k_grid=None, K_grid=(2, 4), k_exceedances=50), ConfigError),
     ])
     def test_sizes_and_rules_checked_when_built(self, overrides, error):
         with mock.patch.object(experiments, "sample", side_effect=AssertionError("sampled")):
@@ -208,7 +212,7 @@ class TestArtifactWriters:
         # 2 grid points x 5 aggregates
         assert len(rows) == 1 + 10
         stored = json.loads((tmp_path / "power_manifest.json").read_text())
-        assert stored["version"] == manifest["version"]
+        assert stored == json.loads(json.dumps(manifest))     # tuples read back as lists
         assert stored["plan"]["n"] == 500
 
     def test_nulls_outputs(self, tmp_path):
@@ -218,3 +222,4 @@ class TestArtifactWriters:
         rows = (tmp_path / "null_replicates.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 2 * 2 * 5
         assert "ks" in manifest
+        assert json.loads((tmp_path / "nulls_manifest.json").read_text()) == manifest

@@ -321,8 +321,8 @@ def test_calibrate_cache_reuses_nulls():
                         bootstrap_replicates=100, bootstrap_source="symmetric", seed=3)
     partition = inference.build_partition(config, 2)
     targets = [(partition, 20)]
-    div = inference.kl_divergence(inference.count_cells(xs, partition, 20),
-                                  inference.count_cells(ys, partition, 20))
+    div = inference.kl_divergence(inference.count_cells(xs, [(partition, 20)])[0],
+                                  inference.count_cells(ys, [(partition, 20)])[0])
     cache = {}
     first = inference.calibrate([div], targets, config, xs, ys, nulls=cache)[0]
     with mock.patch.object(inference, "bootstrap_null") as spy:

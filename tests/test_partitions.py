@@ -1,5 +1,7 @@
 """Risk functionals, partition schemes, and exceedance cell counts."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,12 @@ from hypothesis import strategies as st
 
 from tailtest import (DomainError, RiskFunctional, RngStream, Sample, count_cells,
                       make_angular_partition, make_max_partition,
-                      make_min_partition)
+                      make_min_partition, partitions)
 from tailtest.partitions import top_k
+
+MIXED_PARTITIONS = (make_max_partition(2), make_min_partition(2),
+                    make_angular_partition("euclidean", 4), make_angular_partition("euclidean", 7),
+                    make_angular_partition("sum", 3))
 
 
 class TestRiskFunctionals:
@@ -150,14 +156,15 @@ class TestCountCells:
         diag = np.linspace(1, 10, 20)
         data = np.column_stack([diag, diag])
         sample = Sample(data, "pareto")
-        cells = count_cells(sample, make_max_partition(2), 5)
+        cells = count_cells(sample, [(make_max_partition(2), 5)])[0]
         assert cells.probs[2] == 1.0
         assert cells.counts.sum() == 5
 
     def test_probabilities_sum_to_one(self):
         rng = RngStream(34)
         data = 1.0 / (1.0 - rng.uniform((2000, 2)))
-        cells = count_cells(Sample(data, "pareto"), make_angular_partition("euclidean", 5), 200)
+        cells = count_cells(Sample(data, "pareto"),
+                            [(make_angular_partition("euclidean", 5), 200)])[0]
         assert cells.probs.sum() == pytest.approx(1.0, abs=1e-15)
         assert cells.counts.sum() == 200
         assert cells.k_n == 200
@@ -175,7 +182,7 @@ class TestCountCells:
             else:
                 part = make_angular_partition("euclidean", 4)
             k_n = max(1, int(rng.uniform() * (n - 1)))
-            cells = count_cells(Sample(data, "pareto"), part, k_n)
+            cells = count_cells(Sample(data, "pareto"), [(part, k_n)])[0]
             u, counts = brute_force_cells(data, part, k_n)
             assert cells.threshold == u
             assert np.array_equal(cells.counts, counts)
@@ -185,8 +192,8 @@ class TestCountCells:
         data = 1.0 / (1.0 - rng.uniform((500, 2)))
         for part in (make_max_partition(2), make_min_partition(2),
                      make_angular_partition("euclidean", 4)):
-            base = count_cells(Sample(data, "pareto"), part, 60)
-            doubled = count_cells(Sample(2.0 * data, "pareto"), part, 60)
+            base = count_cells(Sample(data, "pareto"), [(part, 60)])[0]
+            doubled = count_cells(Sample(2.0 * data, "pareto"), [(part, 60)])[0]
             assert np.array_equal(base.counts, doubled.counts)
             assert doubled.threshold == pytest.approx(2.0 * base.threshold)
 
@@ -194,19 +201,29 @@ class TestCountCells:
         # Six rows share the same risk value across the order-statistic cut.
         data = np.array([[2.0, 1.0]] * 6 + [[5.0, 1.0], [1.5, 1.0], [1.2, 1.0]])
         sample = Sample(data, "pareto")
-        cells = count_cells(sample, make_max_partition(2), 4)
+        cells = count_cells(sample, [(make_max_partition(2), 4)])[0]
         assert cells.counts.sum() == 4
 
     def test_k_range_validation(self):
         data = np.ones((10, 2)) + np.arange(10)[:, None]
         with pytest.raises(DomainError):
-            count_cells(Sample(data, "pareto"), make_max_partition(2), 10)
+            count_cells(Sample(data, "pareto"), [(make_max_partition(2), 10)])
         with pytest.raises(DomainError):
-            count_cells(Sample(data, "pareto"), make_max_partition(2), 0)
+            count_cells(Sample(data, "pareto"), [(make_max_partition(2), 0)])
+
+    @pytest.mark.parametrize("bad_k", [0, -1, 10, 11])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_bad_k_anywhere_in_targets(self, bad_k, position):
+        data = np.ones((10, 2)) + np.arange(10)[:, None]
+        targets = [(make_max_partition(2), 3), (make_angular_partition("euclidean", 4), 9)]
+        targets.insert(position, (make_min_partition(2), bad_k))
+        with mock.patch.object(partitions, "cell_counts", side_effect=AssertionError("counted")):
+            with pytest.raises(DomainError, match=f"k_n={bad_k}"):
+                count_cells(Sample(data, "pareto"), targets)
 
     def test_requires_standardized_sample(self):
         with pytest.raises(DomainError):
-            count_cells(Sample(np.ones((10, 2))), make_max_partition(2), 3)
+            count_cells(Sample(np.ones((10, 2))), [(make_max_partition(2), 3)])
 
     def test_exhaustiveness_large(self):
         # 1e5 random points of the exceedance region, each classified exactly once.
@@ -284,3 +301,25 @@ class TestTopK:
                                  [True, False, True, False, False]]
         for lane, lane_mask in zip(r_vals, mask):
             assert np.array_equal(top_k(lane, 2)[1], lane_mask)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 80), grid=st.sampled_from([0.0, 0.5]),
+       state=st.sampled_from(["pareto", "pseudo"]), data=st.data())
+def test_count_cells_targets_match_single_target_calls(seed, n, grid, state, data):
+    # Mixed risks, k values and repeated targets, on points rounded to a grid
+    # (when grid > 0) so that risk ties straddle the thresholds.
+    points = 1.0 / (1.0 - RngStream(seed).uniform((n, 2)))
+    if grid:
+        points = 1.0 + grid * np.floor(points / grid)
+    sample = Sample(points, state)
+    targets = data.draw(st.lists(st.tuples(st.sampled_from(MIXED_PARTITIONS),
+                                           st.integers(1, n - 1)), min_size=1, max_size=8))
+    targets.append(targets[0])
+    batched = count_cells(sample, targets)
+    assert len(batched) == len(targets)
+    for cells, target in zip(batched, targets):
+        [single] = count_cells(sample, [target])
+        assert np.array_equal(cells.counts, single.counts)
+        assert cells.threshold == single.threshold
+        assert cells.k_n == single.k_n == target[1]

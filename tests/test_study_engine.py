@@ -1,18 +1,20 @@
 """Shared study repetitions against the per-grid-point definitions.
 
-A study repetition calibrates all of its grid points through one
-multi-target bootstrap, and the null-histogram study draws each fresh pair
-once for both margin modes. The oracles below are the loops these replaced:
-one single-target calibration per grid point, every grid point on the
-repetition's own bootstrap stream, and one fresh pair drawn per replicate
-and per margin mode. Every number must agree bit for bit.
+A study repetition counts each sample once over all of its grid points and
+calibrates them through one multi-target bootstrap, and the null-histogram
+study draws each fresh pair once for both margin modes. The oracles below
+are the loops these replaced: each repetition's samples drawn and
+standardized on their own, one single-target count and calibration per grid
+point, every grid point on the repetition's own bootstrap stream, and one
+fresh pair drawn per replicate and per margin mode. Every number must agree
+bit for bit.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailtest import (CopulaModel, RngStream, Sample, TestConfig, bootstrap_null,
@@ -41,8 +43,18 @@ def _reference_config(plan, rep, k, num_cells, risk=None):
                       seed=_reference_seed(plan.seed, rep))
 
 
+def _reference_samples(plan, rep):
+    rep_stream = RngStream(plan.seed, (rep,))
+    x = sample(plan.model_x, plan.n, rep_stream.child(0))
+    y = sample(plan.model_y, plan.n, rep_stream.child(1))
+    if plan.margins == "known":
+        return to_pareto(x, UNIFORM_PAIR), to_pareto(y, UNIFORM_PAIR)
+    return to_pseudo(x), to_pseudo(y)
+
+
 def _reference_evaluate(xs, ys, partition, k, plan, config):
-    div = kl_divergence(count_cells(xs, partition, k), count_cells(ys, partition, k))
+    [cells_x], [cells_y] = count_cells(xs, [(partition, k)]), count_cells(ys, [(partition, k)])
+    div = kl_divergence(cells_x, cells_y)
     dof = partition.num_cells - 1
     if plan.margins == "known":
         p_value = chisq_sf(div.normalized, dof)
@@ -56,7 +68,7 @@ def _reference_evaluate(xs, ys, partition, k, plan, config):
 
 
 def reference_power_rep(plan, rep):
-    xs, ys = experiments._simulate_standardized(plan, rep)
+    xs, ys = _reference_samples(plan, rep)
     rows = []
     for k in plan.k_grid:
         config = _reference_config(plan, rep, k, plan.num_cells)
@@ -65,7 +77,7 @@ def reference_power_rep(plan, rep):
 
 
 def reference_k_sensitivity_rep(plan, rep):
-    xs, ys = experiments._simulate_standardized(plan, rep)
+    xs, ys = _reference_samples(plan, rep)
     k = plan.k_exceedances
     rows = []
     for K in plan.K_grid:
@@ -87,7 +99,8 @@ def reference_fresh(model, n, k, partition, count, seed, margins):
             sx, sy = to_pareto(fx, UNIFORM_PAIR), to_pareto(fy, UNIFORM_PAIR)
         else:
             sx, sy = to_pseudo(fx), to_pseudo(fy)
-        fresh[b] = kl_divergence(count_cells(sx, partition, k), count_cells(sy, partition, k)).value
+        [cx], [cy] = count_cells(sx, [(partition, k)]), count_cells(sy, [(partition, k)])
+        fresh[b] = kl_divergence(cx, cy).value
     return fresh
 
 
@@ -112,23 +125,23 @@ class TestGridRowsMatchPerPointLoop:
     def test_k_grid_rows(self, margins):
         plan = k_plan(margins)
         for rep in range(plan.repetitions):
-            assert np.array_equal(experiments._power_rep((plan, rep)),
+            assert np.array_equal(experiments._study_rep((plan, rep)),
                                   reference_power_rep(plan, rep))
 
     def test_k_grid_rows_max_risk(self, margins):
         plan = k_plan(margins, risk="max", num_cells=None, k_grid=(15, 31, 60))
-        assert np.array_equal(experiments._power_rep((plan, 1)), reference_power_rep(plan, 1))
+        assert np.array_equal(experiments._study_rep((plan, 1)), reference_power_rep(plan, 1))
 
     def test_K_grid_rows_with_max_baseline(self, margins):
         plan = K_plan(margins)
         for rep in range(plan.repetitions):
-            rows = experiments._k_sensitivity_rep((plan, rep))
+            rows = experiments._study_rep((plan, rep))
             assert rows.shape == (len(plan.K_grid) + 1, 3)
             assert np.array_equal(rows, reference_k_sensitivity_rep(plan, rep))
 
     def test_K_grid_sum_risk_alias(self, margins):
         plan = K_plan(margins, risk="l1", K_grid=(3, 7))
-        assert np.array_equal(experiments._k_sensitivity_rep((plan, 0)),
+        assert np.array_equal(experiments._study_rep((plan, 0)),
                               reference_k_sensitivity_rep(plan, 0))
 
 
@@ -206,3 +219,33 @@ def empirical_plans(draw):
 def test_curves_independent_of_worker_count(plan):
     study = size_power_study if plan.k_grid is not None else k_sensitivity_study
     assert study(plan) == study(replace(plan, workers=2))
+
+
+def reference_aggregate(grid_values, results, level):
+    points = []
+    for i, g in enumerate(grid_values):
+        stats, pvals, crits = results[:, i, 0], results[:, i, 1], results[:, i, 2]
+        points.append(experiments.PowerCurvePoint(
+            grid_value=int(g),
+            mean_statistic=float(stats.mean()),
+            q05=float(np.quantile(stats, 0.05)),
+            q95=float(np.quantile(stats, 0.95)),
+            rejection_rate=float(np.mean(pvals < level)),
+            critical_value=float(crits.mean()),
+        ))
+    return points
+
+
+@settings(max_examples=60, deadline=None)
+@example(reps=1, grid=1, seed=0)
+@example(reps=600, grid=9, seed=1)
+@given(reps=st.integers(1, 600), grid=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_aggregate_matches_per_point_loop(reps, grid, seed):
+    # Statistics spread over many magnitudes, so that any change in the order
+    # of summation shows in the last bits of a mean.
+    rng = np.random.default_rng(seed)
+    results = np.stack([rng.lognormal(0.0, 4.0, (reps, grid)), rng.uniform(size=(reps, grid)),
+                        rng.lognormal(0.0, 4.0, (reps, grid))], axis=-1)
+    grid_values = range(2, 2 + grid)
+    assert experiments._aggregate(grid_values, results, 0.05) == \
+        reference_aggregate(grid_values, results, 0.05)
