@@ -203,8 +203,8 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
     """Split-half subsample bootstrap of the null distribution of each
     ``(partition, k_n)`` target.
 
-    Replicate b permutes the source with ``stream.child(b)`` (drawn by
-    ``stream.child_permutations``, which re-keys one generator), takes the first
+    Replicate b permutes the source with ``stream.child(b)`` (every child's
+    key derived at once, then drawn by re-keying one generator), takes the first
     floor(n/2) rows as one half and the rest as the other, computes the
     two-half statistic and divides it by 2 (the rate correction for the
     halved sample size). For known margins the source must already be on
@@ -241,9 +241,12 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
     num = config.bootstrap_replicates
     chunk = max(1, _CHUNK_POINTS // n)
     replicates = np.empty((len(targets), num))
+    # Held as ints: kept alive through the chunk loop as an array, the keys too
+    # left the heap laid out for every chunk to page-fault afresh.
+    keys = stream.child_keys(0, num).tolist()
     for start in range(0, num, chunk):
         stop = min(num, start + chunk)
-        perms = stream.child_permutations(start, stop, n)
+        perms = stream.keyed_permutations(keys[start:stop], n)
         if config.margins == "empirical":
             halves = _half_pseudo(data, order_pos, tied_columns, perms, scales)
         else:

@@ -8,9 +8,11 @@ empirical-margin divergence test on every season pair. Days with a missing or
 masked slot are dropped, as are dry days (both maxima zero), since massive
 ties at zero would degrade the rank standardization; both policies are flags.
 
-``load_csv`` parses the depth series as arrays, block by block of records;
-only tokens outside the common fixed-width timestamp shapes are parsed one
-at a time. Its docstring states the row rules.
+``load_csv`` reads the file as UTF-8 bytes, whatever the locale, and parses
+it block by block of records as byte spans: 16-byte timestamps and plain
+decimal depths of at most 15 digits are read by array arithmetic, and only
+the other tokens are decoded and parsed one at a time. Its docstring states
+the row rules.
 """
 
 from __future__ import annotations
@@ -101,13 +103,16 @@ def load_csv(path: str, timestamp_col: str = "timestamp", depth_col: str = "dept
     number outside [0, inf): negative, infinite or NaN. More than 50%
     malformed rows rejects the file, as do duplicate timestamps.
 
-    The file is read once and parsed in blocks of records. Timestamps
-    shaped exactly ``YYYY-MM-DDTHH:MM`` or ``YYYY-MM-DD HH:MM`` are decoded
-    together as integer arrays, and the depths are converted in one pass;
-    only the other tokens are parsed one by one.
+    The file is read once, as UTF-8 whatever the locale, and parsed in
+    blocks of records without a string per field. Timestamps of exactly 16
+    bytes shaped ``YYYY-MM-DDTHH:MM`` or ``YYYY-MM-DD HH:MM`` are decoded
+    together as integer arrays, and plain unsigned decimal depths of at
+    most 15 digits (``0``, ``0.2``, ``.5``) are converted in one pass to
+    the same doubles ``float`` gives; only the other tokens are decoded and
+    parsed one by one.
     """
     try:
-        with open(path, newline="") as fh:
+        with open(path, "rb") as fh:
             records = _records(fh.read())
         header = next(records)
         if header is None:
@@ -120,8 +125,7 @@ def load_csv(path: str, timestamp_col: str = "timestamp", depth_col: str = "dept
         # A repeated column name reads its last occurrence, as csv.DictReader does.
         columns = [len(header) - 1 - header[::-1].index(name)
                    for name in (timestamp_col, depth_col)]
-        blocks = [_parse_block(fields, widths, *columns, missing_token)
-                  for fields, widths in records]
+        blocks = [_parse_block(*block, *columns, missing_token) for block in records]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise FormatError(f"{path}: cannot read CSV: {exc}") from exc
     n_malformed = sum(block[0] for block in blocks)
@@ -146,112 +150,170 @@ _BLOCK_CHARS = 1 << 20
 _BLOCK_ROWS = 1 << 16
 
 
-def _records(text: str):
-    """Yield the header record (None for an empty text), then the non-blank
-    records after it in blocks, each as one flat object array of fields and
-    the field count of each record.
+def _records(data: bytes):
+    """Yield the header record (None for an empty file), then the non-blank
+    records after it in blocks. A block is its fields' UTF-8 bytes, the
+    start and end offset of every field in them, and the field count of
+    every record.
 
-    Quote-free text is split on line endings and commas, which gives the
-    records the csv module gives; one C-level split per block takes about
-    40% off the time of ``load_csv`` against reading the same records with
-    ``csv.reader``. Text with quotes, where a field may hold commas and line
-    breaks, or with NUL characters goes through the csv module, as does a
-    block holding a line longer than the csv field limit, so that such a
-    file fails with the csv module's error. Blocks bound the memory that the
-    per-field strings take: parsed whole, a 345,600-row file nearly doubles
-    the peak memory of ``load_csv``.
+    Quote-free data is split on line endings and commas as bytes, which
+    gives the records the csv module gives without a string per field.
+    Data with quotes, where a field may hold commas and line breaks, or
+    with NUL bytes goes through the csv module, as does a block holding a
+    line longer than the csv field limit, so that such a file fails with
+    the csv module's error. Either way the file must be UTF-8. Blocks of
+    about ``_BLOCK_CHARS`` bytes (``_BLOCK_ROWS`` records from the csv
+    module) bound the memory of the per-field arrays.
     """
-    if '"' in text or "\0" in text:
-        reader = csv.reader(io.StringIO(text, newline=""))
+    if b'"' in data or b"\0" in data:
+        reader = csv.reader(io.StringIO(data.decode(), newline=""))
         yield next(reader, None)
         while chunk := list(islice(reader, _BLOCK_ROWS)):
-            yield _flatten(chunk)
+            yield _join_fields(chunk)
         return
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    first, _, body = text.partition("\n")
-    yield next(csv.reader([first])) if text else None
-    body += "\n"
-    while "\n\n" in body:
-        body = body.replace("\n\n", "\n")
-    body = body.lstrip("\n")
-    start = 0
-    while start < len(body):
-        stop = body.find("\n", start + _BLOCK_CHARS) + 1 or len(body)
-        yield _split_block(body[start:stop])
+    if not data.isascii():
+        data.decode()  # fails as the csv module would on a file that is not UTF-8
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    start = data.find(b"\n") + 1 or len(data)
+    yield next(csv.reader([data[:start].decode()])) if data else None
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    while start < len(data):
+        stop = data.find(b"\n", start + _BLOCK_CHARS) + 1 or len(data)
+        yield _split_block(data[start:stop])
         start = stop
 
 
-def _split_block(block: str):
-    """Fields and field counts of newline-terminated, non-blank lines."""
+def _split_block(block: bytes):
+    """The block form of the non-blank ones of newline-terminated lines."""
     # In UTF-8 no multi-byte character holds a comma or newline byte, and a
     # line has at least as many bytes as characters.
-    data = np.frombuffer(block.encode(), np.uint8)
-    ends = np.flatnonzero(data == ord("\n"))
-    if np.diff(ends, prepend=-1).max() > csv.field_size_limit() + 1:
-        return _flatten(csv.reader(io.StringIO(block, newline="")))
-    commas = np.searchsorted(np.flatnonzero(data == ord(",")), ends)
-    fields = block.replace("\n", ",").split(",")
-    fields.pop()
-    return np.array(fields, dtype=object), np.diff(commas, prepend=0) + 1
+    data = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    line_end = data[ends] == ord("\n")
+    if np.diff(ends[line_end], prepend=-1).max() > csv.field_size_limit() + 1:
+        return _join_fields(csv.reader(io.StringIO(block.decode(), newline="")))
+    starts = np.r_[0, ends[:-1] + 1]
+    # A blank line is one empty field that ends a line, right after a line end.
+    kept = ~(line_end & (starts == ends) & np.r_[True, line_end[:-1]])
+    return block, starts[kept], ends[kept], np.diff(np.flatnonzero(line_end[kept]), prepend=-1)
 
 
-def _flatten(rows):
+def _join_fields(rows):
+    """The block form of csv module records, blank ones left out."""
     rows = [row for row in rows if row]
-    return (np.array(list(chain.from_iterable(rows)), dtype=object),
+    fields = [field.encode() for field in chain.from_iterable(rows)]
+    lengths = np.fromiter(map(len, fields), np.intp, len(fields))
+    ends = np.cumsum(lengths)
+    return (b"".join(fields), ends - lengths, ends,
             np.fromiter(map(len, rows), np.intp, len(rows)))
 
 
-def _parse_block(fields: np.ndarray, widths: np.ndarray, ts_col: int, depth_col: int,
-                 missing_token: str):
+def _parse_block(block: bytes, starts: np.ndarray, ends: np.ndarray, widths: np.ndarray,
+                 ts_col: int, depth_col: int, missing_token: str):
     """The row rules on one block of records: the number of malformed rows,
     then the minutes since the epoch, depth (NaN where masked) and missing
     flag of every kept row, in file order."""
-    starts = np.cumsum(widths) - widths
+    data = np.frombuffer(block, np.uint8)
+    first = np.cumsum(widths) - widths
 
     def column(j):
-        tokens = np.full(widths.size, "", dtype=object)
+        # Field j of every record as a byte span, empty where the record ends before it.
         present = widths > j
-        tokens[present] = fields[starts[present] + j]
-        return tokens
+        field = np.where(present, first + j, 0)
+        return np.where(present, starts[field], 0), np.where(present, ends[field], 0)
 
-    parsed, minutes = _grid_minutes(column(ts_col))
-    depth_tokens = list(map(str.strip, column(depth_col)[parsed].tolist()))
-    is_token = np.fromiter(map(missing_token.__eq__, depth_tokens), bool, len(depth_tokens))
-    numbers = ~is_token
-    values = np.full(is_token.size, np.nan)
-    bad = np.zeros(is_token.size, dtype=bool)
-    values[numbers], bad[numbers] = _floats(list(compress(depth_tokens, numbers)))
+    parsed, minutes = _grid_minutes(block, *column(ts_col))
+    depth_starts, depth_ends = (span[parsed] for span in column(depth_col))
+    values, plain = _plain_decimals(data, depth_starts, depth_ends)
+    is_token = np.zeros(plain.size, dtype=bool)
+    token = np.frombuffer(missing_token.encode(), np.uint8)
+    if token.size:  # a plain decimal has nothing to strip, so its bytes are compared
+        rows = np.flatnonzero(plain & (depth_ends - depth_starts == token.size))
+        is_token[rows] = (_spans(data, depth_starts[rows], token.size) == token).all(axis=1)
+    rest = np.flatnonzero(~plain)
+    depth_tokens = [block[s:e].decode().strip()
+                    for s, e in zip(depth_starts[rest].tolist(), depth_ends[rest].tolist())]
+    is_token[rest] = np.fromiter(map(missing_token.__eq__, depth_tokens), bool, rest.size)
+    numbers = ~is_token[rest]
+    bad = np.zeros(plain.size, dtype=bool)
+    values[rest[numbers]], bad[rest[numbers]] = _floats(list(compress(depth_tokens, numbers)))
     kept = ~bad
     missing = (is_token | ~((values >= 0) & (values < np.inf)))[kept]
     return (widths.size - int(kept.sum()), minutes[parsed][kept],
             np.where(missing, np.nan, values[kept]), missing)
 
 
+def _spans(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``data`` from each start, one row each."""
+    if starts.size == 0:
+        return np.empty((0, width), dtype=np.uint8)
+    return np.lib.stride_tricks.sliding_window_view(data, width)[starts]
+
+
+# Exact doubles: 10**15 < 2**53.
+_POWERS_OF_TEN = np.array([float(10 ** e) for e in range(16)])
+
+
+def _plain_decimals(data: np.ndarray, starts: np.ndarray, ends: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the tokens that are plain unsigned decimals of at most
+    15 digits, such as ``0``, ``0.2``, ``.5`` or ``007`` (NaN elsewhere),
+    and which tokens those are.
+
+    Such a token is m / 10**f for an integer mantissa m < 10**15 and f < 16
+    digits after the point. Both are exact doubles, so the one correctly
+    rounded division equals ``float`` of the token (Clinger, PLDI 1990).
+    """
+    widths = ends - starts
+    values = np.full(widths.size, np.nan)
+    plain = np.zeros(widths.size, dtype=bool)
+    for width in (np.flatnonzero(np.bincount(np.minimum(widths, 17))[1:17]) + 1).tolist():
+        rows = np.flatnonzero(widths == width)
+        codes = _spans(data, starts[rows], width)
+        # Below "0" the subtraction wraps round, so every non-digit reads above 9.
+        digits = codes - np.uint8(ord("0"))
+        is_digit = digits <= 9
+        is_point = codes == ord(".")
+        points = is_point.sum(axis=1)
+        ok = ((is_digit | is_point).all(axis=1) & (points <= 1) & (points < width)
+              & (width - points <= 15))
+        mantissa = np.zeros(rows.size, dtype=np.int64)
+        for j in range(width):
+            mantissa = np.where(is_digit[:, j], 10 * mantissa + digits[:, j], mantissa)
+        after_point = np.where(points == 1, width - 1 - is_point.argmax(axis=1), 0)
+        values[rows[ok]] = mantissa[ok] / _POWERS_OF_TEN[after_point[ok]]
+        plain[rows[ok]] = True
+    return values, plain
+
+
 # Character positions of the digits in YYYY-MM-DDTHH:MM.
 _DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15]
 
 
-def _grid_minutes(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which timestamp tokens parse onto the 6-minute grid, and their
-    minutes since the epoch (0 where they do not).
+def _grid_minutes(block: bytes, starts: np.ndarray, ends: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Which timestamp tokens, the byte spans of ``block`` from ``starts``
+    to ``ends``, parse onto the 6-minute grid, and their minutes since the
+    epoch (0 where they do not).
 
-    Tokens shaped exactly ``YYYY-MM-DDTHH:MM`` or ``YYYY-MM-DD HH:MM`` with
-    a valid date, hour and grid minute are read by integer arithmetic on
-    their code points; numpy's own string-to-datetime cast would accept
-    "NaT", "today" and partial dates. Every other token goes through
-    ``_parse_timestamp``, which owns the rule.
+    Tokens of exactly 16 bytes shaped ``YYYY-MM-DDTHH:MM`` or ``YYYY-MM-DD
+    HH:MM`` with a valid date, hour and grid minute are read by integer
+    arithmetic on their bytes; numpy's own string-to-datetime cast would
+    accept "NaT", "today" and partial dates. Every other token is decoded
+    and goes through ``_parse_timestamp``, which owns the rule.
     """
-    parsed = np.zeros(tokens.size, dtype=bool)
-    minutes = np.zeros(tokens.size, dtype=np.int64)
-    fixed = np.flatnonzero(np.fromiter(map(len, tokens.tolist()), np.intp, tokens.size) == 16)
-    # One byte per character: a non-ASCII one becomes "?", which no clean token holds.
-    text = "".join(tokens[fixed].tolist()).encode("ascii", "replace")
-    codes = np.frombuffer(text, np.uint8).reshape(-1, 16)
+    parsed = np.zeros(starts.size, dtype=bool)
+    minutes = np.zeros(starts.size, dtype=np.int64)
+    fixed = np.flatnonzero(ends - starts == 16)
+    # A byte of a multi-byte character is no digit or separator, so no clean token holds one.
+    codes = _spans(np.frombuffer(block, np.uint8), starts[fixed], 16)
     # Below "0" the subtraction wraps round, so capping at 10 marks every non-digit.
     digits = np.minimum(codes[:, _DIGITS] - np.uint8(48), 10)
-    year = digits[:, :4] @ np.array([1000, 100, 10, 1], dtype=np.int32)
-    month, day, hour, minute = (digits[:, i:i + 2] @ np.array([10, 1], dtype=np.int32)
-                                for i in (4, 6, 8, 10))
+    pairs = 10 * digits[:, 0::2].astype(np.int32) + digits[:, 1::2]
+    year = 100 * pairs[:, 0] + pairs[:, 1]
+    month, day, hour, minute = pairs[:, 2:].T
     month_start = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
     first_day = month_start.astype("datetime64[D]").astype(np.int64)
     month_length = (month_start + 1).astype("datetime64[D]").astype(np.int64) - first_day
@@ -263,8 +325,8 @@ def _grid_minutes(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
              & (hour < 24) & (minute < 60) & (minute % 6 == 0))
     parsed[fixed[clean]] = True
     minutes[fixed[clean]] = ((first_day + day - 1) * 1440 + hour * 60 + minute)[clean]
-    for i in np.flatnonzero(~parsed):
-        stamp = _parse_timestamp(tokens[i])
+    for i in np.flatnonzero(~parsed).tolist():
+        stamp = _parse_timestamp(block[starts[i]:ends[i]].decode())
         if stamp is not None:
             parsed[i] = True
             minutes[i] = stamp.astype(np.int64)

@@ -170,28 +170,48 @@ def _int_words(value: int) -> list[int]:
     return words
 
 
-def _child_key(pool: list[int], hash_const: int, index: int) -> list[int]:
-    """Philox key of child ``index`` of the stream whose SeedSequence entropy
-    pool is ``pool`` and whose entropy hash ended at constant ``hash_const``:
-    ``SeedSequence(..., spawn_key=key + (index,)).generate_state(2, np.uint64)``.
+def _child_keys(pool: list[int], hash_const: int, start: int, stop: int) -> np.ndarray:
+    """Philox keys of children ``start .. stop - 1`` of the stream whose
+    SeedSequence entropy pool is ``pool`` and whose entropy hash ended at
+    constant ``hash_const``, one row each: row b - start is
+    ``SeedSequence(..., spawn_key=key + (b,)).generate_state(2, np.uint64)``.
+
+    Every child hashes the same constants in the same order, so numpy's
+    loops run once over arrays of 32-bit words, which wrap as the hash does.
     """
-    pool = list(pool)
+    count = stop - start
+    # The index words of start + i: each word of start plus the carry from below.
+    carry = np.arange(count, dtype=np.uint64)
+    words, high = [], start
+    for _ in _int_words(max(start, stop - 1)):
+        total = carry + np.uint64(high & _MASK32)
+        words.append((total & np.uint64(_MASK32)).astype(np.uint32))
+        carry, high = total >> np.uint64(32), high >> 32
+    # A child hashes its words up to its highest non-zero one (one word for 0);
+    # word counts never fall along the range, so each word's children are a tail.
+    word_counts = np.ones(count, dtype=np.intp)
+    for j, word in enumerate(words):
+        word_counts[word != 0] = j + 1
+    pool = [np.full(count, mixed, dtype=np.uint32) for mixed in pool]
     # mix_entropy: each further entropy word is hashed into every pool word.
-    for word in _int_words(index):
-        for i, mixed in enumerate(pool):
-            value = word ^ hash_const
+    for j, word in enumerate(words):
+        tail = slice(int(np.searchsorted(word_counts, j + 1)), None)
+        for mixed in pool:
+            value = word[tail] ^ np.uint32(hash_const)
             hash_const = hash_const * _MULT_A & _MASK32
-            value = value * hash_const & _MASK32
-            value = (_MIX_MULT_L * mixed - _MIX_MULT_R * (value ^ value >> 16)) & _MASK32
-            pool[i] = value ^ value >> 16
+            value *= np.uint32(hash_const)
+            value = (np.uint32(_MIX_MULT_L) * mixed[tail]
+                     - np.uint32(_MIX_MULT_R) * (value ^ value >> 16))
+            mixed[tail] = value ^ value >> 16
     # generate_state: four words, read as two little-endian uint64 pairs.
-    words, hash_const = [], _INIT_B
+    state, hash_const = [], _INIT_B
     for mixed in pool:
-        value = mixed ^ hash_const
+        value = mixed ^ np.uint32(hash_const)
         hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const & _MASK32
-        words.append(value ^ value >> 16)
-    return [words[0] | words[1] << 32, words[2] | words[3] << 32]
+        value *= np.uint32(hash_const)
+        state.append((value ^ value >> 16).astype(np.uint64))
+    return np.stack([state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)],
+                    axis=1)
 
 
 class RngStream:
@@ -253,21 +273,34 @@ class RngStream:
     def child_permutations(self, start: int, stop: int, n: int) -> np.ndarray:
         """Permutations of range(n) by children ``start .. stop - 1``, one per
         row: ``np.stack([self.child(b).permutation(n) for b in range(start,
-        stop)])`` bit for bit.
+        stop)])`` bit for bit."""
+        return self.keyed_permutations(self.child_keys(start, stop).tolist(), n)
 
-        Each child's Philox key is derived from this stream's SeedSequence
-        entropy pool, taken once per stream, and loaded into one reused Philox
-        through its state, which costs about a quarter of building the child.
-        Like its generator, a stream is not for concurrent use.
+    def child_keys(self, start: int, stop: int) -> np.ndarray:
+        """Philox keys of children ``start .. stop - 1``, one uint64 pair per row.
+
+        They are derived in one array pass from this stream's SeedSequence
+        entropy pool, taken once per stream, so a caller drawing many
+        children in chunks derives all their keys at once.
         """
         if not 0 <= start <= stop:
             raise DomainError(f"child range must satisfy 0 <= start <= stop, got {start}, {stop}")
-        pool, hash_const, gen = self._child_keying
-        out = np.empty((stop - start, n), dtype=np.int_)
+        pool, hash_const, _ = self._child_keying
+        return _child_keys(pool, hash_const, start, stop)
+
+    def keyed_permutations(self, keys: list[list[int]], n: int) -> np.ndarray:
+        """Permutations of range(n), one per key: rows of ``child_keys`` as ints.
+
+        Each key is loaded into one reused Philox through its state, which
+        costs about a quarter of building the child. Like its generator, a
+        stream is not for concurrent use.
+        """
+        gen = self._child_keying[2]
+        out = np.empty((len(keys), n), dtype=np.int_)
         state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
-        for row, index in enumerate(range(start, stop)):
-            state["state"] = {"counter": [0] * 4, "key": _child_key(pool, hash_const, index)}
+        for row, key in enumerate(keys):
+            state["state"] = {"counter": [0] * 4, "key": key}
             gen.bit_generator.state = state
             out[row] = gen.permutation(n)
         return out

@@ -2,6 +2,9 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -512,7 +515,7 @@ def oracle_load_csv(path, timestamp_col="timestamp", depth_col="depth", missing_
     n_malformed = 0
     n_masked = 0
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise FormatError(f"{path}: empty file, no header row")
@@ -620,7 +623,12 @@ ROW_KINDS = {
     "offset_before_year_1": lambda slot, d, tok: ("0001-01-01T00:00+01:00", d),
     "offset_after_year_9999": lambda slot, d, tok: ("9999-12-31T23:54-01:00", d),
     "spaces": lambda slot, d, tok: (f" {stamp(slot)} ", f"  {d} "),
+    "tabs": lambda slot, d, tok: (stamp(slot), f"\t{d}\t"),
+    "unit_separators": lambda slot, d, tok: (stamp(slot), f"\x1f{d}\x1f"),
     "wide_digits": lambda slot, d, tok: ("\uff12" + stamp(slot)[1:], d),
+    # 16 characters in 17 bytes, and 16 bytes holding a two-byte character.
+    "accented_separator": lambda slot, d, tok: (stamp(slot).replace("T", "\u00e9"), d),
+    "accent_in_16_bytes": lambda slot, d, tok: (stamp(slot)[:14] + "\u00e9", d),
     "not_a_date": lambda slot, d, tok: ("not-a-date-at-al", d),
     "missing_token": lambda slot, d, tok: (stamp(slot), tok),
     "negative": lambda slot, d, tok: (stamp(slot), "-0.5"),
@@ -634,6 +642,13 @@ ROW_KINDS = {
 }
 CLEAN_WEIGHT = 4  # clean rows outnumber each odd kind, so most files parse
 
+# Depths on both sides of every rule that splits plain decimals of at most
+# 15 digits from the tokens that go through float().
+DEPTHS = ["0", "0.2", "1.5398969322723608", "1e-3", "7", "9999", "-0", "+1", ".5", "5.", "007",
+          ".", "0.1.2", "0.000", "1e400", "1_0", "\u0661\u0662.\u0665", "123456789.012345",
+          "0.12345678901234", "999999999999999", "1234567890123456", "1234567890.123456",
+          "0.10000000000000001"]
+
 
 @st.composite
 def rain_files(draw):
@@ -642,13 +657,12 @@ def rain_files(draw):
     extra = draw(st.sampled_from([None, "station", "note"]))
     columns = list(names) + ([extra] if extra else [])
     columns = draw(st.permutations(columns))
-    missing_token = draw(st.sampled_from(["", "NA", "-999"]))
+    missing_token = draw(st.sampled_from(["", "NA", "-999", "0", "9999"]))
     kinds = draw(st.lists(st.sampled_from(["clean"] * CLEAN_WEIGHT + sorted(ROW_KINDS)),
                           min_size=1, max_size=30))
     slots = draw(st.lists(st.integers(0, 10 ** 6), min_size=len(kinds), max_size=len(kinds),
                           unique=True))
-    depths = draw(st.lists(st.sampled_from(["0", "0.2", "1.5398969322723608", "1e-3", "7"]),
-                           min_size=len(kinds), max_size=len(kinds)))
+    depths = draw(st.lists(st.sampled_from(DEPTHS), min_size=len(kinds), max_size=len(kinds)))
     lines = [",".join(columns)]
     for kind, slot, depth in zip(kinds, slots, depths):
         ts_field, depth_field = ROW_KINDS[kind](slot, depth, missing_token)
@@ -670,7 +684,7 @@ def rain_files(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(rain_files(), st.sampled_from([None, (1, 1), (40, 3)]))
+@given(rain_files(), st.sampled_from([None, (1, 1), (17, 2), (40, 3)]))
 def test_load_csv_matches_per_row_oracle(case, block):
     """Tiny blocks (characters of quote-free text, records of quoted text)
     put block boundaries inside the generated files."""
@@ -726,6 +740,19 @@ class TestLoadCsvAgainstOracle:
         path.write_bytes(b"timestamp,depth\n2006-01-01T00:00,\xff\n")
         with pytest.raises(FormatError, match="cannot read CSV"):
             load_csv(str(path))
+
+    def test_utf8_whatever_the_locale(self, tmp_path):
+        # Under the C locale without UTF-8 mode, open() decodes as ASCII.
+        path = tmp_path / "station.csv"
+        path.write_bytes("timestamp,depth,station\n2006-01-01T00:00,0.2,N\u00eemes\n"
+                         "2006-01-01T00:06,,N\u00eemes\n".encode())
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        script = ("import sys; from tailtest.ingest import load_csv; "
+                  "series = load_csv(sys.argv[1]); print(series.depths.tolist())")
+        proc = subprocess.run([sys.executable, "-c", script, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0.2, nan]"
 
     @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
     def test_non_finite_depths_masked(self, tmp_path, token):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.stats import chi2
 
-from tailtest import DomainError, RngStream, chisq_cdf, chisq_quantile, chisq_sf, numerics
+from tailtest import DomainError, RngStream, chisq_cdf, chisq_quantile, chisq_sf
 
 
 def _chisq_pdf(t, dof):
@@ -244,6 +244,13 @@ def stacked_children(stream, start, stop, n):
     return np.stack([stream.child(b).permutation(n) for b in range(start, stop)])
 
 
+def seed_sequence_keys(seed, stream_id, start, stop):
+    key = (stream_id,) if isinstance(stream_id, int) else stream_id
+    keys = [np.random.SeedSequence(seed, spawn_key=key + (b,)).generate_state(2, np.uint64)
+            for b in range(start, stop)]
+    return np.array(keys, dtype=np.uint64).reshape(-1, 2)
+
+
 class TestChildPermutations:
     @settings(max_examples=60, deadline=None)
     @given(MASTER_SEEDS, STREAM_IDS, st.integers(0, 5000), st.integers(1, 10),
@@ -273,11 +280,19 @@ class TestChildPermutations:
                                                  (2 ** 32, (2 ** 33, 1))])
     def test_keys_are_the_seed_sequence_keys(self, seed, stream_id):
         stream = RngStream(seed, stream_id)
-        pool, hash_const, _ = stream._child_keying
-        key = (stream_id,) if isinstance(stream_id, int) else stream_id
         for b in (*range(10, 40), 2 ** 32, 2 ** 70 + 1):
-            want = np.random.SeedSequence(seed, spawn_key=key + (b,)).generate_state(2, np.uint64)
-            assert numerics._child_key(pool, hash_const, b) == want.tolist()
+            assert np.array_equal(stream.child_keys(b, b + 1),
+                                  seed_sequence_keys(seed, stream_id, b, b + 1))
+
+    @pytest.mark.parametrize("seed, stream_id", [(0, 0), (7, (1_000_003, 0)), (2 ** 200 + 3, 2 ** 40)])
+    @pytest.mark.parametrize("start, stop", [(0, 3000), (2 ** 32 - 700, 2 ** 32 + 300),
+                                             (2 ** 32, 2 ** 32 + 500), (2 ** 64 - 3, 2 ** 64 + 3),
+                                             (0, 0), (2 ** 32 + 9, 2 ** 32 + 9)])
+    def test_key_ranges_below_across_and_above_two_words(self, seed, stream_id, start, stop):
+        # One array pass derives every key of the range; children from 2**32 hash two words.
+        got = RngStream(seed, stream_id).child_keys(start, stop)
+        assert got.dtype == np.uint64 and got.shape == (stop - start, 2)
+        assert np.array_equal(got, seed_sequence_keys(seed, stream_id, start, stop))
 
     def test_own_draws_untouched(self):
         stream = RngStream(21, 3)
@@ -289,6 +304,8 @@ class TestChildPermutations:
         # As child(-1) does, rather than looping on -1's 32-bit words.
         with pytest.raises(DomainError):
             RngStream(3).child_permutations(start, stop, 10)
+        with pytest.raises(DomainError):
+            RngStream(3).child_keys(start, stop)
 
     def test_empty_child_range(self):
         assert RngStream(3).child_permutations(4, 4, 10).shape == (0, 10)
