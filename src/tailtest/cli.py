@@ -69,13 +69,21 @@ def _model_from_args(args, suffix=""):
     return CopulaModel(family, theta, tuple(psi) if psi else None)
 
 
-def _add_test_flags(parser):
+def _add_test_flags(parser, k_help=None):
+    """Flags of ``TestConfig`` shared by test, power and rainfall; --k-exceedances
+    is required unless ``k_help`` says when it is read."""
     parser.add_argument("--risk", default="l2", choices=["max", "min", "l2", "l1"])
     parser.add_argument("--sets", type=_sets_type, default=None,
                         help="number of partition cells (required for l1/l2)")
-    parser.add_argument("--k-exceedances", type=int, required=True)
+    parser.add_argument("--k-exceedances", type=int, required=k_help is None, help=k_help)
     parser.add_argument("--level", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _test_config(args, **fields) -> TestConfig:
+    return TestConfig(k_exceedances=args.k_exceedances, risk=args.risk, num_cells=args.sets,
+                      level=args.level, bootstrap_replicates=args.bootstrap, seed=args.seed,
+                      **fields)
 
 
 def _add_bootstrap_flags(parser):
@@ -103,14 +111,17 @@ def _write_sample(path: str, data: np.ndarray):
     np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def _emit(doc: dict):
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
-
-
-def _write_manifest(doc: dict, path: str):
+def _write_json(doc: dict, path: str):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
+
+
+def _publish(doc: dict, path: str | None = None):
+    """Write ``doc`` to ``path`` (if any), then print it as the run's stdout document."""
+    if path:
+        _write_json(doc, path)
+    json.dump(doc, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _cmd_simulate(args) -> int:
@@ -126,8 +137,7 @@ def _cmd_simulate(args) -> int:
         "outputs": {"csv": args.out, "manifest": manifest_path},
         "version": __version__,
     }
-    _write_manifest(doc, manifest_path)
-    _emit(doc)
+    _publish(doc, manifest_path)
     return EXIT_OK
 
 
@@ -147,30 +157,18 @@ def _cmd_standardize(args) -> int:
         "outputs": {"csv": args.out, "manifest": manifest_path},
         "version": __version__,
     }
-    _write_manifest(doc, manifest_path)
-    _emit(doc)
+    _publish(doc, manifest_path)
     return EXIT_OK
 
 
 def _cmd_test(args) -> int:
+    config = _test_config(args, margins=args.margins,
+                          bootstrap_exceedances=args.bootstrap_exceedances,
+                          bootstrap_source=args.bootstrap_source)
     x = _read_sample(args.x)
     y = _read_sample(args.y)
-    config = TestConfig(
-        k_exceedances=args.k_exceedances,
-        risk=args.risk,
-        num_cells=args.sets,
-        level=args.level,
-        margins=args.margins,
-        bootstrap_replicates=args.bootstrap,
-        bootstrap_exceedances=args.bootstrap_exceedances,
-        bootstrap_source=args.bootstrap_source,
-        seed=args.seed,
-    )
     report = run_test(x, y, config, known_cdfs=[KNOWN_CDF_STUBS[args.known_cdf]] * x.d)
-    doc = report.to_dict()
-    if args.out:
-        _write_manifest(doc, args.out)
-    _emit(doc)
+    _publish(report.to_dict(), args.out)
     return EXIT_REJECT if report.reject else EXIT_OK
 
 
@@ -193,14 +191,9 @@ def _cmd_power(args) -> int:
         seed=args.seed,
         workers=args.workers,
     )
-    outdir = _default_outdir(args)
-    if plan.k_grid is not None:
-        curve = size_power_study(plan)
-        manifest = write_power_outputs(curve, plan, outdir, name="power")
-    else:
-        curve = k_sensitivity_study(plan)
-        manifest = write_power_outputs(curve, plan, outdir, name="ksets")
-    _emit(manifest)
+    study, name = ((size_power_study, "power") if plan.k_grid is not None
+                   else (k_sensitivity_study, "ksets"))
+    _publish(write_power_outputs(study(plan), plan, _default_outdir(args), name=name))
     return EXIT_OK
 
 
@@ -208,24 +201,15 @@ def _cmd_nulls(args) -> int:
     model = _model_from_args(args)
     result = null_histogram_study(model, args.size, args.k_exceedances, args.sets,
                                   args.bootstrap, seed=args.seed, risk=args.risk)
-    manifest = write_nulls_outputs(result, _default_outdir(args))
-    _emit(manifest)
+    _publish(write_nulls_outputs(result, _default_outdir(args)))
     return EXIT_OK
 
 
 def _cmd_rainfall(args) -> int:
+    config = _test_config(args, margins="empirical")
     series = load_csv(args.input, timestamp_col=args.timestamp_col,
                       depth_col=args.depth_col, missing_token=args.missing_token,
                       station_id=args.station)
-    config = TestConfig(
-        k_exceedances=args.k_exceedances,
-        risk=args.risk,
-        num_cells=args.sets,
-        level=args.level,
-        margins="empirical",
-        bootstrap_replicates=args.bootstrap,
-        seed=args.seed,
-    )
     outcomes = seasonal_tests(series, config,
                               drop_incomplete_days=not args.keep_incomplete_days,
                               drop_dry_days=not args.keep_dry_days)
@@ -250,7 +234,7 @@ def _cmd_rainfall(args) -> int:
             pairs_doc[key] = {"error": outcome.error}
             continue
         report_path = os.path.join(outdir, f"report_{key}.json")
-        _write_manifest(outcome.report.to_dict(), report_path)
+        _write_json(outcome.report.to_dict(), report_path)
         outputs[f"report_{key}"] = report_path
         pairs_doc[key] = {
             "error": None,
@@ -268,9 +252,7 @@ def _cmd_rainfall(args) -> int:
         "outputs": outputs,
         "version": __version__,
     }
-    manifest_path = os.path.join(outdir, "rainfall_summary.json")
-    _write_manifest(doc, manifest_path)
-    _emit(doc)
+    _publish(doc, os.path.join(outdir, "rainfall_summary.json"))
     return EXIT_OK
 
 
@@ -317,12 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated exceedance numbers")
     p_power.add_argument("--set-grid", type=_grid_type, default=None,
                          help="comma-separated cell counts (angular risks)")
-    p_power.add_argument("--k-exceedances", type=int, default=None,
-                         help="fixed k for the --set-grid study")
-    p_power.add_argument("--risk", default="l2", choices=["max", "min", "l2", "l1"])
-    p_power.add_argument("--sets", type=_sets_type, default=None)
-    p_power.add_argument("--level", type=float, default=0.05)
-    p_power.add_argument("--seed", type=int, default=0)
+    _add_test_flags(p_power, k_help="fixed k for the --set-grid study")
     p_power.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_power.add_argument("--outdir", default=None)
     _add_bootstrap_flags(p_power)
@@ -359,14 +336,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # An angular partition has no implied cell count; only a --set-grid supplies one.
+        if getattr(args, "risk", None) in ("l1", "l2") and args.sets is None \
+                and getattr(args, "set_grid", None) is None:
+            parser.error(f"{args.command}: angular risks (l1, l2) need --sets")
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "power" and args.risk in ("l1", "l2") and args.set_grid is None \
-            and args.sets is None:
-        parser.print_usage(sys.stderr)
-        print("tailtest power: error: angular risks need --sets for a --k-grid study",
-              file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except TailTestError as exc:

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, FormatError, InsufficientDataError
-from .inference import TestConfig, TestReport, run_test
+from .inference import TestConfig, TestReport, build_partition, run_test
 from .margins import Sample
 
 # Month m (1-12) belongs to SEASONS[m % 12 // 3].
@@ -450,12 +450,14 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
     Seasons are standardized independently with their own sample sizes; the
     same exceedance count is applied to both, capped at one below the
     smaller season (with a warning, which the pair's report also carries).
-    Pairs lacking data report an error while the remaining pairs still run.
+    Pairs lacking data report an error while the remaining pairs still run;
+    a configuration that implies no partition raises ``ConfigError`` first.
     The pairs share one bootstrap cache, so each season is bootstrapped once
     per exceedance count rather than once per pair.
     """
     if config.margins != "empirical":
         raise DomainError("seasonal tests use empirical margins and bootstrap calibration")
+    build_partition(config, 2)
     pairs_by_season = build_pairs(series, drop_incomplete_days, drop_dry_days)
     outcomes = SeasonalOutcomes(pairs_by_season)
     nulls: dict = {}

@@ -243,10 +243,10 @@ class RngStream:
 
     def uniform(self, size=None):
         """Uniform draws strictly inside (0, 1)."""
-        bits = self._gen.integers(0, 1 << 53, size=size)
-        # The top draw, (2**53 - 0.5) / 2**53, rounds to 1.0; cap it at the
-        # largest double below 1, which no other draw gives.
-        return np.minimum((bits + 0.5) * (1.0 / (1 << 53)), 1.0 - 2.0 ** -53)
+        # random() is a 53-bit integer b over 2**53, so this is (b + 0.5) / 2**53.
+        # The top draw rounds to 1.0; cap it at the largest double below 1,
+        # which no other draw gives.
+        return np.minimum(self._gen.random(size) + 2.0 ** -54, 1.0 - 2.0 ** -53)
 
     def exponential(self, size=None):
         """Unit-rate exponential draws, strictly positive."""
@@ -270,12 +270,6 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def child_permutations(self, start: int, stop: int, n: int) -> np.ndarray:
-        """Permutations of range(n) by children ``start .. stop - 1``, one per
-        row: ``np.stack([self.child(b).permutation(n) for b in range(start,
-        stop)])`` bit for bit."""
-        return self.keyed_permutations(self.child_keys(start, stop).tolist(), n)
-
     def child_keys(self, start: int, stop: int) -> np.ndarray:
         """Philox keys of children ``start .. stop - 1``, one uint64 pair per row.
 
@@ -291,7 +285,8 @@ class RngStream:
     def keyed_permutations(self, keys: list[list[int]], n: int) -> np.ndarray:
         """Permutations of range(n), one per key: rows of ``child_keys`` as ints.
 
-        Each key is loaded into one reused Philox through its state, which
+        With the keys of children ``a .. b - 1`` the rows are their
+        ``child(i).permutation(n)`` bit for bit. Each key is loaded into one reused Philox through its state, which
         costs about a quarter of building the child. Like its generator, a
         stream is not for concurrent use.
         """

@@ -71,6 +71,20 @@ class TestCriterion1SizeUnderNull:
                f"rejection rates {rates} vs band [0.02, 0.09]")
 
 
+class TestCriterion1bEmpiricalSize:
+    def test_size_within_band(self):
+        # Criterion 1's band for the rank-standardized test, calibrated by the bootstrap.
+        grid = (50, 100, 200)
+        plan = ExperimentPlan(CopulaModel("logistic", 0.45), CopulaModel("logistic", 0.45),
+                              n=1000, repetitions=400, risk="euclidean", num_cells=5,
+                              k_grid=grid, margins="empirical", bootstrap_replicates=200,
+                              seed=219, workers=2)
+        rates = size_power_study(plan).rejection_rates()
+        ok = all(0.02 <= rates[k] <= 0.09 for k in grid)
+        report("criterion 1b (size under H0, empirical margins)", ok,
+               f"rejection rates {rates} vs band [0.02, 0.09]")
+
+
 class TestCriterion2NullLimit:
     def test_ks_against_chisq(self, fresh_null_statistics):
         known, _ = fresh_null_statistics

@@ -96,6 +96,14 @@ class TestTestCommand:
         code = main(["test", src, src, "--sets", "1", "--k-exceedances", "10"])
         assert code == 2
 
+    def test_angular_risk_without_sets_is_usage_error(self, capsys, tmp_path):
+        src, _ = simulate_file(capsys, tmp_path, "u.csv", n=100)
+        code = main(["test", src, src, "--risk", "l2", "--k-exceedances", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "need --sets" in captured.err
+
     def test_non_finite_csv_is_failure(self, capsys, tmp_path):
         src, _ = simulate_file(capsys, tmp_path, "good.csv", n=400)
         bad = tmp_path / "bad.csv"
@@ -309,6 +317,27 @@ class TestRainfallCommand:
         assert (tmp_path / "rain_out" / "pairs_DJF.csv").exists()
         assert (tmp_path / "rain_out" / "report_DJF_MAM.json").exists()
 
+
+    def test_angular_risk_without_sets_is_usage_error(self, capsys, tmp_path, rainfall_csv):
+        code = main(["rainfall", rainfall_csv, "--risk", "l2", "--k-exceedances", "120",
+                     "--outdir", str(tmp_path / "rain_out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "need --sets" in captured.err
+        assert not (tmp_path / "rain_out").exists()
+
+    def test_unbuildable_partition_fails_once(self, capsys, tmp_path, rainfall_csv):
+        # The 2-D max partition has 3 cells: one error for the run, not one per season pair.
+        code = main(["rainfall", rainfall_csv, "--risk", "max", "--sets", "4",
+                     "--k-exceedances", "120", "--bootstrap", "100",
+                     "--outdir", str(tmp_path / "rain_out")])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("tailtest: error: ")
+        assert captured.err.count("\n") == 1 and "num_cells=4" in captured.err
+        assert not (tmp_path / "rain_out" / "rainfall_summary.json").exists()
 
     def test_offset_stamps_leaving_utc_years_are_malformed_rows(self, capsys, tmp_path,
                                                                  rainfall_csv):

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tailtest import CopulaModel, DomainError, FormatError, InsufficientDataError, TestConfig
+from tailtest import (ConfigError, CopulaModel, DomainError, FormatError, InsufficientDataError,
+                      TestConfig)
 from tailtest import Sample, inference, ingest, run_test
 from tailtest.ingest import (SEASONS, RainSeries, SLOTS_PER_DAY, build_pairs, load_csv,
                              season_of_month, seasonal_tests)
@@ -475,6 +476,18 @@ class TestSeasonalTests:
                             margins="known")
         with pytest.raises(DomainError):
             seasonal_tests(two_season_series, config)
+
+    @pytest.mark.parametrize("risk, num_cells, message", [
+        ("max", 4, "implies 3 cells, but num_cells=4"),
+        ("euclidean", None, "angular partitions need an explicit num_cells"),
+    ])
+    def test_unbuildable_partition_raises_once(self, two_season_series, risk, num_cells, message):
+        # One error for the configuration, before any season is built, not one per pair.
+        config = TestConfig(k_exceedances=50, risk=risk, num_cells=num_cells,
+                            bootstrap_replicates=100)
+        with mock.patch.object(ingest, "build_pairs", side_effect=AssertionError("built")):
+            with pytest.raises(ConfigError, match=message):
+                seasonal_tests(two_season_series, config)
 
 
 def count_bootstraps(monkeypatch):

@@ -179,11 +179,12 @@ class TestRngStream:
 
     @pytest.mark.parametrize("size", [None, 2])
     def test_uniform_extreme_bits_stay_inside(self, size):
+        # Generator.random() returns a 53-bit integer times 2**-53.
         stream = RngStream(3)
         for bits, want in [((1 << 53) - 1, 1.0 - 2.0 ** -53), (0, 2.0 ** -54)]:
-            raw = np.int64(bits) if size is None else np.full(size, bits, dtype=np.int64)
+            raw = bits * 2.0 ** -53 if size is None else np.full(size, bits * 2.0 ** -53)
             with mock.patch.object(stream, "_gen") as gen:
-                gen.integers.return_value = raw
+                gen.random.return_value = raw
                 u = stream.uniform(size)
                 e = stream.exponential(size)
             assert np.all(u == want)
@@ -193,8 +194,20 @@ class TestRngStream:
         bits = np.arange((1 << 53) - 4, (1 << 53) - 1, dtype=np.int64)
         stream = RngStream(3)
         with mock.patch.object(stream, "_gen") as gen:
-            gen.integers.return_value = bits
+            gen.random.return_value = bits * 2.0 ** -53
             assert np.array_equal(stream.uniform(3), (bits + 0.5) * 2.0 ** -53)
+
+    @pytest.mark.parametrize("seed, stream_id", [(0, 0), (3, 7), (2 ** 40, (5, 2)), (2 ** 200 + 3, 1)])
+    def test_uniform_equals_the_53_bit_integer_formula(self, seed, stream_id):
+        # uniform() is defined as (b + 0.5) / 2**53, capped below 1, for b drawn by
+        # integers(0, 2**53); reading Generator.random() must give it draw for draw.
+        stream, reference = RngStream(seed, stream_id), RngStream(seed, stream_id)._gen
+        for size in (None, 1, 1000, (40, 3), None):
+            bits = reference.integers(0, 1 << 53, size=size)
+            want = np.minimum((bits + 0.5) * (1.0 / (1 << 53)), 1.0 - 2.0 ** -53)
+            got = stream.uniform(size)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
 
     def test_exponential_positive(self):
         e = RngStream(4).exponential(10_000)
@@ -240,6 +253,10 @@ ID_PARTS = st.integers(0, 2 ** 32 - 1) | st.integers(2 ** 32, 2 ** 80)
 STREAM_IDS = ID_PARTS | st.lists(ID_PARTS, min_size=1, max_size=3).map(tuple)
 
 
+def keyed_children(stream, start, stop, n):
+    return stream.keyed_permutations(stream.child_keys(start, stop).tolist(), n)
+
+
 def stacked_children(stream, start, stop, n):
     return np.stack([stream.child(b).permutation(n) for b in range(start, stop)])
 
@@ -257,7 +274,7 @@ class TestChildPermutations:
            st.sampled_from([1, 2, 360, 2000]))
     def test_equal_to_stacked_children(self, seed, stream_id, start, count, n):
         stream = RngStream(seed, stream_id)
-        got = stream.child_permutations(start, start + count, n)
+        got = keyed_children(stream, start, start + count, n)
         want = stacked_children(stream, start, start + count, n)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -266,14 +283,14 @@ class TestChildPermutations:
     @pytest.mark.parametrize("stream_id", [0, 2 ** 40, (1_000_003, 0), (2 ** 33, 5, 2 ** 70)])
     def test_seed_and_id_word_counts(self, seed, stream_id):
         stream = RngStream(seed, stream_id)
-        assert np.array_equal(stream.child_permutations(3, 9, 360),
+        assert np.array_equal(keyed_children(stream, 3, 9, 360),
                               stacked_children(stream, 3, 9, 360))
 
     @pytest.mark.parametrize("start", [2 ** 32 - 2, 2 ** 64 - 2])
     def test_child_indices_across_a_word_boundary(self, start):
         # Children of one and two (two and three) index words in one call.
         stream = RngStream(8, (4,))
-        assert np.array_equal(stream.child_permutations(start, start + 4, 50),
+        assert np.array_equal(keyed_children(stream, start, start + 4, 50),
                               stacked_children(stream, start, start + 4, 50))
 
     @pytest.mark.parametrize("seed, stream_id", [(0, 0), (7, (1_000_003, 0)), (2 ** 200 + 3, 2 ** 40),
@@ -296,16 +313,14 @@ class TestChildPermutations:
 
     def test_own_draws_untouched(self):
         stream = RngStream(21, 3)
-        stream.child_permutations(0, 5, 100)
+        keyed_children(stream, 0, 5, 100)
         assert np.array_equal(stream.uniform(20), RngStream(21, 3).uniform(20))
 
     @pytest.mark.parametrize("start, stop", [(-1, 3), (-2 ** 40, 0), (5, 4)])
     def test_bad_child_range(self, start, stop):
         # As child(-1) does, rather than looping on -1's 32-bit words.
         with pytest.raises(DomainError):
-            RngStream(3).child_permutations(start, stop, 10)
-        with pytest.raises(DomainError):
             RngStream(3).child_keys(start, stop)
 
     def test_empty_child_range(self):
-        assert RngStream(3).child_permutations(4, 4, 10).shape == (0, 10)
+        assert keyed_children(RngStream(3), 4, 4, 10).shape == (0, 10)
