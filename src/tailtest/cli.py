@@ -6,7 +6,10 @@ artifact-producing runs write the same manifest next to their outputs, so
 any run can be reproduced from its recorded flags, seed and version.
 
 Exit codes: 0 success / null not rejected, 2 invalid flags, 3 null
-rejected, 4 numerical or data failure.
+rejected by ``test``, 4 numerical or data failure. ``rainfall`` exits 0
+whatever its season pairs decide: its six tests form one family, and an exit
+code can only say "rejected" for it once a multiplicity adjustment (Holm)
+is applied across them. Each pair's decision is in its report.
 """
 
 from __future__ import annotations
@@ -86,10 +89,15 @@ def _test_config(args, **fields) -> TestConfig:
                       **fields)
 
 
-def _add_bootstrap_flags(parser):
+def _add_margins_flag(parser):
     parser.add_argument("--margins", default="empirical", choices=["known", "empirical"])
+
+
+def _add_bootstrap_flag(parser):
+    """--bootstrap, shared by test, power, nulls and rainfall."""
     parser.add_argument("--bootstrap", type=int, default=1000,
-                        help="bootstrap replicates for empirical margins")
+                        help="split-half bootstrap replicates (test and power read "
+                             "it only with empirical margins)")
 
 
 def _default_outdir(args) -> str:
@@ -273,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_std = sub.add_parser("standardize", help="transform a sample to the Pareto scale")
     p_std.add_argument("input")
-    p_std.add_argument("--margins", default="empirical", choices=["known", "empirical"])
+    _add_margins_flag(p_std)
     p_std.add_argument("--known-cdf", default="uniform", choices=sorted(KNOWN_CDF_STUBS))
     p_std.add_argument("--out", required=True)
     p_std.set_defaults(func=_cmd_standardize)
@@ -282,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("x")
     p_test.add_argument("y")
     _add_test_flags(p_test)
-    _add_bootstrap_flags(p_test)
+    _add_margins_flag(p_test)
+    _add_bootstrap_flag(p_test)
     p_test.add_argument("--known-cdf", default="uniform", choices=sorted(KNOWN_CDF_STUBS))
     p_test.add_argument("--bootstrap-exceedances", default="proportional",
                         choices=["proportional", "same"])
@@ -302,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_test_flags(p_power, k_help="fixed k for the --set-grid study")
     p_power.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_power.add_argument("--outdir", default=None)
-    _add_bootstrap_flags(p_power)
+    _add_margins_flag(p_power)
+    _add_bootstrap_flag(p_power)
     p_power.set_defaults(func=_cmd_power)
 
     p_nulls = sub.add_parser("nulls", help="bootstrap vs fresh null replicates")
@@ -311,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nulls.add_argument("--k-exceedances", type=int, required=True)
     p_nulls.add_argument("--sets", type=_sets_type, required=True)
     p_nulls.add_argument("--risk", default="l2", choices=["l2", "l1"])
-    p_nulls.add_argument("--bootstrap", type=int, default=1000)
+    _add_bootstrap_flag(p_nulls)
     p_nulls.add_argument("--seed", type=int, default=0)
     p_nulls.add_argument("--outdir", default=None)
     p_nulls.set_defaults(func=_cmd_nulls)
@@ -323,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rain.add_argument("--missing-token", default="")
     p_rain.add_argument("--station", default="")
     _add_test_flags(p_rain)
-    p_rain.add_argument("--bootstrap", type=int, default=1000)
+    _add_bootstrap_flag(p_rain)
     p_rain.add_argument("--keep-dry-days", action="store_true")
     p_rain.add_argument("--keep-incomplete-days", action="store_true")
     p_rain.add_argument("--outdir", default=None)

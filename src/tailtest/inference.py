@@ -23,8 +23,8 @@ from .divergence import Divergence, jeffreys, kl_divergence
 from .errors import ConfigError, DomainError, InsufficientDataError
 from .margins import Sample, _ordinal_ranks, pseudo_scale, standardize
 from .numerics import RngStream, chisq_quantile, chisq_sf
-from .partitions import (Partition, cell_counts, count_cells, make_angular_partition,
-                         make_max_partition, make_min_partition)
+from .partitions import (Partition, cell_histogram, count_cells, make_angular_partition,
+                         make_max_partition, make_min_partition, scaled_exceedances)
 
 RISK_ALIASES = {"max": "max", "min": "min", "l2": "euclidean", "euclidean": "euclidean",
                 "l1": "sum", "sum": "sum"}
@@ -35,6 +35,10 @@ _BOOTSTRAP_NS = 1_000_003
 # The bootstrap engine handles max(1, _CHUNK_POINTS // n) replicates at a
 # time, which keeps its working set at a few MB whatever the replicate count.
 _CHUNK_POINTS = 2 ** 14
+# It classifies and scores about _BLOCK_REPLICATES replicates at a time (whole
+# chunks, at least one): fewer calls per target than one per chunk, and a block
+# buffer small next to buffering every replicate.
+_BLOCK_REPLICATES = 128
 
 
 def bootstrap_stream(seed: int) -> RngStream:
@@ -213,11 +217,14 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
     computed in chunks of array operations and equal the one-at-a-time
     definition bit for bit.
 
-    The targets share each replicate's permutation and half-sample ranks,
-    and ``cell_counts`` shares the risk values of each risk kind and the
-    exceedances of each risk kind and half-sample k; only classification
-    and the statistic are per target. Each null equals the null of its
-    target bootstrapped alone. ``source_label`` names the source in errors.
+    Per chunk, only work the targets share is done: the permutations, the
+    half-sample ranks, and one ``scaled_exceedances`` pass per half, which
+    computes the risk values once per risk kind and selects the exceedances
+    once per (risk kind, half-sample k), each k nested in the next larger
+    one. The rescaled exceedances are written into buffers holding one block
+    of replicates; once per block, each target is classified, counted and
+    scored with one call each. Each null equals the null of its target
+    bootstrapped alone. ``source_label`` names the source in errors.
     """
     n = source.n
     for _, k_n in targets:
@@ -240,20 +247,30 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
         scales = (pseudo_scale(half), pseudo_scale(n - half))
     num = config.bootstrap_replicates
     chunk = max(1, _CHUNK_POINTS // n)
+    block = min(num, chunk * max(1, _BLOCK_REPLICATES // chunk))
+    # Both halves' rescaled exceedances of one block of replicates, per (risk, k).
+    buffers = {(part.risk, k_half): np.empty((2, block, k_half, source.d))
+               for part, k_half in half_targets}
     replicates = np.empty((len(targets), num))
     # Held as ints: kept alive through the chunk loop as an array, the keys too
     # left the heap laid out for every chunk to page-fault afresh.
     keys = stream.child_keys(0, num).tolist()
-    for start in range(0, num, chunk):
-        stop = min(num, start + chunk)
-        perms = stream.keyed_permutations(keys[start:stop], n)
-        if config.margins == "empirical":
-            halves = _half_pseudo(data, order_pos, tied_columns, perms, scales)
-        else:
-            halves = data.take(perms[:, :half], axis=0), data.take(perms[:, half:], axis=0)
-        counts_a, counts_b = ([c for _, c in cell_counts(h, half_targets)] for h in halves)
-        for t, (_, k_half) in enumerate(half_targets):
-            replicates[t, start:stop] = jeffreys(counts_a[t], counts_b[t], k_half)[0] / 2.0
+    for first in range(0, num, block):
+        last = min(num, first + block)
+        for start in range(first, last, chunk):
+            stop = min(last, start + chunk)
+            perms = stream.keyed_permutations(keys[start:stop], n)
+            if config.margins == "empirical":
+                halves = _half_pseudo(data, order_pos, tied_columns, perms, scales)
+            else:
+                halves = data.take(perms[:, :half], axis=0), data.take(perms[:, half:], axis=0)
+            for h, points in enumerate(halves):
+                for key, (_, scaled) in scaled_exceedances(points, buffers).items():
+                    buffers[key][h, start - first:stop - first] = scaled
+        for t, (part, k_half) in enumerate(half_targets):
+            points = buffers[part.risk, k_half][:, :last - first]
+            counts_a, counts_b = cell_histogram(part.classify(points), part.num_cells)
+            replicates[t, first:last] = jeffreys(counts_a, counts_b, k_half)[0] / 2.0
     return [NullDistribution(reps, k_half) for reps, (_, k_half) in zip(replicates, half_targets)]
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -216,23 +216,42 @@ def cell_histogram(cells: np.ndarray, num_cells: int) -> np.ndarray:
     return counts.reshape(cells.shape[:-1] + (width,))[..., 1:]
 
 
+def scaled_exceedances(data: np.ndarray, keys: Iterable[tuple[RiskFunctional, int]]) -> dict:
+    """Threshold and threshold-rescaled top-k_n exceedances (see ``top_k``) of
+    points (..., n, d) for each ``(risk, k_n)`` key, as shapes (...,) and
+    (..., k_n, d); leading axes are batch axes.
+
+    Risk values are computed once per risk kind. Exceedances are nested: ``top_k``
+    runs on all n points only for a kind's largest k_n, and each smaller k_n
+    is selected from the previous selection, which keeps row order. Under the
+    stable-sort rule that gives the same threshold and the same points, ties
+    included, as selecting from all n points.
+    """
+    by_risk: dict = {}
+    for risk, k_n in keys:
+        by_risk.setdefault(risk, set()).add(k_n)
+    scaled = {}
+    for risk, k_set in by_risk.items():
+        points, r_vals = data, risk(data)
+        k_desc = sorted(k_set, reverse=True)
+        for i, k_n in enumerate(k_desc):
+            threshold, mask = top_k(r_vals, k_n)
+            points = points[mask].reshape(mask.shape[:-1] + (k_n, data.shape[-1]))
+            if i + 1 < len(k_desc):
+                r_vals = r_vals[mask].reshape(mask.shape[:-1] + (k_n,))
+            scaled[risk, k_n] = threshold, points / threshold[..., None, None]
+    return scaled
+
+
 def cell_counts(data: np.ndarray, targets: Sequence[tuple[Partition, int]]
                 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Threshold and cell counts of the top-k_n risk exceedances (see ``top_k``)
     of points (..., n, d) for each ``(partition, k_n)`` target; leading axes
-    are batch axes, counts have shape (..., K). Risk values are computed once
-    per risk kind, and the exceedances, rescaled by the threshold, once per
-    (risk kind, k_n)."""
-    r_vals: dict = {}
-    scaled: dict = {}
+    are batch axes, counts have shape (..., K). One ``scaled_exceedances`` pass
+    serves all targets; only classification and counting are per target."""
+    scaled = scaled_exceedances(data, [(part.risk, k_n) for part, k_n in targets])
     results = []
     for part, k_n in targets:
-        if part.risk not in r_vals:
-            r_vals[part.risk] = part.risk(data)
-        if (part.risk, k_n) not in scaled:
-            threshold, mask = top_k(r_vals[part.risk], k_n)
-            exceed = data[mask].reshape(mask.shape[:-1] + (k_n, data.shape[-1]))
-            scaled[part.risk, k_n] = threshold, exceed / threshold[..., None, None]
         threshold, points = scaled[part.risk, k_n]
         results.append((threshold, cell_histogram(part.classify(points), part.num_cells)))
     return results
@@ -245,8 +264,9 @@ def count_cells(sample: Sample, targets: Sequence[tuple[Partition, int]]
 
     Every target's k_n is checked before anything is counted; then one
     ``cell_counts`` pass serves all targets, so risk values are computed once
-    per risk kind and the rescaled exceedances once per (risk kind, k_n). Each
-    result equals that of its target counted alone."""
+    per risk kind and the rescaled exceedances once per (risk kind, k_n), each
+    k_n nested in the next larger one. Each result equals that of its target
+    counted alone."""
     if sample.margin_state not in ("pareto", "pseudo"):
         raise DomainError(f"count_cells needs a standardized sample, got state {sample.margin_state!r}")
     n = sample.n

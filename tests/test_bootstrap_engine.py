@@ -6,6 +6,8 @@ oracle: every replicate must agree bit for bit. ``reference_ordinal_ranks``
 is the stable-argsort ranking that every rank in the package must equal.
 """
 
+import contextlib
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -14,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tailtest import (CellProbabilities, CopulaModel, RngStream, Sample, TestConfig,
-                      bootstrap_null, build_partition, sample, to_pareto, to_pseudo,
-                      uniform_cdf)
+                      bootstrap_null, build_partition, make_angular_partition,
+                      make_max_partition, sample, to_pareto, to_pseudo, uniform_cdf)
 from tailtest import inference
 from tailtest.inference import bootstrap_stream
 
@@ -92,18 +94,39 @@ def reference_bootstrap_null(source, config, partition, stream):
     return replicates
 
 
-def assert_matches_reference(source, config, chunk_points=None):
+def _engine_constants(chunk_points=None, block_replicates=None):
+    """Patch the engine's chunk and block sizes where given."""
+    stack = contextlib.ExitStack()
+    if chunk_points is not None:
+        stack.enter_context(mock.patch.object(inference, "_CHUNK_POINTS", chunk_points))
+    if block_replicates is not None:
+        stack.enter_context(mock.patch.object(inference, "_BLOCK_REPLICATES", block_replicates))
+    return stack
+
+
+def assert_matches_reference(source, config, chunk_points=None, block_replicates=None):
     partition = build_partition(config, source.d)
     expected = reference_bootstrap_null(source, config, partition,
                                         bootstrap_stream(config.seed))
     targets = [(partition, config.k_exceedances)]
-    if chunk_points is None:
+    with _engine_constants(chunk_points, block_replicates):
         [null] = bootstrap_null(source, targets, config, bootstrap_stream(config.seed))
-    else:
-        with mock.patch.object(inference, "_CHUNK_POINTS", chunk_points):
-            [null] = bootstrap_null(source, targets, config, bootstrap_stream(config.seed))
     assert np.array_equal(null.replicates, expected)
     return null
+
+
+def assert_targets_match_reference(source, config, targets, chunk_points=None,
+                                   block_replicates=None):
+    """Each target's null from one multi-target bootstrap equals the
+    one-at-a-time reference of that target alone."""
+    with _engine_constants(chunk_points, block_replicates):
+        nulls = bootstrap_null(source, targets, config, bootstrap_stream(config.seed))
+    assert len(nulls) == len(targets)
+    for null, (partition, k_n) in zip(nulls, targets):
+        alone = dataclasses.replace(config, k_exceedances=k_n)
+        expected = reference_bootstrap_null(source, alone, partition,
+                                            bootstrap_stream(config.seed))
+        assert np.array_equal(null.replicates, expected)
 
 
 def _raw(n, seed, d=2):
@@ -168,6 +191,71 @@ class TestEngineMatchesReference:
         assert report.p_value == float(np.mean(null.replicates > report.statistic))
 
 
+# Several k per risk kind, max and euclidean together; a repeated target.
+NESTED_TARGETS = [(make_max_partition(2), 40), (make_angular_partition("euclidean", 5), 40),
+                  (make_max_partition(2), 24), (make_angular_partition("euclidean", 3), 60),
+                  (make_max_partition(2), 60), (make_angular_partition("euclidean", 5), 16),
+                  (make_max_partition(2), 24)]
+
+# Chunks of 7 replicates against B = 101: one chunk per block, blocks of 14
+# (the last one partial) and one block above B.
+BLOCK_LAYOUTS = [1, 20, 10 ** 6]
+
+
+def _max_risk_ties(n, seed):
+    """Pareto values on an integer grid: max-risk ties fill the top of the sample."""
+    return 1.0 + np.floor(RngStream(seed).uniform((n, 2)) * 8.0)
+
+
+class TestBlocksAndNestedK:
+    @pytest.mark.parametrize("block_replicates", BLOCK_LAYOUTS)
+    @pytest.mark.parametrize("rule", ["proportional", "same"])
+    def test_max_risk_ties_straddling_nested_thresholds(self, block_replicates, rule):
+        data = _max_risk_ties(400, 30)
+        config = TestConfig(k_exceedances=40, risk="max", margins="known",
+                            bootstrap_replicates=101, bootstrap_exceedances=rule, seed=31)
+        # In the first replicate's first half, two or more nested half k share
+        # one max-risk threshold, and its ties are split between selected and
+        # unselected rows at each of them.
+        first = data[bootstrap_stream(31).child(0).permutation(400)[:200]].max(axis=1)
+        ordered = np.sort(first)
+        by_threshold = {}
+        for part, k in NESTED_TARGETS:
+            if part.risk.kind == "max":
+                k_half = k // 2 if rule == "proportional" else k
+                by_threshold.setdefault(ordered[200 - k_half - 1], set()).add(k_half)
+        tie, shared = max(by_threshold.items(), key=lambda item: len(item[1]))
+        assert len(shared) >= 2
+        assert all((first > tie).sum() < k < (first >= tie).sum() for k in shared)
+        assert_targets_match_reference(Sample(data, "pareto"), config, NESTED_TARGETS,
+                                       chunk_points=7 * 400, block_replicates=block_replicates)
+
+    @pytest.mark.parametrize("block_replicates", BLOCK_LAYOUTS)
+    def test_tied_pseudo_source(self, block_replicates):
+        u = RngStream(32).uniform((401, 2))
+        data = np.column_stack([1.0 + np.floor(u[:, 0] * 20.0), 1.0 / (1.0 - u[:, 1])])
+        config = TestConfig(k_exceedances=40, bootstrap_replicates=101, seed=33)
+        assert_targets_match_reference(Sample(data, "pseudo"), config, NESTED_TARGETS,
+                                       chunk_points=7 * 401, block_replicates=block_replicates)
+
+    @pytest.mark.parametrize("block_replicates", BLOCK_LAYOUTS)
+    @pytest.mark.parametrize("margins", ["empirical", "known"])
+    def test_continuous_source(self, block_replicates, margins):
+        raw = _raw(400, 34)
+        source = to_pseudo(raw) if margins == "empirical" else to_pareto(raw, [uniform_cdf] * 2)
+        config = TestConfig(k_exceedances=40, margins=margins, bootstrap_replicates=101,
+                            seed=35)
+        assert_targets_match_reference(source, config, NESTED_TARGETS,
+                                       chunk_points=7 * 400, block_replicates=block_replicates)
+
+    def test_default_block_of_a_large_replicate_count(self):
+        # At n = 300 a chunk holds 54 replicates and a block two chunks.
+        data = _max_risk_ties(300, 36)
+        config = TestConfig(k_exceedances=40, risk="max", margins="known",
+                            bootstrap_replicates=250, seed=37)
+        assert_targets_match_reference(Sample(data, "pareto"), config, NESTED_TARGETS)
+
+
 @st.composite
 def bootstrap_cases(draw):
     scheme = draw(st.sampled_from(["max", "min", "euclidean", "sum"]))
@@ -181,13 +269,16 @@ def bootstrap_cases(draw):
     tie_density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
     pre_ranked = draw(st.booleans())
     chunk_points = draw(st.integers(1, 4 * n))
-    return scheme, d, n, k, num_cells, margins, rule, seed, tie_density, pre_ranked, chunk_points
+    block_replicates = draw(st.integers(1, 150))
+    return (scheme, d, n, k, num_cells, margins, rule, seed, tie_density, pre_ranked,
+            chunk_points, block_replicates)
 
 
 @settings(max_examples=40, deadline=None)
 @given(bootstrap_cases())
 def test_engine_matches_reference_property(case):
-    scheme, d, n, k, num_cells, margins, rule, seed, tie_density, pre_ranked, chunk_points = case
+    (scheme, d, n, k, num_cells, margins, rule, seed, tie_density, pre_ranked,
+     chunk_points, block_replicates) = case
     stream = RngStream(seed % 1000, (7,))
     u = stream.child(0).uniform((n, d))
     coarse = 1.0 + np.floor(stream.child(1).uniform((n, d)) * 5.0)
@@ -200,4 +291,5 @@ def test_engine_matches_reference_property(case):
         source = to_pseudo(Sample(pareto))
     config = TestConfig(k_exceedances=k, risk=scheme, num_cells=num_cells, margins=margins,
                         bootstrap_replicates=100, bootstrap_exceedances=rule, seed=seed)
-    assert_matches_reference(source, config, chunk_points=chunk_points)
+    assert_matches_reference(source, config, chunk_points=chunk_points,
+                             block_replicates=block_replicates)

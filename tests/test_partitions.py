@@ -304,17 +304,21 @@ class TestTopK:
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 80), grid=st.sampled_from([0.0, 0.5]),
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 80),
+       grid=st.sampled_from([0.0, 0.5, 1.0]),
        state=st.sampled_from(["pareto", "pseudo"]), data=st.data())
 def test_count_cells_targets_match_single_target_calls(seed, n, grid, state, data):
-    # Mixed risks, k values and repeated targets, on points rounded to a grid
-    # (when grid > 0) so that risk ties straddle the thresholds.
+    # Mixed risks, several nested k per partition and repeated targets, on
+    # points rounded to a grid (when grid > 0) so that risk ties straddle the
+    # thresholds; on the integer grid two nested k often share a threshold.
     points = 1.0 / (1.0 - RngStream(seed).uniform((n, 2)))
     if grid:
         points = 1.0 + grid * np.floor(points / grid)
     sample = Sample(points, state)
-    targets = data.draw(st.lists(st.tuples(st.sampled_from(MIXED_PARTITIONS),
-                                           st.integers(1, n - 1)), min_size=1, max_size=8))
+    nested = data.draw(st.lists(st.tuples(st.sampled_from(MIXED_PARTITIONS),
+                                          st.lists(st.integers(1, n - 1), min_size=1, max_size=3)),
+                                min_size=1, max_size=4))
+    targets = [(part, k_n) for part, k_list in nested for k_n in k_list]
     targets.append(targets[0])
     batched = count_cells(sample, targets)
     assert len(batched) == len(targets)
@@ -323,3 +327,25 @@ def test_count_cells_targets_match_single_target_calls(seed, n, grid, state, dat
         assert np.array_equal(cells.counts, single.counts)
         assert cells.threshold == single.threshold
         assert cells.k_n == single.k_n == target[1]
+
+
+def test_nested_k_sharing_a_tied_threshold():
+    # Max risks on an integer grid: k = 20, 30 and 45 all take the threshold 6
+    # and select only some of its ties, the later rows first.
+    points = 1.0 + np.floor(RngStream(5).uniform((200, 2)) * 6.0)
+    part = make_max_partition(2)
+    r_vals = part.risk(points)
+    assert (r_vals == 6.0).sum() > 45
+    targets = [(part, 30), (make_min_partition(2), 30), (part, 20), (part, 45)]
+    batched = count_cells(Sample(points, "pareto"), targets)
+    for cells, target in zip(batched, targets):
+        [single] = count_cells(Sample(points, "pareto"), [target])
+        assert np.array_equal(cells.counts, single.counts)
+        assert cells.threshold == single.threshold
+    assert [cells.threshold for cells, (p, _) in zip(batched, targets) if p is part] == [6.0] * 3
+    scaled = partitions.scaled_exceedances(points, [(part.risk, 45), (part.risk, 20)])
+    tied_rows = np.flatnonzero(r_vals == 6.0)
+    for k_n in (20, 45):
+        threshold, exceed = scaled[part.risk, k_n]
+        assert threshold == 6.0
+        assert np.array_equal(exceed, points[tied_rows[-k_n:]] / 6.0)
