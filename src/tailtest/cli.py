@@ -170,9 +170,7 @@ def _cmd_standardize(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    config = _test_config(args, margins=args.margins,
-                          bootstrap_exceedances=args.bootstrap_exceedances,
-                          bootstrap_source=args.bootstrap_source)
+    config = _test_config(args, margins=args.margins, bootstrap_source=args.bootstrap_source)
     x = _read_sample(args.x)
     y = _read_sample(args.y)
     report = run_test(x, y, config, known_cdfs=[KNOWN_CDF_STUBS[args.known_cdf]] * x.d)
@@ -293,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_margins_flag(p_test)
     _add_bootstrap_flag(p_test)
     p_test.add_argument("--known-cdf", default="uniform", choices=sorted(KNOWN_CDF_STUBS))
-    p_test.add_argument("--bootstrap-exceedances", default="proportional",
-                        choices=["proportional", "same"])
     p_test.add_argument("--bootstrap-source", default="x", choices=["x", "symmetric"])
     p_test.add_argument("--out", default=None, help="also write the report JSON here")
     p_test.set_defaults(func=_cmd_test)

@@ -277,12 +277,11 @@ def null_histogram_study(model: CopulaModel, n: int, k_exceedances: int,
     """
     if bootstrap_replicates < 1:
         raise ConfigError(f"bootstrap_replicates must be >= 1, got {bootstrap_replicates}")
-    configs = {margins: TestConfig(k_exceedances=k_exceedances, risk=risk, num_cells=num_cells,
-                                   margins=margins, seed=seed,
-                                   bootstrap_replicates=max(bootstrap_replicates, 100))
-               for margins in ("known", "empirical")}
+    # Checks k, risk and cell count; known margins set no replicate floor.
+    config = TestConfig(k_exceedances=k_exceedances, risk=risk, num_cells=num_cells,
+                        margins="known")
     _check_bootstrap_size(n, k_exceedances, "x")
-    partition = make_angular_partition(configs["known"].risk, num_cells)
+    partition = make_angular_partition(config.risk, num_cells)
     base_stream = RngStream(seed)
     raw = sample(model, n, base_stream.child(0))
     dof = num_cells - 1
@@ -290,11 +289,11 @@ def null_histogram_study(model: CopulaModel, n: int, k_exceedances: int,
     fresh_nulls = _fresh_nulls(model, n, k_exceedances, partition, bootstrap_replicates,
                                base_stream.child(2))
     modes = {}
-    for mode_ix, (margins, config) in enumerate(configs.items()):
+    for mode_ix, margins in enumerate(("known", "empirical")):
         source = standardize(raw, margins, _UNIFORM_PAIR)
-        [null] = bootstrap_null(source, [(partition, k_exceedances)], config,
+        [null] = bootstrap_null(source, [(partition, k_exceedances)], bootstrap_replicates,
                                 base_stream.child(1).child(mode_ix))
-        boot = null.replicates[:bootstrap_replicates]
+        boot = null.replicates
         fresh = fresh_nulls[margins]
 
         ks_chisq = None

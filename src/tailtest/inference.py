@@ -4,10 +4,8 @@ With known margins the normalized statistic k_n * D / 2 is referred to a
 chi-squared distribution with K - 1 degrees of freedom. With empirical
 margins the null distribution is approximated by a split-half subsample
 bootstrap: half of one sample is drawn without replacement, the two-half
-statistic is computed and divided by 2 to emulate the full sample size.
-By default the half-sample statistic uses k_n/2 exceedances so that its
-rate matches the full-sample statistic after the division; the literal
-"same k_n in each half" reading is available as an alternative rule.
+statistic is computed with k_n/2 exceedances per half and divided by 2,
+which puts it on the scale of the full-sample statistic.
 """
 
 from __future__ import annotations
@@ -58,7 +56,6 @@ class TestConfig:
     level: float = 0.05
     margins: str = "empirical"
     bootstrap_replicates: int = 1000
-    bootstrap_exceedances: str = "proportional"  # or "same"
     bootstrap_source: str = "x"                  # or "symmetric"
     seed: int = 0
 
@@ -78,9 +75,6 @@ class TestConfig:
             raise ConfigError(
                 f"empirical margins need at least 100 bootstrap replicates, got {self.bootstrap_replicates}"
             )
-        if self.bootstrap_exceedances not in ("proportional", "same"):
-            raise ConfigError(f"bootstrap_exceedances must be 'proportional' or 'same', "
-                              f"got {self.bootstrap_exceedances!r}")
         if self.bootstrap_source not in ("x", "symmetric"):
             raise ConfigError(f"bootstrap_source must be 'x' or 'symmetric', got {self.bootstrap_source!r}")
 
@@ -202,20 +196,21 @@ def _half_pseudo(data: np.ndarray, order_pos: np.ndarray, tied_columns: np.ndarr
 
 
 def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
-                   config: TestConfig, stream: RngStream,
+                   replicates: int, stream: RngStream,
                    source_label: str = "x") -> list[NullDistribution]:
     """Split-half subsample bootstrap of the null distribution of each
-    ``(partition, k_n)`` target.
+    ``(partition, k_n)`` target, with ``replicates`` replicates.
 
     Replicate b permutes the source with ``stream.child(b)`` (every child's
     key derived at once, then drawn by re-keying one generator), takes the first
     floor(n/2) rows as one half and the rest as the other, computes the
-    two-half statistic and divides it by 2 (the rate correction for the
-    halved sample size). For known margins the source must already be on
-    the Pareto scale; for empirical margins each half is re-ranked, which
-    is identical to ranking the corresponding raw half. Replicates are
-    computed in chunks of array operations and equal the one-at-a-time
-    definition bit for bit.
+    two-half statistic with max(1, k_n // 2) exceedances per half and divides
+    it by 2 (the rate correction for the halved sample size). The source's
+    margin state sets the mode: each half of a pseudo-observation source is
+    re-ranked, which is identical to ranking the corresponding raw half; a
+    Pareto-scale source (known margins) is used as it is; a raw source raises
+    ``ConfigError``. Replicates are computed in chunks of array operations
+    and equal the one-at-a-time definition bit for bit.
 
     Per chunk, only work the targets share is done: the permutations, the
     half-sample ranks, and one ``scaled_exceedances`` pass per half, which
@@ -229,14 +224,15 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
     n = source.n
     for _, k_n in targets:
         _check_bootstrap_size(n, k_n, source_label)
-    if config.margins == "known" and source.margin_state == "raw":
-        raise ConfigError("bootstrap with known margins needs a standardized source sample")
+    if source.margin_state == "raw":
+        raise ConfigError(f"bootstrap of sample {source_label} needs a standardized source, "
+                          "got raw data")
+    rerank = source.margin_state == "pseudo"
     half = n // 2
-    proportional = config.bootstrap_exceedances == "proportional"
-    half_targets = [(part, max(1, k_n // 2) if proportional else k_n) for part, k_n in targets]
+    half_targets = [(part, max(1, k_n // 2)) for part, k_n in targets]
 
     data = source.data
-    if config.margins == "empirical":
+    if rerank:
         ranks, tied = _ordinal_ranks(data.T, axis=1)
         order_pos = ranks - 1
         tied_columns = np.flatnonzero(tied.any(axis=1))
@@ -245,22 +241,21 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
         # afresh: about 15 times the page faults of a run_test at n = 2000.
         del ranks, tied
         scales = (pseudo_scale(half), pseudo_scale(n - half))
-    num = config.bootstrap_replicates
     chunk = max(1, _CHUNK_POINTS // n)
-    block = min(num, chunk * max(1, _BLOCK_REPLICATES // chunk))
+    block = min(replicates, chunk * max(1, _BLOCK_REPLICATES // chunk))
     # Both halves' rescaled exceedances of one block of replicates, per (risk, k).
     buffers = {(part.risk, k_half): np.empty((2, block, k_half, source.d))
                for part, k_half in half_targets}
-    replicates = np.empty((len(targets), num))
+    values = np.empty((len(targets), replicates))
     # Held as ints: kept alive through the chunk loop as an array, the keys too
     # left the heap laid out for every chunk to page-fault afresh.
-    keys = stream.child_keys(0, num).tolist()
-    for first in range(0, num, block):
-        last = min(num, first + block)
+    keys = stream.child_keys(0, replicates).tolist()
+    for first in range(0, replicates, block):
+        last = min(replicates, first + block)
         for start in range(first, last, chunk):
             stop = min(last, start + chunk)
             perms = stream.keyed_permutations(keys[start:stop], n)
-            if config.margins == "empirical":
+            if rerank:
                 halves = _half_pseudo(data, order_pos, tied_columns, perms, scales)
             else:
                 halves = data.take(perms[:, :half], axis=0), data.take(perms[:, half:], axis=0)
@@ -270,8 +265,8 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
         for t, (part, k_half) in enumerate(half_targets):
             points = buffers[part.risk, k_half][:, :last - first]
             counts_a, counts_b = cell_histogram(part.classify(points), part.num_cells)
-            replicates[t, first:last] = jeffreys(counts_a, counts_b, k_half)[0] / 2.0
-    return [NullDistribution(reps, k_half) for reps, (_, k_half) in zip(replicates, half_targets)]
+            values[t, first:last] = jeffreys(counts_a, counts_b, k_half)[0] / 2.0
+    return [NullDistribution(reps, k_half) for reps, (_, k_half) in zip(values, half_targets)]
 
 
 def bootstrap_p_value(observed: Divergence, null: NullDistribution) -> float:
@@ -298,10 +293,13 @@ class Calibration:
 def _source_nulls(source: Sample, label: str, targets: Sequence[tuple[Partition, int]],
                   config: TestConfig, cache: dict) -> list[NullDistribution]:
     """The bootstrap of ``source`` on ``bootstrap_stream(config.seed)``, read
-    from ``cache`` when it already holds that source, config and targets."""
-    key = (source.data.shape, source.data.tobytes(), source.margin_state, config, tuple(targets))
+    from ``cache`` when it already holds that source and targets at the
+    config's replicate count and seed, the engine's only other inputs."""
+    key = (source.data.shape, source.data.tobytes(), source.margin_state, tuple(targets),
+           config.bootstrap_replicates, config.seed)
     if key not in cache:
-        cache[key] = bootstrap_null(source, targets, config, bootstrap_stream(config.seed), label)
+        cache[key] = bootstrap_null(source, targets, config.bootstrap_replicates,
+                                    bootstrap_stream(config.seed), label)
     return cache[key]
 
 
@@ -317,8 +315,8 @@ def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partiti
     swapping the samples leaves them unchanged. The null kept is that of xs.
 
     ``nulls``, when given, is a cache the caller owns across calls: keyed by
-    the standardized source, the config and the targets, it hands back a
-    bootstrap already made for that source, as x or as y.
+    the standardized source, the targets, the replicate count and the seed,
+    it hands back a bootstrap already made for that source, as x or as y.
     """
     if config.margins == "known":
         return [Calibration(chisq_sf(div.normalized, part.num_cells - 1), part.num_cells, k_n)
@@ -369,7 +367,7 @@ def run_test(x: Sample, y: Sample, config: TestConfig,
     if calibration.null is not None:
         bootstrap = {"replicates": config.bootstrap_replicates,
                      "source": config.bootstrap_source,
-                     "exceedance_rule": config.bootstrap_exceedances,
+                     "exceedance_rule": "proportional",
                      "k_half": calibration.null.k_half}
         if calibration.p_value == 0.0:
             warnings.append("no bootstrap replicate exceeded the statistic: "

@@ -422,12 +422,9 @@ def build_pairs(series: RainSeries, drop_incomplete_days: bool = True,
 
 @dataclass(frozen=True)
 class SeasonPairOutcome:
-    """Result of one season-pair comparison, or the reason it did not run."""
+    """Result of one season-pair comparison, or the reason it did not run;
+    the pair is its key in ``SeasonalOutcomes``."""
 
-    season_x: str
-    season_y: str
-    n_x: Optional[int] = None
-    n_y: Optional[int] = None
     k_used: Optional[int] = None
     report: Optional[TestReport] = None
     error: Optional[str] = None
@@ -467,7 +464,7 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
             px, py = pairs_by_season[season_x], pairs_by_season[season_y]
             if isinstance(px, str) or isinstance(py, str):
                 msg = px if isinstance(px, str) else py
-                outcomes[key] = SeasonPairOutcome(season_x, season_y, error=msg)
+                outcomes[key] = SeasonPairOutcome(error=msg)
                 continue
             k = config.k_exceedances
             cap = min(px.n, py.n) - 1
@@ -481,10 +478,8 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
             try:
                 report = run_test(Sample(px.data), Sample(py.data), pair_config, nulls=nulls)
             except (DomainError, InsufficientDataError, ValueError) as exc:
-                outcomes[key] = SeasonPairOutcome(season_x, season_y, px.n, py.n, k,
-                                                  error=str(exc))
+                outcomes[key] = SeasonPairOutcome(k, error=str(exc))
                 continue
             report = replace(report, warnings=report.warnings + notes)
-            outcomes[key] = SeasonPairOutcome(season_x, season_y, px.n, py.n, k,
-                                              report=report)
+            outcomes[key] = SeasonPairOutcome(k, report=report)
     return outcomes

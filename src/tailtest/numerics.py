@@ -286,9 +286,10 @@ class RngStream:
         """Permutations of range(n), one per key: rows of ``child_keys`` as ints.
 
         With the keys of children ``a .. b - 1`` the rows are their
-        ``child(i).permutation(n)`` bit for bit. Each key is loaded into one reused Philox through its state, which
-        costs about a quarter of building the child. Like its generator, a
-        stream is not for concurrent use.
+        ``child(i).permutation(n)`` bit for bit. Each key is loaded into one
+        reused Philox through its state, which costs about a quarter of
+        building the child. Like its generator, a stream is not for
+        concurrent use.
         """
         gen = self._child_keying[2]
         out = np.empty((len(keys), n), dtype=np.int_)

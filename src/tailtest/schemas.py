@@ -68,7 +68,7 @@ TEST_REPORT_SCHEMA = {
                     "properties": {
                         "replicates": {"type": "integer", "minimum": 1},
                         "source": {"enum": ["x", "symmetric"]},
-                        "exceedance_rule": {"enum": ["proportional", "same"]},
+                        "exceedance_rule": {"enum": ["proportional"]},
                         "k_half": {"type": "integer", "minimum": 1},
                     },
                 },

@@ -104,8 +104,8 @@ class TestCriterion3BootstrapFidelity:
             config = TestConfig(k_exceedances=200, risk="euclidean", num_cells=4,
                                 margins=margins, bootstrap_replicates=1000, seed=205)
             source = to_pareto(raw, UNIFORM_PAIR) if margins == "known" else to_pseudo(raw)
-            [null] = bootstrap_null(source, [(part, config.k_exceedances)], config,
-                                    bootstrap_stream(config.seed))
+            [null] = bootstrap_null(source, [(part, config.k_exceedances)],
+                                    config.bootstrap_replicates, bootstrap_stream(config.seed))
             results[margins] = ks_statistic_two_sample(null.replicates, fresh)
         ok = results["known"] <= 0.10 and results["empirical"] <= 0.10
         report("criterion 3 (bootstrap fidelity)", ok,

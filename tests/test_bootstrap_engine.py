@@ -74,18 +74,17 @@ def _reference_kl_value(p, q):
 
 def reference_bootstrap_null(source, config, partition, stream):
     n = source.n
-    k_n = config.k_exceedances
     half = n // 2
-    k_half = max(1, k_n // 2) if config.bootstrap_exceedances == "proportional" else k_n
+    k_half = max(1, config.k_exceedances // 2)
 
     data = source.data
-    state = source.margin_state if config.margins == "known" else "pseudo"
+    state = source.margin_state
     replicates = np.empty(config.bootstrap_replicates)
     for b in range(config.bootstrap_replicates):
         perm = stream.child(b).permutation(n)
         first = data[perm[:half]]
         second = data[perm[half:]]
-        if config.margins == "empirical":
+        if state == "pseudo":
             first = _reference_rank_transform(first)
             second = _reference_rank_transform(second)
         cells_a = _reference_count_cells(Sample(first, state), partition, k_half)
@@ -110,7 +109,8 @@ def assert_matches_reference(source, config, chunk_points=None, block_replicates
                                         bootstrap_stream(config.seed))
     targets = [(partition, config.k_exceedances)]
     with _engine_constants(chunk_points, block_replicates):
-        [null] = bootstrap_null(source, targets, config, bootstrap_stream(config.seed))
+        [null] = bootstrap_null(source, targets, config.bootstrap_replicates,
+                                bootstrap_stream(config.seed))
     assert np.array_equal(null.replicates, expected)
     return null
 
@@ -120,7 +120,8 @@ def assert_targets_match_reference(source, config, targets, chunk_points=None,
     """Each target's null from one multi-target bootstrap equals the
     one-at-a-time reference of that target alone."""
     with _engine_constants(chunk_points, block_replicates):
-        nulls = bootstrap_null(source, targets, config, bootstrap_stream(config.seed))
+        nulls = bootstrap_null(source, targets, config.bootstrap_replicates,
+                               bootstrap_stream(config.seed))
     assert len(nulls) == len(targets)
     for null, (partition, k_n) in zip(nulls, targets):
         alone = dataclasses.replace(config, k_exceedances=k_n)
@@ -142,12 +143,11 @@ SCHEMES = [dict(risk="max"), dict(risk="min"), dict(risk="euclidean", num_cells=
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("margins", ["empirical", "known"])
     @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s["risk"])
-    @pytest.mark.parametrize("rule", ["proportional", "same"])
-    def test_schemes_margins_rules(self, margins, scheme, rule):
+    def test_schemes_and_margins(self, margins, scheme):
         raw = _raw(401, 3)                       # odd n: halves of 200 and 201
         source = to_pseudo(raw) if margins == "empirical" else to_pareto(raw, [uniform_cdf] * 2)
         config = TestConfig(k_exceedances=40, margins=margins, bootstrap_replicates=130,
-                            bootstrap_exceedances=rule, seed=11, **scheme)
+                            seed=11, **scheme)
         null = assert_matches_reference(source, config)
         assert null.B == 130
 
@@ -209,11 +209,10 @@ def _max_risk_ties(n, seed):
 
 class TestBlocksAndNestedK:
     @pytest.mark.parametrize("block_replicates", BLOCK_LAYOUTS)
-    @pytest.mark.parametrize("rule", ["proportional", "same"])
-    def test_max_risk_ties_straddling_nested_thresholds(self, block_replicates, rule):
+    def test_max_risk_ties_straddling_nested_thresholds(self, block_replicates):
         data = _max_risk_ties(400, 30)
         config = TestConfig(k_exceedances=40, risk="max", margins="known",
-                            bootstrap_replicates=101, bootstrap_exceedances=rule, seed=31)
+                            bootstrap_replicates=101, seed=31)
         # In the first replicate's first half, two or more nested half k share
         # one max-risk threshold, and its ties are split between selected and
         # unselected rows at each of them.
@@ -222,7 +221,7 @@ class TestBlocksAndNestedK:
         by_threshold = {}
         for part, k in NESTED_TARGETS:
             if part.risk.kind == "max":
-                k_half = k // 2 if rule == "proportional" else k
+                k_half = k // 2
                 by_threshold.setdefault(ordered[200 - k_half - 1], set()).add(k_half)
         tie, shared = max(by_threshold.items(), key=lambda item: len(item[1]))
         assert len(shared) >= 2
@@ -264,20 +263,19 @@ def bootstrap_cases(draw):
     k = draw(st.integers(1, n // 4))
     num_cells = draw(st.integers(2, 12)) if scheme in ("euclidean", "sum") else None
     margins = draw(st.sampled_from(["empirical", "known"]))
-    rule = draw(st.sampled_from(["proportional", "same"]))
     seed = draw(st.integers(0, 2 ** 32))
     tie_density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
     pre_ranked = draw(st.booleans())
     chunk_points = draw(st.integers(1, 4 * n))
     block_replicates = draw(st.integers(1, 150))
-    return (scheme, d, n, k, num_cells, margins, rule, seed, tie_density, pre_ranked,
+    return (scheme, d, n, k, num_cells, margins, seed, tie_density, pre_ranked,
             chunk_points, block_replicates)
 
 
 @settings(max_examples=40, deadline=None)
 @given(bootstrap_cases())
 def test_engine_matches_reference_property(case):
-    (scheme, d, n, k, num_cells, margins, rule, seed, tie_density, pre_ranked,
+    (scheme, d, n, k, num_cells, margins, seed, tie_density, pre_ranked,
      chunk_points, block_replicates) = case
     stream = RngStream(seed % 1000, (7,))
     u = stream.child(0).uniform((n, d))
@@ -290,6 +288,6 @@ def test_engine_matches_reference_property(case):
     else:
         source = to_pseudo(Sample(pareto))
     config = TestConfig(k_exceedances=k, risk=scheme, num_cells=num_cells, margins=margins,
-                        bootstrap_replicates=100, bootstrap_exceedances=rule, seed=seed)
+                        bootstrap_replicates=100, seed=seed)
     assert_matches_reference(source, config, chunk_points=chunk_points,
                              block_replicates=block_replicates)

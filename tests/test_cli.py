@@ -91,6 +91,16 @@ class TestTestCommand:
         assert doc["reject"] is True
         jsonschema.validate(doc, get_schema("test"))
 
+    def test_exceedance_rule_flag_removed(self, capsys, tmp_path):
+        # The bootstrap has one exceedance rule, so there is no flag to pick one.
+        src, _ = simulate_file(capsys, tmp_path, "u.csv", n=100)
+        code = main(["test", src, src, "--sets", "4", "--k-exceedances", "10",
+                     "--bootstrap-exceedances", "same"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments: --bootstrap-exceedances" in captured.err
+
     def test_sets_one_is_usage_error(self, capsys, tmp_path):
         src, _ = simulate_file(capsys, tmp_path, "u.csv", n=100)
         code = main(["test", src, src, "--sets", "1", "--k-exceedances", "10"])
@@ -245,7 +255,6 @@ class TestPowerCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [("--bootstrap-source", "symmetric"),
-                                             ("--bootstrap-exceedances", "same"),
                                              ("--known-cdf", "uniform")])
     def test_test_only_flags_rejected(self, capsys, tmp_path, flag, value):
         # The study does not read these, so accepting them would ignore them silently.

@@ -35,9 +35,10 @@ class TestConfigValidation:
         assert TestConfig(k_exceedances=10, risk="l2", num_cells=4).risk == "euclidean"
         assert TestConfig(k_exceedances=10, risk="l1", num_cells=4).risk == "sum"
 
-    def test_bad_rule(self):
-        with pytest.raises(ConfigError):
-            TestConfig(k_exceedances=10, bootstrap_exceedances="half")
+    def test_exceedance_rule_not_a_field(self):
+        # The bootstrap has one rule, k/2 exceedances per half; it is not configurable.
+        with pytest.raises(TypeError):
+            TestConfig(k_exceedances=10, bootstrap_exceedances="proportional")
 
 
 class TestRunTestKnownMargins:
@@ -195,6 +196,7 @@ class TestRunTestEmpiricalMargins:
         assert doc["method"] == "bootstrap"
         assert len(doc["cells"]["labels"]) == doc["num_cells"] == 3
         assert doc["bootstrap"]["k_half"] == 30
+        assert doc["bootstrap"]["exceedance_rule"] == "proportional"
         assert doc["rank_ties"]["policy"] == "stable-ordinal"
 
     def test_zero_p_value_warns(self):
@@ -226,14 +228,13 @@ class TestSymmetricSourceSwap:
 
     @settings(max_examples=8, deadline=None)
     @given(risk=st.sampled_from(["max", "min", "euclidean", "sum"]),
-           rule=st.sampled_from(["proportional", "same"]),
            n_y=st.sampled_from([400, 401, 520]), k=st.integers(10, 100),
            seed=st.integers(0, 2 ** 16))
-    def test_statistic_and_p_value_unchanged_under_swap(self, risk, rule, n_y, k, seed):
+    def test_statistic_and_p_value_unchanged_under_swap(self, risk, n_y, k, seed):
         x = simulate(CopulaModel("outer_power_clayton", 0.45), 400, seed, 0)
         y = simulate(CopulaModel("outer_power_clayton", 0.6), n_y, seed, 1)
         config = TestConfig(k_exceedances=k, risk=risk, bootstrap_replicates=100,
-                            bootstrap_exceedances=rule, bootstrap_source="symmetric", seed=seed,
+                            bootstrap_source="symmetric", seed=seed,
                             num_cells=None if risk in ("max", "min") else 4)
         a, b = run_test(x, y, config), run_test(y, x, config)
         assert a.statistic == b.statistic
@@ -244,7 +245,7 @@ def bootstrap_own_null(source, config):
     """The bootstrap null of the test's own partition and k on its bootstrap stream."""
     [null] = bootstrap_null(source, [(inference.build_partition(config, source.d),
                                       config.k_exceedances)],
-                            config, inference.bootstrap_stream(config.seed))
+                            config.bootstrap_replicates, inference.bootstrap_stream(config.seed))
     return null
 
 
@@ -279,18 +280,13 @@ class TestBootstrapNull:
         ks = max(np.max(grid - cdf_vals), np.max(cdf_vals - (grid - 1.0 / len(norm))))
         assert ks <= 0.08
 
-    def test_same_rule_flag(self):
-        src = to_pareto(simulate(CopulaModel("logistic", 0.5), 1000, 11), UNIFORM_PAIR)
-        config = TestConfig(k_exceedances=100, risk="euclidean", num_cells=4,
-                            margins="known", bootstrap_replicates=100, seed=33,
-                            bootstrap_exceedances="same")
-        assert bootstrap_own_null(src, config).k_half == 100
-
-    def test_raw_source_rejected_for_known_margins(self):
+    @pytest.mark.parametrize("margins", ["known", "empirical"])
+    def test_raw_source_rejected(self, margins):
+        # The source's margin state sets the mode, and raw data has none.
         raw = simulate(CopulaModel("logistic", 0.5), 1000, 12)
         config = TestConfig(k_exceedances=100, risk="euclidean", num_cells=4,
-                            margins="known", bootstrap_replicates=100)
-        with pytest.raises(ConfigError):
+                            margins=margins, bootstrap_replicates=100)
+        with pytest.raises(ConfigError, match="raw"):
             bootstrap_own_null(raw, config)
 
 

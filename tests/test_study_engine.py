@@ -10,6 +10,7 @@ fresh pair drawn per replicate and per margin mode. Every number must agree
 bit for bit.
 """
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -60,8 +61,8 @@ def _reference_evaluate(xs, ys, partition, k, plan, config):
         p_value = chisq_sf(div.normalized, dof)
         critical = 2.0 * chisq_quantile(1.0 - plan.level, dof) / k
     else:
-        [null] = bootstrap_null(xs, [(partition, config.k_exceedances)], config,
-                                bootstrap_stream(config.seed))
+        [null] = bootstrap_null(xs, [(partition, config.k_exceedances)],
+                                config.bootstrap_replicates, bootstrap_stream(config.seed))
         p_value = bootstrap_p_value(div, null)
         critical = float(np.quantile(null.replicates, 1.0 - plan.level))
     return div.value, p_value, critical
@@ -152,30 +153,24 @@ class TestMultiTargetBootstrap:
                 (make_angular_partition("sum", 4), 40), (make_max_partition(2), 21),
                 (make_min_partition(2), 40), (make_angular_partition("euclidean", 5), 40)]
 
-    def _assert_matches_single_calls(self, source, config):
+    def _assert_matches_single_calls(self, source, seed):
         targets = self._targets()
-        nulls = bootstrap_null(source, targets, config, bootstrap_stream(config.seed))
+        nulls = bootstrap_null(source, targets, 100, bootstrap_stream(seed))
         assert len(nulls) == len(targets)
         for null, target in zip(nulls, targets):
-            [single] = bootstrap_null(source, [target], config, bootstrap_stream(config.seed))
+            [single] = bootstrap_null(source, [target], 100, bootstrap_stream(seed))
             assert np.array_equal(null.replicates, single.replicates)
             assert null.k_half == single.k_half
 
-    @pytest.mark.parametrize("rule", ["proportional", "same"])
-    def test_tied_pseudo_source(self, rule):
+    def test_tied_pseudo_source(self):
         # A caller-built pseudo sample with repeated values in one column.
         u = RngStream(21).uniform((301, 2))
         data = np.column_stack([1.0 + np.floor(u[:, 0] * 20.0), 1.0 / (1.0 - u[:, 1])])
-        config = TestConfig(k_exceedances=40, bootstrap_replicates=100,
-                            bootstrap_exceedances=rule, seed=22)
-        self._assert_matches_single_calls(Sample(data, "pseudo"), config)
+        self._assert_matches_single_calls(Sample(data, "pseudo"), 22)
 
-    @pytest.mark.parametrize("rule", ["proportional", "same"])
-    def test_known_margin_source(self, rule):
+    def test_known_margin_source(self):
         source = to_pareto(sample(OPC_PAIR[0], 400, RngStream(23)), UNIFORM_PAIR)
-        config = TestConfig(k_exceedances=40, margins="known", bootstrap_replicates=100,
-                            bootstrap_exceedances=rule, seed=24)
-        self._assert_matches_single_calls(source, config)
+        self._assert_matches_single_calls(source, 24)
 
 
 class TestNullHistogramStudy:
@@ -188,16 +183,28 @@ class TestNullHistogramStudy:
         raw = sample(model, n, base_stream.child(0))
         for mode_ix, margins in enumerate(("known", "empirical")):
             mode = getattr(result, margins)
-            config = TestConfig(k_exceedances=k, risk="euclidean", num_cells=cells,
-                                margins=margins, bootstrap_replicates=max(count, 100),
-                                seed=seed)
             source = to_pareto(raw, UNIFORM_PAIR) if margins == "known" else to_pseudo(raw)
-            [null] = bootstrap_null(source, [(partition, k)], config,
+            [null] = bootstrap_null(source, [(partition, k)], max(count, 100),
                                     base_stream.child(1).child(mode_ix))
             boot = null.replicates[:count]
             assert np.array_equal(mode.bootstrap, boot)
             assert np.array_equal(mode.fresh,
                                   reference_fresh(model, n, k, partition, count, seed, margins))
+
+    def test_engine_runs_the_requested_replicates(self, monkeypatch):
+        # Below the empirical test's floor of 100, the study still asks the
+        # engine for exactly its own count, in both margin modes.
+        real, counts = experiments.bootstrap_null, []
+
+        def spy(*args, **kwargs):
+            counts.append(inspect.signature(real).bind(*args, **kwargs).arguments["replicates"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "bootstrap_null", spy)
+        result = null_histogram_study(CopulaModel("logistic", 0.45), 400, 40, 4,
+                                      bootstrap_replicates=37, seed=28)
+        assert counts == [37, 37]
+        assert result.known.bootstrap.size == result.empirical.bootstrap.size == 37
 
 
 @st.composite
