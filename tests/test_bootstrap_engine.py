@@ -143,13 +143,15 @@ SCHEMES = [dict(risk="max"), dict(risk="min"), dict(risk="euclidean", num_cells=
 class TestEngineMatchesReference:
     @pytest.mark.parametrize("margins", ["empirical", "known"])
     @pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s["risk"])
-    def test_schemes_and_margins(self, margins, scheme):
+    @pytest.mark.parametrize("k", [40, 41])     # odd k: k // 2 rounds down
+    def test_schemes_and_margins(self, margins, scheme, k):
         raw = _raw(401, 3)                       # odd n: halves of 200 and 201
         source = to_pseudo(raw) if margins == "empirical" else to_pareto(raw, [uniform_cdf] * 2)
-        config = TestConfig(k_exceedances=40, margins=margins, bootstrap_replicates=130,
+        config = TestConfig(k_exceedances=k, margins=margins, bootstrap_replicates=130,
                             seed=11, **scheme)
         null = assert_matches_reference(source, config)
         assert null.B == 130
+        assert null.k_half == 20
 
     def test_chunks_do_not_divide_replicates(self):
         source = to_pseudo(_raw(500, 4))

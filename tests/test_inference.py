@@ -280,6 +280,16 @@ class TestBootstrapNull:
         ks = max(np.max(grid - cdf_vals), np.max(cdf_vals - (grid - 1.0 / len(norm))))
         assert ks <= 0.08
 
+    @pytest.mark.parametrize("k, k_half", [(100, 50), (101, 50), (1, 1)])
+    def test_k_half_is_half_of_k(self, k, k_half):
+        # Each half of n/2 points keeps max(1, k // 2) exceedances.
+        src = to_pareto(simulate(CopulaModel("logistic", 0.5), 1000, 11), UNIFORM_PAIR)
+        config = TestConfig(k_exceedances=k, risk="max", margins="known",
+                            bootstrap_replicates=100, seed=33)
+        null = bootstrap_own_null(src, config)
+        assert null.k_half == k_half
+        assert null.B == 100
+
     @pytest.mark.parametrize("margins", ["known", "empirical"])
     def test_raw_source_rejected(self, margins):
         # The source's margin state sets the mode, and raw data has none.

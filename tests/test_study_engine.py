@@ -153,24 +153,28 @@ class TestMultiTargetBootstrap:
                 (make_angular_partition("sum", 4), 40), (make_max_partition(2), 21),
                 (make_min_partition(2), 40), (make_angular_partition("euclidean", 5), 40)]
 
-    def _assert_matches_single_calls(self, source, seed):
+    def _assert_matches_single_calls(self, source, replicates, seed):
         targets = self._targets()
-        nulls = bootstrap_null(source, targets, 100, bootstrap_stream(seed))
+        nulls = bootstrap_null(source, targets, replicates, bootstrap_stream(seed))
         assert len(nulls) == len(targets)
         for null, target in zip(nulls, targets):
-            [single] = bootstrap_null(source, [target], 100, bootstrap_stream(seed))
+            [single] = bootstrap_null(source, [target], replicates, bootstrap_stream(seed))
+            assert null.B == replicates
             assert np.array_equal(null.replicates, single.replicates)
             assert null.k_half == single.k_half
 
-    def test_tied_pseudo_source(self):
+    # 37 is below the empirical test's floor of 100, as the null study may ask.
+    @pytest.mark.parametrize("replicates", [100, 37])
+    def test_tied_pseudo_source(self, replicates):
         # A caller-built pseudo sample with repeated values in one column.
         u = RngStream(21).uniform((301, 2))
         data = np.column_stack([1.0 + np.floor(u[:, 0] * 20.0), 1.0 / (1.0 - u[:, 1])])
-        self._assert_matches_single_calls(Sample(data, "pseudo"), 22)
+        self._assert_matches_single_calls(Sample(data, "pseudo"), replicates, 22)
 
-    def test_known_margin_source(self):
+    @pytest.mark.parametrize("replicates", [100, 37])
+    def test_known_margin_source(self, replicates):
         source = to_pareto(sample(OPC_PAIR[0], 400, RngStream(23)), UNIFORM_PAIR)
-        self._assert_matches_single_calls(source, 24)
+        self._assert_matches_single_calls(source, replicates, 24)
 
 
 class TestNullHistogramStudy:
