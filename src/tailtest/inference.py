@@ -6,11 +6,39 @@ margins the null distribution is approximated by a split-half subsample
 bootstrap: half of one sample is drawn without replacement, the two-half
 statistic is computed with k_n/2 exceedances per half and divided by 2,
 which puts it on the scale of the full-sample statistic.
+
+A replicate needs only each half's top k_half + 1 rows by risk, so the
+bootstrap ranks and scores candidate rows alone, after the threshold
+algorithm of Fagin, Lotem & Naor (JCSS 2003):
+
+- Candidates are the rows in the top D positions of some coordinate's
+  whole-sample order. The depth D is read from the source and each risk
+  kind's largest k (``_prefix_depth``), never from an option.
+- A row's rank within its half is the number of its half's rows at or below
+  its whole-sample position. Every risk is monotone in each coordinate, so a
+  row outside the candidates has at most the risk of its half's boundary
+  point: in each coordinate, the half's last row below position n - D.
+- When the min risk is the only risk, the candidates are the rows in the
+  top D positions of every coordinate, and the bound is the boundary point's
+  largest coordinate: a row below position n - D in one coordinate has at
+  most that min risk.
+- Stop check: when each half's (k_half + 1)-th largest candidate risk
+  strictly exceeds its boundary risk, the threshold, the exceedances and
+  every row tied at the threshold are candidates. Equality is not enough: a
+  row outside the prefix may tie the boundary risk.
+- A replicate that fails the check is redone by the same code at D = n,
+  where every row is a candidate and nothing is bounded. A pseudo source
+  with a tied column runs at D = n throughout: that column is ranked in each
+  half by a stable sort in permuted order, so its ties fall by position.
+- Threshold ties keep ``top_k``'s stable rule: the last tied rows by
+  position in the permuted half are kept. Positions are looked up only for
+  the replicates whose selection needs them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -22,7 +50,7 @@ from .errors import ConfigError, DomainError, InsufficientDataError
 from .margins import Sample, _ordinal_ranks, pseudo_scale, standardize
 from .numerics import RngStream, chisq_quantile, chisq_sf
 from .partitions import (Partition, cell_histogram, count_cells, make_angular_partition,
-                         make_max_partition, make_min_partition, scaled_exceedances)
+                         make_max_partition, make_min_partition)
 
 RISK_ALIASES = {"max": "max", "min": "min", "l2": "euclidean", "euclidean": "euclidean",
                 "l1": "sum", "sum": "sum"}
@@ -37,6 +65,10 @@ _CHUNK_POINTS = 2 ** 14
 # chunks, at least one): fewer calls per target than one per chunk, and a block
 # buffer small next to buffering every replicate.
 _BLOCK_REPLICATES = 128
+# It ranks and selects the candidates of whole chunks of replicates at a time,
+# as many as keep that below _CANDIDATE_POINTS candidate rows (at least one
+# chunk, at most one block).
+_CANDIDATE_POINTS = 2 ** 15
 
 
 def bootstrap_stream(seed: int) -> RngStream:
@@ -165,34 +197,187 @@ def _check_bootstrap_size(n: int, k_n: int, source_label: str):
         )
 
 
-def _half_pseudo(data: np.ndarray, order_pos: np.ndarray, tied_columns: np.ndarray,
-                 perms: np.ndarray, scales: tuple[np.ndarray, np.ndarray]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-observations of both halves of each permuted sample, each half
-    ranked on its own, rows in permuted order: shapes (c, half, d) and
-    (c, n - half, d) for c permutations of the n rows of ``data``.
+# The prefix reaches the whole-sample risk of the top k + _DEPTH_SLACK * sqrt(k)
+# rows (k = 2 k_half). A half's threshold sits near the whole sample's
+# (k + 1)-th largest risk, give or take the spread of the top rows between the
+# halves, about sqrt(k) rows; the slack keeps the stop check from failing.
+_DEPTH_SLACK = 6
 
-    ``order_pos`` (d, n) holds each column's 0-based stable order in the
-    whole sample. A column without repeated values is ranked from it: a
-    row's rank within its half is the number of that half's rows at or
-    below it. ``tied_columns`` are ranked by a stable sort of each half
-    instead, so their ties are broken by position in the permuted half.
-    ``scales[h][r]`` is the pseudo-observation of rank r in half h.
+
+def _prefix_depth(source: Sample, ks_by_risk: dict) -> int:
+    """Prefix depth D of a bootstrap of ``source``, at most n.
+
+    For each risk kind, take the whole-sample risk t that the top
+    k + _DEPTH_SLACK * sqrt(k) rows reach, k = 2 k_half at the kind's
+    largest k_half. A row below t / r(1, ..., 1) in every coordinate has risk
+    below t, the risks being monotone and 1-homogeneous; D is the most rows
+    that any coordinate holds at or above that value. (A row of min risk at
+    least t is at or above t in every coordinate, so it is also in the top D
+    of every coordinate.)"""
+    n = source.n
+    depth = 0
+    for risk, ks in ks_by_risk.items():
+        k = 2 * ks[-1]
+        top = min(n, math.ceil(k + _DEPTH_SLACK * math.sqrt(k)))
+        reach = np.partition(risk(source.data), n - top)[n - top]
+        unit = risk(np.ones(source.d))
+        depth = max(depth, int((source.data >= reach / unit).sum(axis=0).max()))
+    return min(n, depth)
+
+
+def _index_dtype(n: int):
+    """Compact integer dtype of the permutations of n rows and of half-sample counts."""
+    return np.int16 if n < 2 ** 15 else np.int32
+
+
+class _Prefix:
+    """The candidate rows of a bootstrap source at prefix depth D (the rows,
+    ascending, in the top D positions of some coordinate's whole-sample
+    order ``order_pos`` (d, n)) and the split-half top-k exceedances of each
+    ``ks_by_risk`` (risk, k_half) computed from them. At D = n every row is
+    a candidate and nothing is bounded.
+
+    When every risk is the min risk, the candidates are the rows in the top
+    D positions of every coordinate (far fewer under weak dependence): a row
+    below position n - D in some coordinate has min risk at most the largest
+    coordinate of its half's boundary point.
     """
-    half = scales[0].size - 1
-    c, n = perms.shape
-    pos = order_pos.take(perms, axis=1)                    # (d, c, n)
-    flat = pos + (n * np.arange(pos.shape[0] * c)).reshape(-1, c, 1)
-    in_first = np.zeros(pos.size, dtype=bool)
-    in_first[flat[..., :half]] = True
-    below = np.cumsum(in_first.reshape(pos.shape), axis=-1).ravel()
-    ranks = (below.take(flat[..., :half]), pos[..., half:] + 1 - below.take(flat[..., half:]))
-    for j in tied_columns:
-        column = data[:, j].take(perms)
-        for rank, part in zip(ranks, (column[:, :half], column[:, half:])):
-            np.put_along_axis(rank[j], np.argsort(part, axis=1, kind="stable"),
-                              np.arange(1, part.shape[1] + 1), axis=1)
-    return tuple(scale.take(np.moveaxis(r, 0, -1)) for scale, r in zip(scales, ranks))
+
+    def __init__(self, source: Sample, order_pos: np.ndarray, depth: int,
+                 tied_columns: np.ndarray, chunk: int, block: int, ks_by_risk: dict):
+        n, d = source.n, source.d
+        self.n, self.half, self.depth, self.full = n, n // 2, depth, depth >= n
+        self.ks_by_risk = ks_by_risk
+        self.every = all(risk.kind == "min" for risk in ks_by_risk)
+        inside = order_pos >= n - depth
+        self.rows = (np.arange(n) if self.full
+                     else np.flatnonzero(inside.all(axis=0) if self.every else inside.any(axis=0)))
+        self.chunk = chunk
+        self.capacity = capacity = min(block, chunk * max(1, _CANDIDATE_POINTS
+                                                          // (chunk * max(1, self.rows.size))))
+        self.order_pos, self.pos = order_pos, order_pos[:, self.rows]
+        self.pseudo = source.margin_state == "pseudo"
+        self.first = np.empty((capacity, self.rows.size), dtype=bool)
+        if self.pseudo:
+            # Pseudo-observations of both halves in one table: rank r of the
+            # first half at index r, of the second at half + 1 + r.
+            self.table = np.concatenate([pseudo_scale(self.half), pseudo_scale(n - self.half)])
+            self.tied_columns, self.data = tied_columns, source.data
+            self.values = np.empty((capacity, self.rows.size, d))
+            self.bound_values = np.empty((capacity, 2, d))
+        else:
+            self.values = source.data[self.rows]
+            if not self.full:
+                # Whole-sample values at position n - D - 1 bound both halves.
+                last = np.argmax(order_pos == n - depth - 1, axis=1)
+                self.bound_values = source.data[last, np.arange(d)]
+
+    def locate(self, perms: np.ndarray, offset: int):
+        """Which candidates fall in the first half of each permutation in
+        ``perms`` (c, n), and for a pseudo source their pseudo-observations
+        within their half and those of the boundary point of each half;
+        written from row ``offset``."""
+        c, n, half = perms.shape[0], self.n, self.half
+        out = slice(offset, offset + c)
+        lanes = n * np.arange(c)[:, None]
+        for j, (pos, order) in enumerate(zip(self.pos, self.order_pos)):
+            # The first half's rows in coordinate j's whole-sample order.
+            member = np.zeros((c, n), dtype=bool)
+            member.reshape(-1)[order.take(perms[:, :half]) + lanes] = True
+            if j == 0:
+                first = self.first[out]
+                member.take(pos, axis=1, out=first)
+            if not self.pseudo:
+                return
+            # First-half rows at or below each position, which ranks both halves.
+            below = np.cumsum(member, axis=1, dtype=_index_dtype(n))
+            at = below.take(pos, axis=1)
+            # Table index at for the first half, half + 1 + (pos + 1 - at) for
+            # the second; by arithmetic, as a select on a random mask is slow.
+            index = pos + (half + 2) - at
+            index -= (index - at) * first
+            self.values[out, :, j] = self.table.take(index)
+            if not self.full:
+                rank = below[:, n - self.depth - 1]
+                self.bound_values[out, 0, j] = self.table.take(rank)
+                self.bound_values[out, 1, j] = self.table.take(n - self.depth + half + 1 - rank)
+        for j in self.tied_columns:
+            # A tied column's rows are ranked in each half by a stable sort of
+            # their values in permuted order (at D = n, so rows are candidates).
+            for start, part in ((0, perms[:, :half]), (half + 1, perms[:, half:])):
+                by_value = np.argsort(self.data[:, j].take(part), axis=1, kind="stable")
+                np.put_along_axis(self.values[out, :, j],
+                                  np.take_along_axis(part, by_value, axis=1),
+                                  self.table[start + 1:start + part.shape[1] + 1], axis=1)
+
+    def exceedances(self, perms: np.ndarray, rows: np.ndarray, buffers: dict) -> np.ndarray:
+        """Write both halves' rescaled top-k exceedances (``top_k``'s stable
+        rule) of each (risk, k) under the permutations ``perms[rows]`` into
+        ``buffers`` at ``rows``, ``capacity`` replicates at a time; return
+        the rows whose strict stop check failed, which are not written."""
+        return np.concatenate([
+            self._group(perms[rows[start:start + self.capacity]],
+                        rows[start:start + self.capacity], buffers)
+            for start in range(0, rows.size, self.capacity)])
+
+    def _group(self, perms: np.ndarray, rows: np.ndarray, buffers: dict) -> np.ndarray:
+        for start in range(0, perms.shape[0], self.chunk):
+            self.locate(perms[start:start + self.chunk], start)
+        (c, n), (m, d) = perms.shape, self.pos.T.shape
+        if m <= max(ks[-1] for ks in self.ks_by_risk.values()):
+            return rows
+        first = self.first[:c]
+        # A Pareto-scale candidate's values and risks are the same in every replicate.
+        values = self.values[:c] if self.pseudo else self.values
+        ok = np.ones(c, dtype=bool)
+        selections = []
+        halves = (first, ~first)
+        for risk, ks in self.ks_by_risk.items():
+            r_all = risk(values)
+            for h, in_half in enumerate(halves):
+                # Risks are positive, so 0 marks the other half's candidates.
+                top = r_all * in_half
+                top.partition(m - ks[-1] - 1, axis=1)
+                top = top[:, m - ks[-1] - 1:]
+                thresholds = [np.partition(top, ks[-1] - k, axis=1)[:, ks[-1] - k]
+                              for k in ks[:-1]] + [top[:, 0]]
+                if not self.full:
+                    # Strict: a row outside the prefix may tie the boundary risk.
+                    bound = self.bound_values[:c, h] if self.pseudo else self.bound_values
+                    ok &= thresholds[-1] > (bound.max(axis=-1) if self.every else risk(bound))
+                selections.append((risk, h, r_all, ks, thresholds))
+        failed = ~ok
+        for risk, h, r_all, ks, thresholds in selections:
+            r_vals = r_all * halves[h]
+            for k, threshold in zip(ks, thresholds):
+                keep = r_vals > threshold[:, None]
+                keep[failed] = False
+                spare = k - np.count_nonzero(keep, axis=1)
+                lanes = np.flatnonzero(ok & (spare > 0))
+                if lanes.size:
+                    span = slice(0, self.half) if h == 0 else slice(self.half, n)
+                    self._keep_last_ties(keep, lanes, spare[lanes], r_vals, threshold,
+                                         perms[lanes, span])
+                flat = np.flatnonzero(keep)
+                points = (values.reshape(-1, d).take(flat, axis=0) if self.pseudo
+                          else values.take(flat % m, axis=0))
+                buffers[risk, k][h, rows[ok]] = points.reshape(-1, k, d) / threshold[ok, None, None]
+        return rows[failed]
+
+    def _keep_last_ties(self, keep, lanes, spare, r_vals, threshold, half_perms):
+        """Add to ``keep`` the last ``spare`` rows tied at the threshold in each
+        of ``lanes``, by position in the permuted half ``half_perms``."""
+        f = lanes.size
+        tied = np.zeros((f, self.n), dtype=bool)
+        lane, column = np.nonzero(r_vals[lanes] == threshold[lanes, None])
+        tied[lane, self.rows[column]] = True
+        # The tied rows of each lane in permuted order; count from the last.
+        lane, at = np.nonzero(np.take_along_axis(tied, half_perms, axis=1))
+        counts = np.bincount(lane, minlength=f)
+        from_last = np.repeat(np.cumsum(counts), counts) - 1 - np.arange(lane.size)
+        chosen = from_last < spare[lane]
+        row = half_perms[lane[chosen], at[chosen]]
+        keep[lanes[lane[chosen]], np.searchsorted(self.rows, row)] = True
 
 
 def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
@@ -212,14 +397,22 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
     ``ConfigError``. Replicates are computed in chunks of array operations
     and equal the one-at-a-time definition bit for bit.
 
-    Per chunk, only work the targets share is done: the permutations, the
-    half-sample ranks, and one ``scaled_exceedances`` pass per half, which
-    computes the risk values once per risk kind and selects the exceedances
-    once per (risk kind, half-sample k), each k nested in the next larger
-    one. The rescaled exceedances are written into buffers holding one block
-    of replicates; once per block, each target is classified, counted and
-    scored with one call each. Each null equals the null of its target
-    bootstrapped alone. ``source_label`` names the source in errors.
+    The candidate rows and the depth D are fixed once per call (see the
+    module docstring). Each block of about _BLOCK_REPLICATES replicates
+    draws its permutations into one compact integer buffer allocated once
+    per call. Per chunk of max(1, _CHUNK_POINTS // n) replicates only the
+    O(n) work that exact ranks need is done: a first-half membership scatter
+    in each coordinate's whole-sample order, whose cumulative sum gives the
+    candidates' within-half ranks and each half's boundary rank. Per group
+    of whole chunks (below _CANDIDATE_POINTS candidate rows, at most a
+    block) the candidates' pseudo-observations (a Pareto-scale source's own
+    values) and risks give each (risk kind, k_half) threshold by one
+    partition at the kind's largest k_half, the strict stop check, and the
+    rescaled exceedances. Replicates that fail the check are redone at
+    D = n. The exceedances fill buffers of one block; once per block, each
+    target is classified, counted and scored with one call each. Each null
+    equals the null of its target bootstrapped alone. ``source_label``
+    names the source in errors.
     """
     n = source.n
     for _, k_n in targets:
@@ -227,41 +420,41 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
     if source.margin_state == "raw":
         raise ConfigError(f"bootstrap of sample {source_label} needs a standardized source, "
                           "got raw data")
-    rerank = source.margin_state == "pseudo"
-    half = n // 2
     half_targets = [(part, max(1, k_n // 2)) for part, k_n in targets]
+    ks_by_risk: dict = {}
+    for part, k_half in half_targets:
+        ks_by_risk.setdefault(part.risk, set()).add(k_half)
+    ks_by_risk = {risk: sorted(ks) for risk, ks in ks_by_risk.items()}
 
-    data = source.data
-    if rerank:
-        ranks, tied = _ordinal_ranks(data.T, axis=1)
-        order_pos = ranks - 1
-        tied_columns = np.flatnonzero(tied.any(axis=1))
-        # Kept alive through the chunk loop, these two arrays leave glibc's heap
-        # laid out so that every chunk's large temporaries are page-faulted
-        # afresh: about 15 times the page faults of a run_test at n = 2000.
-        del ranks, tied
-        scales = (pseudo_scale(half), pseudo_scale(n - half))
+    ranks, tied = _ordinal_ranks(source.data.T, axis=1)
+    order_pos = ranks - 1
+    tied_columns = (np.flatnonzero(tied.any(axis=1)) if source.margin_state == "pseudo"
+                    else np.empty(0, dtype=np.intp))
+    # Freed before the block loop, and the keys below held as ints: arrays
+    # kept alive through it leave glibc's heap laid out so that the loop's
+    # large temporaries are page-faulted afresh.
+    del ranks, tied
     chunk = max(1, _CHUNK_POINTS // n)
     block = min(replicates, chunk * max(1, _BLOCK_REPLICATES // chunk))
+    # A tied pseudo column ranks its ties by permuted position, not by the
+    # whole-sample order, so its bootstrap runs at D = n.
+    depth = n if tied_columns.size else _prefix_depth(source, ks_by_risk)
+    prefix = _Prefix(source, order_pos, depth, tied_columns, chunk, block, ks_by_risk)
+    full = None
     # Both halves' rescaled exceedances of one block of replicates, per (risk, k).
     buffers = {(part.risk, k_half): np.empty((2, block, k_half, source.d))
                for part, k_half in half_targets}
+    perms = np.empty((block, n), dtype=_index_dtype(n))
     values = np.empty((len(targets), replicates))
-    # Held as ints: kept alive through the chunk loop as an array, the keys too
-    # left the heap laid out for every chunk to page-fault afresh.
     keys = stream.child_keys(0, replicates).tolist()
     for first in range(0, replicates, block):
         last = min(replicates, first + block)
-        for start in range(first, last, chunk):
-            stop = min(last, start + chunk)
-            perms = stream.keyed_permutations(keys[start:stop], n)
-            if rerank:
-                halves = _half_pseudo(data, order_pos, tied_columns, perms, scales)
-            else:
-                halves = data.take(perms[:, :half], axis=0), data.take(perms[:, half:], axis=0)
-            for h, points in enumerate(halves):
-                for key, (_, scaled) in scaled_exceedances(points, buffers).items():
-                    buffers[key][h, start - first:stop - first] = scaled
+        block_perms = stream.keyed_permutations(keys[first:last], n, out=perms[:last - first])
+        redo = prefix.exceedances(block_perms, np.arange(last - first), buffers)
+        if redo.size:
+            # Replicates whose stop check failed: the same computation at D = n.
+            full = full or _Prefix(source, order_pos, n, tied_columns, chunk, block, ks_by_risk)
+            full.exceedances(block_perms, redo, buffers)
         for t, (part, k_half) in enumerate(half_targets):
             points = buffers[part.risk, k_half][:, :last - first]
             counts_a, counts_b = cell_histogram(part.classify(points), part.num_cells)

@@ -290,6 +290,23 @@ def _plain_decimals(data: np.ndarray, starts: np.ndarray, ends: np.ndarray
 
 # Character positions of the digits in YYYY-MM-DDTHH:MM.
 _DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15]
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
+# Days from March 1 to the first of each month (January at index 0), in a
+# year that starts on March 1.
+_DAYS_FROM_MARCH = ((153 * ((np.arange(1, 13) + 9) % 12) + 2) // 5).astype(np.int32)
+
+
+def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """Days from 1970-01-01 to each proleptic Gregorian date, by integer
+    arithmetic on 400-year eras of 146097 days that start on March 1
+    (Hinnant, "chrono-Compatible Low-Level Date Algorithms",
+    ``days_from_civil``); a month outside 1-12 gives a meaningless day."""
+    year = year - (month <= 2)
+    era = year // 400
+    year_of_era = year - 400 * era
+    day_of_era = (365 * year_of_era + year_of_era // 4 - year_of_era // 100
+                  + _DAYS_FROM_MARCH.take(month - 1, mode="clip") + day - 1)
+    return 146097 * era + day_of_era - 719468
 
 
 def _grid_minutes(block: bytes, starts: np.ndarray, ends: np.ndarray
@@ -314,9 +331,11 @@ def _grid_minutes(block: bytes, starts: np.ndarray, ends: np.ndarray
     pairs = 10 * digits[:, 0::2].astype(np.int32) + digits[:, 1::2]
     year = 100 * pairs[:, 0] + pairs[:, 1]
     month, day, hour, minute = pairs[:, 2:].T
-    month_start = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
-    first_day = month_start.astype("datetime64[D]").astype(np.int64)
-    month_length = (month_start + 1).astype("datetime64[D]").astype(np.int64) - first_day
+    month_length = _MONTH_DAYS.take(month - 1, mode="clip")
+    # Only a February 29 needs the leap-year rule.
+    feb_29 = np.flatnonzero((month == 2) & (day == 29))
+    leap = year[feb_29]
+    month_length[feb_29] += (leap % 4 == 0) & ((leap % 100 != 0) | (leap % 400 == 0))
     clean = ((digits <= 9).all(axis=1)
              & (codes[:, 4] == ord("-")) & (codes[:, 7] == ord("-"))
              & ((codes[:, 10] == ord("T")) | (codes[:, 10] == ord(" ")))
@@ -324,7 +343,8 @@ def _grid_minutes(block: bytes, starts: np.ndarray, ends: np.ndarray
              & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_length)
              & (hour < 24) & (minute < 60) & (minute % 6 == 0))
     parsed[fixed[clean]] = True
-    minutes[fixed[clean]] = ((first_day + day - 1) * 1440 + hour * 60 + minute)[clean]
+    days = _days_from_civil(year, month, day).astype(np.int64)
+    minutes[fixed[clean]] = (days * 1440 + hour * 60 + minute)[clean]
     for i in np.flatnonzero(~parsed).tolist():
         stamp = _parse_timestamp(block[starts[i]:ends[i]].decode())
         if stamp is not None:

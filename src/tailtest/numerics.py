@@ -282,23 +282,28 @@ class RngStream:
         pool, hash_const, _ = self._child_keying
         return _child_keys(pool, hash_const, start, stop)
 
-    def keyed_permutations(self, keys: list[list[int]], n: int) -> np.ndarray:
+    def keyed_permutations(self, keys: list[list[int]], n: int,
+                           out: np.ndarray | None = None) -> np.ndarray:
         """Permutations of range(n), one per key: rows of ``child_keys`` as ints.
 
         With the keys of children ``a .. b - 1`` the rows are their
         ``child(i).permutation(n)`` bit for bit. Each key is loaded into one
         reused Philox through its state, which costs about a quarter of
-        building the child. Like its generator, a stream is not for
-        concurrent use.
+        building the child. ``out``, when given, is a (len(keys), n) integer
+        array that receives the rows: any dtype that holds n - 1 will do.
+        Like its generator, a stream is not for concurrent use.
         """
         gen = self._child_keying[2]
-        out = np.empty((len(keys), n), dtype=np.int_)
+        if out is None:
+            out = np.empty((len(keys), n), dtype=np.int_)
+        if out.shape != (len(keys), n):
+            raise DomainError(f"out must have shape {(len(keys), n)}, got {out.shape}")
         state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
-        for row, key in enumerate(keys):
+        for row, key in zip(out, keys):
             state["state"] = {"counter": [0] * 4, "key": key}
             gen.bit_generator.state = state
-            out[row] = gen.permutation(n)
+            row[...] = gen.permutation(n)
         return out
 
     @cached_property

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from tailtest import (CellProbabilities, CopulaModel, RngStream, Sample, TestConfig,
                       bootstrap_null, build_partition, make_angular_partition,
-                      make_max_partition, sample, to_pareto, to_pseudo, uniform_cdf)
+                      make_max_partition, make_min_partition, sample, to_pareto, to_pseudo,
+                      uniform_cdf)
 from tailtest import inference
 from tailtest.inference import bootstrap_stream
 
@@ -93,14 +94,37 @@ def reference_bootstrap_null(source, config, partition, stream):
     return replicates
 
 
-def _engine_constants(chunk_points=None, block_replicates=None):
-    """Patch the engine's chunk and block sizes where given."""
+def _engine_constants(chunk_points=None, block_replicates=None, candidate_points=None,
+                      depth=None):
+    """Patch the engine's chunk, block and candidate group sizes and its
+    prefix depth rule (to a fixed depth) where given."""
     stack = contextlib.ExitStack()
     if chunk_points is not None:
         stack.enter_context(mock.patch.object(inference, "_CHUNK_POINTS", chunk_points))
     if block_replicates is not None:
         stack.enter_context(mock.patch.object(inference, "_BLOCK_REPLICATES", block_replicates))
+    if candidate_points is not None:
+        stack.enter_context(mock.patch.object(inference, "_CANDIDATE_POINTS", candidate_points))
+    if depth is not None:
+        stack.enter_context(mock.patch.object(inference, "_prefix_depth",
+                                              lambda source, ks_by_risk: depth))
     return stack
+
+
+@contextlib.contextmanager
+def stop_checks():
+    """Record (replicates, failed) of each block's candidate pass below D = n."""
+    calls = []
+    engine = inference._Prefix.exceedances
+
+    def spy(prefix, perms, rows, buffers):
+        failed = engine(prefix, perms, rows, buffers)
+        if not prefix.full:
+            calls.append((rows.size, failed.size))
+        return failed
+
+    with mock.patch.object(inference._Prefix, "exceedances", spy):
+        yield calls
 
 
 def assert_matches_reference(source, config, chunk_points=None, block_replicates=None):
@@ -116,10 +140,10 @@ def assert_matches_reference(source, config, chunk_points=None, block_replicates
 
 
 def assert_targets_match_reference(source, config, targets, chunk_points=None,
-                                   block_replicates=None):
+                                   block_replicates=None, candidate_points=None, depth=None):
     """Each target's null from one multi-target bootstrap equals the
     one-at-a-time reference of that target alone."""
-    with _engine_constants(chunk_points, block_replicates):
+    with _engine_constants(chunk_points, block_replicates, candidate_points, depth):
         nulls = bootstrap_null(source, targets, config.bootstrap_replicates,
                                bootstrap_stream(config.seed))
     assert len(nulls) == len(targets)
@@ -257,28 +281,103 @@ class TestBlocksAndNestedK:
         assert_targets_match_reference(Sample(data, "pareto"), config, NESTED_TARGETS)
 
 
+class TestPrefixStopCheck:
+    @pytest.mark.parametrize("margins", ["empirical", "known"])
+    @pytest.mark.parametrize("targets, depth", [
+        ([(make_angular_partition("euclidean", 5), 40)], 45), (NESTED_TARGETS, 70)],
+        ids=["one", "nested"])
+    def test_some_replicates_of_a_block_fall_back(self, margins, targets, depth):
+        # At these depths the stop check fails for some of the block's replicates only.
+        raw = _raw(400, 40)
+        source = to_pseudo(raw) if margins == "empirical" else to_pareto(raw, [uniform_cdf] * 2)
+        config = TestConfig(k_exceedances=40, margins=margins, bootstrap_replicates=120, seed=41)
+        with stop_checks() as calls:
+            assert_targets_match_reference(source, config, targets, depth=depth)
+        assert calls and all(0 < failed < size for size, failed in calls)
+
+    def test_threshold_ties_at_the_boundary_risk_fall_back(self):
+        # Max risk on an integer grid at D = 50: the boundary point is (7, 8),
+        # and rows outside the prefix reach its risk 8, the half threshold.
+        data = _max_risk_ties(400, 30)
+        n, depth, k = 400, 50, 40
+        boundary = np.sort(data, axis=0)[n - depth - 1]
+        assert boundary.max() == 8.0
+        ranks = np.argsort(np.argsort(data, axis=0, kind="stable"), axis=0, kind="stable")
+        outside = ~(ranks >= n - depth).any(axis=1)
+        assert (data[outside].max(axis=1) == 8.0).sum() > 0
+        first = data[bootstrap_stream(31).child(0).permutation(n)[:n // 2]].max(axis=1)
+        assert np.sort(first)[n // 2 - k // 2 - 1] == boundary.max()
+        config = TestConfig(k_exceedances=k, risk="max", margins="known",
+                            bootstrap_replicates=101, seed=31)
+        with stop_checks() as calls:
+            assert_targets_match_reference(Sample(data, "pareto"), config,
+                                           [(make_max_partition(2), k)], depth=depth)
+        assert calls == [(101, 101)]
+
+    def test_min_risk_alone_is_bounded_by_the_largest_boundary_coordinate(self):
+        # With min risk alone the candidates are the rows in the top D of every
+        # coordinate. Four rows in five share the value 50 in the second
+        # coordinate, so at D = 250 its boundary value is 50 and the first
+        # coordinate's about 1.6, and rows outside the candidates reach min
+        # risks far above 1.6: the half thresholds never exceed the bound 50.
+        u = RngStream(46).uniform((400, 3))
+        data = np.column_stack([1.0 / (1.0 - u[:, 0]),
+                                np.where(u[:, 1] < 0.8, 50.0, 1.0 / (1.0 - u[:, 2]))])
+        config = TestConfig(k_exceedances=40, risk="min", margins="known",
+                            bootstrap_replicates=101, seed=47)
+        with stop_checks() as calls:
+            assert_targets_match_reference(Sample(data, "pareto"), config,
+                                           [(make_min_partition(2), 40)], depth=250)
+        assert calls == [(101, 101)]
+
+    @pytest.mark.parametrize("depth", [0, 1, 399, 400])
+    def test_extreme_depths(self, depth):
+        source = to_pseudo(_raw(401, 42))
+        config = TestConfig(k_exceedances=40, bootstrap_replicates=100, seed=43)
+        assert_targets_match_reference(source, config, NESTED_TARGETS, depth=depth)
+
+    @pytest.mark.parametrize("targets", [
+        [(make_angular_partition("euclidean", 5), 200), (make_max_partition(2), 200)],
+        [(make_min_partition(2), 200)]], ids=["union", "min-alone"])
+    def test_no_fallback_at_the_depth_rule(self, targets):
+        source = to_pseudo(_raw(2000, 44))
+        config = TestConfig(k_exceedances=200, bootstrap_replicates=100, seed=45)
+        with stop_checks() as calls:
+            assert_targets_match_reference(source, config, targets)
+        assert sum(failed for _, failed in calls) == 0
+
+
+@st.composite
+def _partitions(draw, d):
+    kind = draw(st.sampled_from(["max", "min"] + (["euclidean", "sum"] if d == 2 else [])))
+    if kind == "max":
+        return make_max_partition(d)
+    if kind == "min":
+        return make_min_partition(d)
+    return make_angular_partition(kind, draw(st.integers(2, 12)))
+
+
 @st.composite
 def bootstrap_cases(draw):
-    scheme = draw(st.sampled_from(["max", "min", "euclidean", "sum"]))
-    d = 2 if scheme in ("euclidean", "sum") else draw(st.integers(2, 3))
+    d = draw(st.integers(2, 3))
     n = draw(st.integers(16, 240))
-    k = draw(st.integers(1, n // 4))
-    num_cells = draw(st.integers(2, 12)) if scheme in ("euclidean", "sum") else None
+    k_values = st.just(1) | st.integers(1, n // 4)
+    targets = draw(st.lists(st.tuples(_partitions(d), k_values), min_size=1, max_size=4))
     margins = draw(st.sampled_from(["empirical", "known"]))
     seed = draw(st.integers(0, 2 ** 32))
     tie_density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
     pre_ranked = draw(st.booleans())
-    chunk_points = draw(st.integers(1, 4 * n))
-    block_replicates = draw(st.integers(1, 150))
-    return (scheme, d, n, k, num_cells, margins, seed, tie_density, pre_ranked,
-            chunk_points, block_replicates)
+    constants = dict(chunk_points=draw(st.integers(1, 4 * n)),
+                     block_replicates=draw(st.integers(1, 150)),
+                     candidate_points=draw(st.none() | st.integers(1, 8 * n)),
+                     depth=draw(st.none() | st.integers(0, n)))
+    return d, n, targets, margins, seed, tie_density, pre_ranked, constants
 
 
 @settings(max_examples=40, deadline=None)
 @given(bootstrap_cases())
 def test_engine_matches_reference_property(case):
-    (scheme, d, n, k, num_cells, margins, seed, tie_density, pre_ranked,
-     chunk_points, block_replicates) = case
+    d, n, targets, margins, seed, tie_density, pre_ranked, constants = case
     stream = RngStream(seed % 1000, (7,))
     u = stream.child(0).uniform((n, d))
     coarse = 1.0 + np.floor(stream.child(1).uniform((n, d)) * 5.0)
@@ -289,7 +388,6 @@ def test_engine_matches_reference_property(case):
         source = Sample(pareto, "pseudo")        # may carry ties
     else:
         source = to_pseudo(Sample(pareto))
-    config = TestConfig(k_exceedances=k, risk=scheme, num_cells=num_cells, margins=margins,
-                        bootstrap_replicates=100, seed=seed)
-    assert_matches_reference(source, config, chunk_points=chunk_points,
-                             block_replicates=block_replicates)
+    # The reference of each target replaces k_exceedances with the target's k.
+    config = TestConfig(k_exceedances=1, margins=margins, bootstrap_replicates=100, seed=seed)
+    assert_targets_match_reference(source, config, targets, **constants)

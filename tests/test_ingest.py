@@ -626,6 +626,11 @@ ROW_KINDS = {
     "month_13": lambda slot, d, tok: ("2006-13-01T00:00", d),
     "feb_29_2007": lambda slot, d, tok: ("2007-02-29T00:00", d),
     "feb_29_2008": lambda slot, d, tok: ("2008-02-29T00:%02d" % (6 * (slot % 10)), d),
+    # Century years: 1900 is not a leap year, 2000 is.
+    "feb_29_1900": lambda slot, d, tok: ("1900-02-29T00:00", d),
+    "feb_29_2000": lambda slot, d, tok: ("2000-02-29T23:%02d" % (6 * (slot % 10)), d),
+    "first_day": lambda slot, d, tok: ("0001-01-01T00:%02d" % (6 * (slot % 10)), d),
+    "last_day": lambda slot, d, tok: ("9999-12-31 23:%02d" % (6 * (slot % 10)), d),
     "april_31": lambda slot, d, tok: ("2006-04-31T12:00", d),
     "hour_24": lambda slot, d, tok: ("2006-03-01T24:00", d),
     "year_0": lambda slot, d, tok: ("0000-01-01T00:00", d),
@@ -766,6 +771,19 @@ class TestLoadCsvAgainstOracle:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[0.2, nan]"
+
+    def test_calendar_edges_read_by_array_arithmetic(self, tmp_path):
+        # Valid 16-byte stamps never reach the one-at-a-time parser; 1900-02-29 does.
+        stamps = ["0001-01-01T00:00", "1900-02-28T23:54", "1900-03-01T00:00",
+                  "2000-02-29T00:00", "2000-12-31T23:54", "9999-12-31 23:54"]
+        rows = [f"{stamp},1" for stamp in stamps]
+        with mock.patch.object(ingest, "_parse_timestamp", wraps=ingest._parse_timestamp) as slow:
+            series = load_csv(write_csv(tmp_path / "edges.csv", rows))
+            assert slow.call_count == 0
+            load_csv(write_csv(tmp_path / "invalid.csv", rows[:2] + ["1900-02-29T00:00,1"]))
+            assert slow.call_count == 1
+        want = np.array([stamp.replace(" ", "T") for stamp in stamps], dtype="datetime64[m]")
+        assert np.array_equal(series.timestamps, want)
 
     @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
     def test_non_finite_depths_masked(self, tmp_path, token):

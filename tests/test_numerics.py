@@ -324,3 +324,20 @@ class TestChildPermutations:
 
     def test_empty_child_range(self):
         assert keyed_children(RngStream(3), 4, 4, 10).shape == (0, 10)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    @pytest.mark.parametrize("n", [1, 2, 361, 2000])
+    def test_rows_land_in_a_compact_buffer(self, dtype, n):
+        # The bootstrap reuses one int16 buffer (int32 from n = 2**15) per call.
+        stream = RngStream(5, (1_000_003, 0))
+        out = np.full((9, n), -1, dtype=dtype)
+        got = stream.keyed_permutations(stream.child_keys(40, 47).tolist(), n, out=out[1:8])
+        assert got.base is out and got.dtype == dtype
+        assert np.array_equal(out[1:8], stacked_children(stream, 40, 47, n))
+        assert (out[[0, 8]] == -1).all()
+
+    def test_buffer_of_the_wrong_shape(self):
+        stream = RngStream(5)
+        with pytest.raises(DomainError):
+            stream.keyed_permutations(stream.child_keys(0, 3).tolist(), 10,
+                                      out=np.empty((2, 10), dtype=np.int16))
