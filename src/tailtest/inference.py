@@ -298,7 +298,7 @@ class _Prefix:
             index -= (index - at) * first
             self.values[out, :, j] = self.table.take(index)
             if not self.full:
-                rank = below[:, n - self.depth - 1]
+                rank = below[:, n - self.depth - 1].astype(np.intp)
                 self.bound_values[out, 0, j] = self.table.take(rank)
                 self.bound_values[out, 1, j] = self.table.take(n - self.depth + half + 1 - rank)
         for j in self.tied_columns:

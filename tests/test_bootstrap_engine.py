@@ -330,6 +330,19 @@ class TestPrefixStopCheck:
                                            [(make_min_partition(2), 40)], depth=250)
         assert calls == [(101, 101)]
 
+    @pytest.mark.parametrize("n", [2 ** 15 - 1, 2 ** 15 + 1])
+    @pytest.mark.parametrize("margins", ["empirical", "known"])
+    def test_samples_at_the_int16_limit(self, n, margins):
+        # Permutations and half-sample counts are int16 below n = 2**15 and
+        # int32 from there; table indices of the boundary ranks pass 2**15
+        # from n of about 22,000. Three replicates (the config's margin mode
+        # only lifts the empirical floor of 100; the source sets the mode).
+        raw = _raw(n, 48)
+        source = to_pseudo(raw) if margins == "empirical" else to_pareto(raw, [uniform_cdf] * 2)
+        config = TestConfig(k_exceedances=400, margins="known", bootstrap_replicates=3, seed=49)
+        assert_targets_match_reference(source, config,
+                                       [(make_angular_partition("euclidean", 5), 400)])
+
     @pytest.mark.parametrize("depth", [0, 1, 399, 400])
     def test_extreme_depths(self, depth):
         source = to_pseudo(_raw(401, 42))
