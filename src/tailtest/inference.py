@@ -27,9 +27,10 @@ algorithm of Fagin, Lotem & Naor (JCSS 2003):
   every row tied at the threshold are candidates. Equality is not enough: a
   row outside the prefix may tie the boundary risk.
 - A replicate that fails the check is redone by the same code at D = n,
-  where every row is a candidate and nothing is bounded. A pseudo source
-  with a tied column runs at D = n throughout: that column is ranked in each
-  half by a stable sort in permuted order, so its ties fall by position.
+  where every row is a candidate and nothing is bounded.
+- A pseudo source's halves are ranked in its whole-sample order, so ties
+  fall by row order, the rule of ``standardize``. A tied source gets the
+  null of its re-ranked self; the bound reads positions, so it stays exact.
 - Threshold ties keep ``top_k``'s stable rule: the last tied rows by
   position in the permuted half are kept. Positions are looked up only for
   the replicates whose selection needs them.
@@ -244,7 +245,7 @@ class _Prefix:
     """
 
     def __init__(self, source: Sample, order_pos: np.ndarray, depth: int,
-                 tied_columns: np.ndarray, chunk: int, block: int, ks_by_risk: dict):
+                 chunk: int, block: int, ks_by_risk: dict):
         n, d = source.n, source.d
         self.n, self.half, self.depth, self.full = n, n // 2, depth, depth >= n
         self.ks_by_risk = ks_by_risk
@@ -262,7 +263,6 @@ class _Prefix:
             # Pseudo-observations of both halves in one table: rank r of the
             # first half at index r, of the second at half + 1 + r.
             self.table = np.concatenate([pseudo_scale(self.half), pseudo_scale(n - self.half)])
-            self.tied_columns, self.data = tied_columns, source.data
             self.values = np.empty((capacity, self.rows.size, d))
             self.bound_values = np.empty((capacity, 2, d))
         else:
@@ -301,14 +301,6 @@ class _Prefix:
                 rank = below[:, n - self.depth - 1].astype(np.intp)
                 self.bound_values[out, 0, j] = self.table.take(rank)
                 self.bound_values[out, 1, j] = self.table.take(n - self.depth + half + 1 - rank)
-        for j in self.tied_columns:
-            # A tied column's rows are ranked in each half by a stable sort of
-            # their values in permuted order (at D = n, so rows are candidates).
-            for start, part in ((0, perms[:, :half]), (half + 1, perms[:, half:])):
-                by_value = np.argsort(self.data[:, j].take(part), axis=1, kind="stable")
-                np.put_along_axis(self.values[out, :, j],
-                                  np.take_along_axis(part, by_value, axis=1),
-                                  self.table[start + 1:start + part.shape[1] + 1], axis=1)
 
     def exceedances(self, perms: np.ndarray, rows: np.ndarray, buffers: dict) -> np.ndarray:
         """Write both halves' rescaled top-k exceedances (``top_k``'s stable
@@ -392,10 +384,11 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
     two-half statistic with max(1, k_n // 2) exceedances per half and divides
     it by 2 (the rate correction for the halved sample size). The source's
     margin state sets the mode: each half of a pseudo-observation source is
-    re-ranked, which is identical to ranking the corresponding raw half; a
-    Pareto-scale source (known margins) is used as it is; a raw source raises
-    ``ConfigError``. Replicates are computed in chunks of array operations
-    and equal the one-at-a-time definition bit for bit.
+    re-ranked in the source's whole-sample order, ties by row order (without
+    ties, identical to ranking the corresponding raw half); a Pareto-scale
+    source (known margins) is used as it is. A raw source, no replicate or
+    no target raises ``ConfigError``. Replicates are computed in chunks of
+    array operations and equal the one-at-a-time definition bit for bit.
 
     The candidate rows and the depth D are fixed once per call (see the
     module docstring). Each block of about _BLOCK_REPLICATES replicates
@@ -414,8 +407,14 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
     equals the null of its target bootstrapped alone. ``source_label``
     names the source in errors.
     """
+    if replicates < 1:
+        raise ConfigError(f"bootstrap needs at least 1 replicate, got {replicates}")
+    if not targets:
+        raise ConfigError("bootstrap needs at least one (partition, k_n) target")
     n = source.n
     for _, k_n in targets:
+        if k_n < 1:
+            raise DomainError(f"need 1 <= k_n, got k_n={k_n}")
         _check_bootstrap_size(n, k_n, source_label)
     if source.margin_state == "raw":
         raise ConfigError(f"bootstrap of sample {source_label} needs a standardized source, "
@@ -426,20 +425,14 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
         ks_by_risk.setdefault(part.risk, set()).add(k_half)
     ks_by_risk = {risk: sorted(ks) for risk, ks in ks_by_risk.items()}
 
-    ranks, tied = _ordinal_ranks(source.data.T, axis=1)
-    order_pos = ranks - 1
-    tied_columns = (np.flatnonzero(tied.any(axis=1)) if source.margin_state == "pseudo"
-                    else np.empty(0, dtype=np.intp))
-    # Freed before the block loop, and the keys below held as ints: arrays
-    # kept alive through it leave glibc's heap laid out so that the loop's
-    # large temporaries are page-faulted afresh.
-    del ranks, tied
+    # Only the positions outlive this line, and the keys below are held as
+    # ints: arrays kept alive through the block loop leave glibc's heap laid
+    # out so that the loop's large temporaries are page-faulted afresh.
+    order_pos = _ordinal_ranks(source.data.T, axis=1)[0] - 1
     chunk = max(1, _CHUNK_POINTS // n)
     block = min(replicates, chunk * max(1, _BLOCK_REPLICATES // chunk))
-    # A tied pseudo column ranks its ties by permuted position, not by the
-    # whole-sample order, so its bootstrap runs at D = n.
-    depth = n if tied_columns.size else _prefix_depth(source, ks_by_risk)
-    prefix = _Prefix(source, order_pos, depth, tied_columns, chunk, block, ks_by_risk)
+    prefix = _Prefix(source, order_pos, _prefix_depth(source, ks_by_risk), chunk, block,
+                     ks_by_risk)
     full = None
     # Both halves' rescaled exceedances of one block of replicates, per (risk, k).
     buffers = {(part.risk, k_half): np.empty((2, block, k_half, source.d))
@@ -453,7 +446,7 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
         redo = prefix.exceedances(block_perms, np.arange(last - first), buffers)
         if redo.size:
             # Replicates whose stop check failed: the same computation at D = n.
-            full = full or _Prefix(source, order_pos, n, tied_columns, chunk, block, ks_by_risk)
+            full = full or _Prefix(source, order_pos, n, chunk, block, ks_by_risk)
             full.exceedances(block_perms, redo, buffers)
         for t, (part, k_half) in enumerate(half_targets):
             points = buffers[part.risk, k_half][:, :last - first]

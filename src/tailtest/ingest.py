@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, FormatError, InsufficientDataError
+from .errors import DomainError, FormatError, TailTestError
 from .inference import TestConfig, TestReport, build_partition, run_test
 from .margins import Sample
 
@@ -467,7 +467,8 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
     Seasons are standardized independently with their own sample sizes; the
     same exceedance count is applied to both, capped at one below the
     smaller season (with a warning, which the pair's report also carries).
-    Pairs lacking data report an error while the remaining pairs still run;
+    A pair lacking data, or whose test raises a ``TailTestError`` (a season
+    of one day, say), reports the error while the remaining pairs still run;
     a configuration that implies no partition raises ``ConfigError`` first.
     The pairs share one bootstrap cache, so each season is bootstrapped once
     per exceedance count rather than once per pair.
@@ -494,10 +495,10 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
                 warnings.warn(note, stacklevel=2)
                 notes.append(note)
                 k = cap
-            pair_config = replace(config, k_exceedances=k)
             try:
+                pair_config = replace(config, k_exceedances=k)
                 report = run_test(Sample(px.data), Sample(py.data), pair_config, nulls=nulls)
-            except (DomainError, InsufficientDataError, ValueError) as exc:
+            except TailTestError as exc:
                 outcomes[key] = SeasonPairOutcome(k, error=str(exc))
                 continue
             report = replace(report, warnings=report.warnings + notes)

@@ -158,7 +158,9 @@ def standardize(sample: Sample, margins: str,
                 cdfs: Optional[Sequence[MarginalCdf]] = None) -> Sample:
     """``sample`` on the Pareto scale of margin mode ``margins``: through the
     marginal ``cdfs`` for "known" (read only for raw samples), as
-    pseudo-observations for "empirical"."""
+    pseudo-observations for "empirical". Empirical mode ranks every input,
+    pseudo-observations included, with ties broken by row order; ``ties``
+    adds the ties of this ranking to those the sample already counted."""
     if margins == "known":
         if sample.margin_state == "pseudo":
             raise ConfigError("known-margin mode needs raw or Pareto-scale data; "
@@ -168,14 +170,13 @@ def standardize(sample: Sample, margins: str,
                 raise ConfigError("known-margin mode on raw data needs marginal CDFs")
             return to_pareto(sample, cdfs)
         return sample
-    if sample.margin_state == "pseudo":
-        return sample
     if sample.margin_state == "raw":
         return to_pseudo(sample)
-    # Pareto in, empirical mode: re-rank; ranks are invariant to the monotone
-    # transform already applied, so this equals ranking the raw data.
+    # Pareto or pseudo in: re-rank, ties by row order. Ranks are invariant to
+    # a monotone transform, so this equals ranking the raw data, and
+    # re-ranking untied pseudo-observations returns them bit for bit.
     data, ties = _rank_transform(sample.data)
-    return Sample(data, "pseudo", ties=ties)
+    return Sample(data, "pseudo", ties=sample.ties + ties)
 
 
 # Parametric stubs exposed on the CLI for known-margin round trips.

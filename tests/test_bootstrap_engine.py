@@ -21,6 +21,7 @@ from tailtest import (CellProbabilities, CopulaModel, RngStream, Sample, TestCon
                       uniform_cdf)
 from tailtest import inference
 from tailtest.inference import bootstrap_stream
+from tailtest.margins import standardize
 
 
 def _reference_rank_transform(data):
@@ -78,8 +79,9 @@ def reference_bootstrap_null(source, config, partition, stream):
     half = n // 2
     k_half = max(1, config.k_exceedances // 2)
 
-    data = source.data
     state = source.margin_state
+    # Ties fall by row order: re-rank the whole pseudo sample, as standardize does.
+    data = _reference_rank_transform(source.data) if state == "pseudo" else source.data
     replicates = np.empty(config.bootstrap_replicates)
     for b in range(config.bootstrap_replicates):
         perm = stream.child(b).permutation(n)
@@ -201,12 +203,20 @@ class TestEngineMatchesReference:
 
     def test_tied_pseudo_source(self):
         # A caller-built pseudo sample with repeated values: within-half ties
-        # must be broken by position in the permuted half.
+        # are broken by row order in the whole sample, so the null is that of
+        # the re-ranked sample, and the candidate pass serves it.
         u = RngStream(16).uniform((300, 2))
         data = np.column_stack([1.0 + np.floor(u[:, 0] * 20.0), 1.0 / (1.0 - u[:, 1])])
+        source = Sample(data, "pseudo")
         for scheme in SCHEMES:
             config = TestConfig(k_exceedances=30, bootstrap_replicates=100, seed=17, **scheme)
-            assert_matches_reference(Sample(data, "pseudo"), config)
+            with stop_checks() as calls:
+                null = assert_matches_reference(source, config)
+            assert calls
+            [ranked] = bootstrap_null(standardize(source, "empirical"),
+                                      [(build_partition(config, 2), 30)], 100,
+                                      bootstrap_stream(17))
+            assert np.array_equal(null.replicates, ranked.replicates)
 
     def test_run_test_uses_the_bootstrap_stream(self):
         raw_x, raw_y = _raw(300, 18), _raw(300, 19)

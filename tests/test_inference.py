@@ -177,6 +177,28 @@ class TestRunTestEmpiricalMargins:
         assert a.p_value == b.p_value
         assert a.statistic == b.statistic
 
+    @pytest.mark.parametrize("source", ["x", "symmetric"])
+    def test_tied_pseudo_input_reports_like_its_raw_data(self, source):
+        # Average-rank pseudo-observations keep the raw data's ties; the test
+        # re-ranks them by row order, as it ranks the raw data.
+        def average_rank_pseudo(raw):
+            n, out = raw.n, np.empty_like(raw.data)
+            for j in range(raw.d):
+                _, inverse, counts = np.unique(raw.data[:, j], return_inverse=True,
+                                               return_counts=True)
+                average = np.cumsum(counts) - (counts - 1) / 2.0
+                out[:, j] = (n + 1.0) / (n + 1.0 - average[inverse])
+            return Sample(out, "pseudo")
+
+        x, y = (Sample(np.round(simulate(CopulaModel("logistic", 0.5), 400, 8, i).data * 40.0)
+                       / 40.0) for i in (0, 1))
+        config = TestConfig(k_exceedances=40, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=100, bootstrap_source=source, seed=24)
+        expected = run_test(x, y, config).to_dict()
+        assert expected["rank_ties"]["x"] > 0 and expected["rank_ties"]["y"] > 0
+        assert run_test(average_rank_pseudo(x), average_rank_pseudo(y),
+                        config).to_dict() == expected
+
     def test_symmetric_source_option(self):
         x = simulate(CopulaModel("logistic", 0.5), 800, 6, 0)
         y = simulate(CopulaModel("logistic", 0.5), 800, 6, 1)
@@ -289,6 +311,20 @@ class TestBootstrapNull:
         null = bootstrap_own_null(src, config)
         assert null.k_half == k_half
         assert null.B == 100
+
+    @pytest.mark.parametrize("replicates, ks, error, message", [
+        (0, [40], ConfigError, "at least 1 replicate, got 0"),
+        (-5, [40], ConfigError, "at least 1 replicate, got -5"),
+        (100, [], ConfigError, "at least one"),
+        (100, [0], DomainError, "need 1 <= k_n, got k_n=0"),
+        (100, [40, -3], DomainError, "need 1 <= k_n, got k_n=-3"),
+    ])
+    def test_bad_arguments_raise_typed_errors(self, replicates, ks, error, message):
+        src = to_pseudo(simulate(CopulaModel("logistic", 0.5), 400, 13))
+        partition = inference.build_partition(TestConfig(k_exceedances=40, risk="max"), 2)
+        with pytest.raises(error, match=message):
+            bootstrap_null(src, [(partition, k) for k in ks], replicates,
+                           inference.bootstrap_stream(0))
 
     @pytest.mark.parametrize("margins", ["known", "empirical"])
     def test_raw_source_rejected(self, margins):

@@ -471,6 +471,22 @@ class TestSeasonalTests:
         assert len(calls) == 3
         assert_pairs_match_uncached(outcomes, config)
 
+    def test_one_day_season_fails_only_its_pairs(self):
+        # A one-day MAM caps its pairs' k at 0, which no test config accepts.
+        series = make_rain_series({"DJF": (59, CopulaModel("logistic", 0.4)),
+                                   "MAM": (1, CopulaModel("logistic", 0.5)),
+                                   "JJA": (90, CopulaModel("logistic", 0.6))}, seed=16)
+        config = TestConfig(k_exceedances=12, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=100, seed=7)
+        with pytest.warns(UserWarning, match="capping at 0"):
+            outcomes = seasonal_tests(series, config)
+        for pair in (("DJF", "MAM"), ("MAM", "JJA"), ("MAM", "SON")):
+            assert outcomes[pair].report is None
+            assert outcomes[pair].error
+        assert "k_exceedances must be >= 1, got 0" in outcomes[("DJF", "MAM")].error
+        assert outcomes[("DJF", "JJA")].report is not None
+        assert outcomes[("DJF", "JJA")].error is None
+
     def test_requires_empirical_margins(self, two_season_series):
         config = TestConfig(k_exceedances=50, risk="euclidean", num_cells=4,
                             margins="known")

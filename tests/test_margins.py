@@ -227,9 +227,23 @@ class TestStandardize:
 
     def test_standardized_samples_pass_through(self):
         pareto = to_pareto(self.raw, [uniform_cdf] * 2)
-        pseudo = to_pseudo(self.raw)
         assert standardize(pareto, "known") is pareto
-        assert standardize(pseudo, "empirical") is pseudo
+        # Re-ranking pseudo-observations returns them bit for bit, with the
+        # ties of the raw data they were ranked from.
+        tied = to_pseudo(Sample(np.round(self.raw.data * 8.0)))
+        assert tied.ties > 0
+        for pseudo in (to_pseudo(self.raw), tied):
+            out = standardize(pseudo, "empirical")
+            assert np.array_equal(out.data, pseudo.data)
+            assert out.ties == pseudo.ties
+
+    def test_tied_pseudo_input_ranks_like_its_raw_data(self):
+        # A caller-built pseudo sample with repeated values: ties by row order.
+        data = 1.0 + np.floor(self.raw.data * 6.0)
+        out = standardize(Sample(data, "pseudo"), "empirical")
+        expected = to_pseudo(Sample(data))
+        assert np.array_equal(out.data, expected.data)
+        assert out.ties == expected.ties == 100
 
     def test_known_mode_errors(self):
         with pytest.raises(ConfigError, match="needs marginal CDFs"):
