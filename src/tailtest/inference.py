@@ -5,7 +5,9 @@ chi-squared distribution with K - 1 degrees of freedom. With empirical
 margins the null distribution is approximated by a split-half subsample
 bootstrap: half of one sample is drawn without replacement, the two-half
 statistic is computed with k_n/2 exceedances per half and divided by 2,
-which puts it on the scale of the full-sample statistic.
+which puts it on the scale of the full-sample statistic. Replicate b draws
+its permutation from the bootstrap stream's Philox jumped b + 1 times, so
+any replicate range is defined by its two ends alone.
 
 A replicate needs only each half's top k_half + 1 rows by risk, so the
 bootstrap ranks and scores candidate rows alone, after the threshold
@@ -378,17 +380,18 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
     """Split-half subsample bootstrap of the null distribution of each
     ``(partition, k_n)`` target, with ``replicates`` replicates.
 
-    Replicate b permutes the source with ``stream.child(b)`` (every child's
-    key derived at once, then drawn by re-keying one generator), takes the first
-    floor(n/2) rows as one half and the rest as the other, computes the
-    two-half statistic with max(1, k_n // 2) exceedances per half and divides
-    it by 2 (the rate correction for the halved sample size). The source's
-    margin state sets the mode: each half of a pseudo-observation source is
-    re-ranked in the source's whole-sample order, ties by row order (without
-    ties, identical to ranking the corresponding raw half); a Pareto-scale
-    source (known margins) is used as it is. A raw source, no replicate or
-    no target raises ``ConfigError``. Replicates are computed in chunks of
-    array operations and equal the one-at-a-time definition bit for bit.
+    Replicate b permutes the source with the stream's Philox jumped b + 1
+    times (``RngStream.jumped_permutations``: the stream's key at counter
+    (0, 0, b + 1, 0)), takes the first floor(n/2) rows as one half and the
+    rest as the other, computes the two-half statistic with max(1, k_n // 2)
+    exceedances per half and divides it by 2 (the rate correction for the
+    halved sample size). The source's margin state sets the mode: each half
+    of a pseudo-observation source is re-ranked in the source's whole-sample
+    order, ties by row order (without ties, identical to ranking the
+    corresponding raw half); a Pareto-scale source (known margins) is used
+    as it is. A raw source, no replicate or no target raises
+    ``ConfigError``. Replicates are computed in chunks of array operations
+    and equal the one-at-a-time definition bit for bit.
 
     The candidate rows and the depth D are fixed once per call (see the
     module docstring). Each block of about _BLOCK_REPLICATES replicates
@@ -425,9 +428,9 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
         ks_by_risk.setdefault(part.risk, set()).add(k_half)
     ks_by_risk = {risk: sorted(ks) for risk, ks in ks_by_risk.items()}
 
-    # Only the positions outlive this line, and the keys below are held as
-    # ints: arrays kept alive through the block loop leave glibc's heap laid
-    # out so that the loop's large temporaries are page-faulted afresh.
+    # Only the positions outlive this line: arrays kept alive through the
+    # block loop leave glibc's heap laid out so that the loop's large
+    # temporaries are page-faulted afresh.
     order_pos = _ordinal_ranks(source.data.T, axis=1)[0] - 1
     chunk = max(1, _CHUNK_POINTS // n)
     block = min(replicates, chunk * max(1, _BLOCK_REPLICATES // chunk))
@@ -439,10 +442,9 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
                for part, k_half in half_targets}
     perms = np.empty((block, n), dtype=_index_dtype(n))
     values = np.empty((len(targets), replicates))
-    keys = stream.child_keys(0, replicates).tolist()
     for first in range(0, replicates, block):
         last = min(replicates, first + block)
-        block_perms = stream.keyed_permutations(keys[first:last], n, out=perms[:last - first])
+        block_perms = stream.jumped_permutations(first, last, n, out=perms[:last - first])
         redo = prefix.exceedances(block_perms, np.arange(last - first), buffers)
         if redo.size:
             # Replicates whose stop check failed: the same computation at D = n.

@@ -12,15 +12,15 @@ bisection in log x where Newton stalls in the far lower tail.
 Random numbers come from numpy's Philox counter-based generator. A stream
 is fully determined by ``(master_seed, stream_id)``, so replicates keyed by
 distinct ids are reproducible regardless of execution order or thread
-scheduling. Philox is keyed (Salmon et al., SC'11), so a run of child
-streams is drawn by re-keying one generator with the keys their
-SeedSequences would derive, rather than by building each child.
+scheduling. Philox is counter-based (Salmon et al., SC'11): replicate b of
+a bootstrap stream is the stream's own Philox jumped b + 1 times, its key at
+counter (0, 0, b + 1, 0), so a run of replicates is drawn by loading
+counters into one generator rather than by building a generator for each.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -155,63 +155,7 @@ def chisq_quantile(p: float, dof: int) -> float:
     return 0.5 * (lo + hi)
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), on 32-bit words.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _int_words(value: int) -> list[int]:
-    """32-bit words of a non-negative int, least significant first ([0] for 0)."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def _child_keys(pool: list[int], hash_const: int, start: int, stop: int) -> np.ndarray:
-    """Philox keys of children ``start .. stop - 1`` of the stream whose
-    SeedSequence entropy pool is ``pool`` and whose entropy hash ended at
-    constant ``hash_const``, one row each: row b - start is
-    ``SeedSequence(..., spawn_key=key + (b,)).generate_state(2, np.uint64)``.
-
-    Every child hashes the same constants in the same order, so numpy's
-    loops run once over arrays of 32-bit words, which wrap as the hash does.
-    """
-    count = stop - start
-    # The index words of start + i: each word of start plus the carry from below.
-    carry = np.arange(count, dtype=np.uint64)
-    words, high = [], start
-    for _ in _int_words(max(start, stop - 1)):
-        total = carry + np.uint64(high & _MASK32)
-        words.append((total & np.uint64(_MASK32)).astype(np.uint32))
-        carry, high = total >> np.uint64(32), high >> 32
-    # A child hashes its words up to its highest non-zero one (one word for 0);
-    # word counts never fall along the range, so each word's children are a tail.
-    word_counts = np.ones(count, dtype=np.intp)
-    for j, word in enumerate(words):
-        word_counts[word != 0] = j + 1
-    pool = [np.full(count, mixed, dtype=np.uint32) for mixed in pool]
-    # mix_entropy: each further entropy word is hashed into every pool word.
-    for j, word in enumerate(words):
-        tail = slice(int(np.searchsorted(word_counts, j + 1)), None)
-        for mixed in pool:
-            value = word[tail] ^ np.uint32(hash_const)
-            hash_const = hash_const * _MULT_A & _MASK32
-            value *= np.uint32(hash_const)
-            value = (np.uint32(_MIX_MULT_L) * mixed[tail]
-                     - np.uint32(_MIX_MULT_R) * (value ^ value >> 16))
-            mixed[tail] = value ^ value >> 16
-    # generate_state: four words, read as two little-endian uint64 pairs.
-    state, hash_const = [], _INIT_B
-    for mixed in pool:
-        value = mixed ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value *= np.uint32(hash_const)
-        state.append((value ^ value >> 16).astype(np.uint64))
-    return np.stack([state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)],
-                    axis=1)
+_MASK64 = 2 ** 64 - 1
 
 
 class RngStream:
@@ -221,7 +165,9 @@ class RngStream:
     SeedSequence with the stream id as spawn key, so distinct ids give
     statistically independent streams and the same key always replays the
     same sequence. ``child(i)`` derives a nested independent stream, which
-    is how per-replicate streams are allocated in parallel studies.
+    is how per-replicate streams are allocated in parallel studies;
+    ``jumped_permutations`` draws bootstrap replicates from jumps of the
+    stream's own Philox.
     """
 
     def __init__(self, master_seed: int, stream_id: int | tuple[int, ...] = 0):
@@ -270,51 +216,35 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def child_keys(self, start: int, stop: int) -> np.ndarray:
-        """Philox keys of children ``start .. stop - 1``, one uint64 pair per row.
+    def jumped_permutations(self, start: int, stop: int, n: int,
+                            out: np.ndarray | None = None) -> np.ndarray:
+        """Permutations of range(n) of replicates ``start .. stop - 1``, one per row.
 
-        They are derived in one array pass from this stream's SeedSequence
-        entropy pool, taken once per stream, so a caller drawing many
-        children in chunks derives all their keys at once.
+        Replicate b draws from this stream's Philox jumped b + 1 times: the
+        same key at counter (0, 0, b + 1, 0), so row b - start is
+        ``Generator(Philox(SeedSequence(master_seed, spawn_key=key)).jumped(b + 1))
+        .permutation(n)`` bit for bit. Each counter is loaded into one reused
+        Philox through its state, and this stream's own draws are untouched.
+        ``out``, when given, is a (stop - start, n) integer array that
+        receives the rows: any dtype that holds n - 1 will do.
         """
         if not 0 <= start <= stop:
-            raise DomainError(f"child range must satisfy 0 <= start <= stop, got {start}, {stop}")
-        pool, hash_const, _ = self._child_keying
-        return _child_keys(pool, hash_const, start, stop)
-
-    def keyed_permutations(self, keys: list[list[int]], n: int,
-                           out: np.ndarray | None = None) -> np.ndarray:
-        """Permutations of range(n), one per key: rows of ``child_keys`` as ints.
-
-        With the keys of children ``a .. b - 1`` the rows are their
-        ``child(i).permutation(n)`` bit for bit. Each key is loaded into one
-        reused Philox through its state, which costs about a quarter of
-        building the child. ``out``, when given, is a (len(keys), n) integer
-        array that receives the rows: any dtype that holds n - 1 will do.
-        Like its generator, a stream is not for concurrent use.
-        """
-        gen = self._child_keying[2]
+            raise DomainError(f"replicate range must satisfy 0 <= start <= stop, got {start}, {stop}")
         if out is None:
-            out = np.empty((len(keys), n), dtype=np.int_)
-        if out.shape != (len(keys), n):
-            raise DomainError(f"out must have shape {(len(keys), n)}, got {out.shape}")
+            out = np.empty((stop - start, n), dtype=np.int_)
+        if out.shape != (stop - start, n):
+            raise DomainError(f"out must have shape {(stop - start, n)}, got {out.shape}")
+        gen = np.random.Generator(np.random.Philox(key=0))
+        key = self._gen.bit_generator.state["state"]["key"].tolist()
         state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
-        for row, key in zip(out, keys):
-            state["state"] = {"counter": [0] * 4, "key": key}
+        for jumps, row in zip(range(start + 1, stop + 1), out):
+            # jumped(j) adds j * 2**128 to the 256-bit counter, modulo 2**256.
+            state["state"] = {"counter": [0, 0, jumps & _MASK64, jumps >> 64 & _MASK64],
+                              "key": key}
             gen.bit_generator.state = state
             row[...] = gen.permutation(n)
         return out
-
-    @cached_property
-    def _child_keying(self) -> tuple[list[int], int, np.random.Generator]:
-        # mix_entropy hashes four times per entropy word (the seed's words,
-        # zero-padded to the pool's four, then the key's), each hash moving
-        # the constant on; a child's index words continue from there.
-        seq = np.random.SeedSequence(self.master_seed, spawn_key=self._key)
-        words = max(4, len(_int_words(self.master_seed))) + sum(len(_int_words(k)) for k in self._key)
-        hash_const = _INIT_A * pow(_MULT_A, 4 * words, 1 << 32) & _MASK32
-        return seq.pool.tolist(), hash_const, np.random.Generator(np.random.Philox(key=0))
 
     def __repr__(self):
         return f"RngStream(master_seed={self.master_seed}, stream_id={self.stream_id})"

@@ -2,7 +2,9 @@
 
 ``reference_bootstrap_null`` is the per-replicate loop the engine replaced,
 kept here (with the stable-sort top-k and the Jeffreys sum it called) as the
-oracle: every replicate must agree bit for bit. ``reference_ordinal_ranks``
+oracle: every replicate must agree bit for bit. Its permutations come from
+numpy's Philox jumped b + 1 times (``jumped_permutation``), never from the
+stream method the engine calls. ``reference_ordinal_ranks``
 is the stable-argsort ranking that every rank in the package must equal.
 """
 
@@ -74,6 +76,13 @@ def _reference_kl_value(p, q):
     return max(value, 0.0)
 
 
+def jumped_permutation(stream, b, n):
+    """Replicate b's permutation from numpy alone: the stream's Philox jumped b + 1 times."""
+    key = stream.stream_id if isinstance(stream.stream_id, tuple) else (stream.stream_id,)
+    bit_generator = np.random.Philox(np.random.SeedSequence(stream.master_seed, spawn_key=key))
+    return np.random.Generator(bit_generator.jumped(b + 1)).permutation(n)
+
+
 def reference_bootstrap_null(source, config, partition, stream):
     n = source.n
     half = n // 2
@@ -84,7 +93,7 @@ def reference_bootstrap_null(source, config, partition, stream):
     data = _reference_rank_transform(source.data) if state == "pseudo" else source.data
     replicates = np.empty(config.bootstrap_replicates)
     for b in range(config.bootstrap_replicates):
-        perm = stream.child(b).permutation(n)
+        perm = jumped_permutation(stream, b, n)
         first = data[perm[:half]]
         second = data[perm[half:]]
         if state == "pseudo":
@@ -252,7 +261,7 @@ class TestBlocksAndNestedK:
         # In the first replicate's first half, two or more nested half k share
         # one max-risk threshold, and its ties are split between selected and
         # unselected rows at each of them.
-        first = data[bootstrap_stream(31).child(0).permutation(400)[:200]].max(axis=1)
+        first = data[jumped_permutation(bootstrap_stream(31), 0, 400)[:200]].max(axis=1)
         ordered = np.sort(first)
         by_threshold = {}
         for part, k in NESTED_TARGETS:
@@ -315,7 +324,7 @@ class TestPrefixStopCheck:
         ranks = np.argsort(np.argsort(data, axis=0, kind="stable"), axis=0, kind="stable")
         outside = ~(ranks >= n - depth).any(axis=1)
         assert (data[outside].max(axis=1) == 8.0).sum() > 0
-        first = data[bootstrap_stream(31).child(0).permutation(n)[:n // 2]].max(axis=1)
+        first = data[jumped_permutation(bootstrap_stream(31), 0, n)[:n // 2]].max(axis=1)
         assert np.sort(first)[n // 2 - k // 2 - 1] == boundary.max()
         config = TestConfig(k_exceedances=k, risk="max", margins="known",
                             bootstrap_replicates=101, seed=31)

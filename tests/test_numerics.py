@@ -253,77 +253,90 @@ ID_PARTS = st.integers(0, 2 ** 32 - 1) | st.integers(2 ** 32, 2 ** 80)
 STREAM_IDS = ID_PARTS | st.lists(ID_PARTS, min_size=1, max_size=3).map(tuple)
 
 
-def keyed_children(stream, start, stop, n):
-    return stream.keyed_permutations(stream.child_keys(start, stop).tolist(), n)
+def replicate_key(stream_id):
+    return (stream_id,) if isinstance(stream_id, int) else tuple(stream_id)
 
 
-def stacked_children(stream, start, stop, n):
-    return np.stack([stream.child(b).permutation(n) for b in range(start, stop)])
-
-
-def seed_sequence_keys(seed, stream_id, start, stop):
-    key = (stream_id,) if isinstance(stream_id, int) else stream_id
-    keys = [np.random.SeedSequence(seed, spawn_key=key + (b,)).generate_state(2, np.uint64)
+def stacked_children(seed, stream_id, start, stop, n):
+    """Rows b - start: numpy's Philox of the seed and id jumped b + 1 times, permuting range(n)."""
+    bit_generator = np.random.Philox(np.random.SeedSequence(seed, spawn_key=replicate_key(stream_id)))
+    rows = [np.random.Generator(bit_generator.jumped(b + 1)).permutation(n)
             for b in range(start, stop)]
-    return np.array(keys, dtype=np.uint64).reshape(-1, 2)
+    return np.array(rows, dtype=np.int64).reshape(-1, n)
 
 
 class TestChildPermutations:
+    """Replicate b of a stream, its bootstrap child, is the stream's Philox jumped
+    b + 1 times; ``jumped_permutations`` draws a run of them."""
+
     @settings(max_examples=60, deadline=None)
     @given(MASTER_SEEDS, STREAM_IDS, st.integers(0, 5000), st.integers(1, 10),
-           st.sampled_from([1, 2, 360, 2000]))
+           st.sampled_from([1, 2, 361, 2000]))
     def test_equal_to_stacked_children(self, seed, stream_id, start, count, n):
-        stream = RngStream(seed, stream_id)
-        got = keyed_children(stream, start, start + count, n)
-        want = stacked_children(stream, start, start + count, n)
+        got = RngStream(seed, stream_id).jumped_permutations(start, start + count, n)
+        want = stacked_children(seed, stream_id, start, start + count, n)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 40), st.data(), st.sampled_from([1, 2, 361]))
+    def test_split_ranges_concatenate(self, replicates, data, n):
+        split = data.draw(st.integers(0, replicates))
+        stream = RngStream(6, (1_000_003, 0))
+        parts = [stream.jumped_permutations(0, split, n),
+                 stream.jumped_permutations(split, replicates, n)]
+        assert np.array_equal(np.concatenate(parts), stream.jumped_permutations(0, replicates, n))
 
     @pytest.mark.parametrize("seed", [0, 12345, 2 ** 32 + 1, 2 ** 64 + 3, 2 ** 200 + 3])
     @pytest.mark.parametrize("stream_id", [0, 2 ** 40, (1_000_003, 0), (2 ** 33, 5, 2 ** 70)])
     def test_seed_and_id_word_counts(self, seed, stream_id):
-        stream = RngStream(seed, stream_id)
-        assert np.array_equal(keyed_children(stream, 3, 9, 360),
-                              stacked_children(stream, 3, 9, 360))
+        assert np.array_equal(RngStream(seed, stream_id).jumped_permutations(3, 9, 360),
+                              stacked_children(seed, stream_id, 3, 9, 360))
 
     @pytest.mark.parametrize("start", [2 ** 32 - 2, 2 ** 64 - 2])
     def test_child_indices_across_a_word_boundary(self, start):
-        # Children of one and two (two and three) index words in one call.
-        stream = RngStream(8, (4,))
-        assert np.array_equal(keyed_children(stream, start, start + 4, 50),
-                              stacked_children(stream, start, start + 4, 50))
+        # From b = 2**64 - 1 the jump count b + 1 carries into counter word 3.
+        assert np.array_equal(RngStream(8, (4,)).jumped_permutations(start, start + 4, 50),
+                              stacked_children(8, (4,), start, start + 4, 50))
 
     @pytest.mark.parametrize("seed, stream_id", [(0, 0), (7, (1_000_003, 0)), (2 ** 200 + 3, 2 ** 40),
                                                  (2 ** 32, (2 ** 33, 1))])
     def test_keys_are_the_seed_sequence_keys(self, seed, stream_id):
+        # Replicate b is the SeedSequence's Philox key at counter (0, 0, b + 1, 0).
+        key = np.random.SeedSequence(seed, spawn_key=replicate_key(stream_id)).generate_state(
+            2, np.uint64)
         stream = RngStream(seed, stream_id)
         for b in (*range(10, 40), 2 ** 32, 2 ** 70 + 1):
-            assert np.array_equal(stream.child_keys(b, b + 1),
-                                  seed_sequence_keys(seed, stream_id, b, b + 1))
+            bit_generator = np.random.Philox(counter=(b + 1) << 128, key=key)
+            want = np.random.Generator(bit_generator).permutation(30)
+            assert np.array_equal(stream.jumped_permutations(b, b + 1, 30), want[None])
 
     @pytest.mark.parametrize("seed, stream_id", [(0, 0), (7, (1_000_003, 0)), (2 ** 200 + 3, 2 ** 40)])
     @pytest.mark.parametrize("start, stop", [(0, 3000), (2 ** 32 - 700, 2 ** 32 + 300),
                                              (2 ** 32, 2 ** 32 + 500), (2 ** 64 - 3, 2 ** 64 + 3),
                                              (0, 0), (2 ** 32 + 9, 2 ** 32 + 9)])
     def test_key_ranges_below_across_and_above_two_words(self, seed, stream_id, start, stop):
-        # One array pass derives every key of the range; children from 2**32 hash two words.
-        got = RngStream(seed, stream_id).child_keys(start, stop)
-        assert got.dtype == np.uint64 and got.shape == (stop - start, 2)
-        assert np.array_equal(got, seed_sequence_keys(seed, stream_id, start, stop))
+        # Long ranges, and jump counts that fill one or two counter words.
+        got = RngStream(seed, stream_id).jumped_permutations(start, stop, 5)
+        assert got.shape == (stop - start, 5)
+        assert np.array_equal(got, stacked_children(seed, stream_id, start, stop, 5))
 
     def test_own_draws_untouched(self):
-        stream = RngStream(21, 3)
-        keyed_children(stream, 0, 5, 100)
-        assert np.array_equal(stream.uniform(20), RngStream(21, 3).uniform(20))
+        # A stream that has drawn gives the same rows, and goes on drawing its own numbers.
+        stream, fresh = RngStream(21, 3), RngStream(21, 3)
+        stream.uniform(7)
+        rows = stream.jumped_permutations(0, 5, 100)
+        assert np.array_equal(rows, fresh.jumped_permutations(0, 5, 100))
+        fresh.uniform(7)
+        assert np.array_equal(stream.uniform(20), fresh.uniform(20))
 
     @pytest.mark.parametrize("start, stop", [(-1, 3), (-2 ** 40, 0), (5, 4)])
     def test_bad_child_range(self, start, stop):
-        # As child(-1) does, rather than looping on -1's 32-bit words.
         with pytest.raises(DomainError):
-            RngStream(3).child_keys(start, stop)
+            RngStream(3).jumped_permutations(start, stop, 10)
 
     def test_empty_child_range(self):
-        assert keyed_children(RngStream(3), 4, 4, 10).shape == (0, 10)
+        assert RngStream(3).jumped_permutations(4, 4, 10).shape == (0, 10)
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
     @pytest.mark.parametrize("n", [1, 2, 361, 2000])
@@ -331,13 +344,11 @@ class TestChildPermutations:
         # The bootstrap reuses one int16 buffer (int32 from n = 2**15) per call.
         stream = RngStream(5, (1_000_003, 0))
         out = np.full((9, n), -1, dtype=dtype)
-        got = stream.keyed_permutations(stream.child_keys(40, 47).tolist(), n, out=out[1:8])
+        got = stream.jumped_permutations(40, 47, n, out=out[1:8])
         assert got.base is out and got.dtype == dtype
-        assert np.array_equal(out[1:8], stacked_children(stream, 40, 47, n))
+        assert np.array_equal(out[1:8], stacked_children(5, (1_000_003, 0), 40, 47, n))
         assert (out[[0, 8]] == -1).all()
 
     def test_buffer_of_the_wrong_shape(self):
-        stream = RngStream(5)
         with pytest.raises(DomainError):
-            stream.keyed_permutations(stream.child_keys(0, 3).tolist(), 10,
-                                      out=np.empty((2, 10), dtype=np.int16))
+            RngStream(5).jumped_permutations(0, 3, 10, out=np.empty((2, 10), dtype=np.int16))
