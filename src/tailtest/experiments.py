@@ -314,7 +314,7 @@ def _fresh_nulls(model: CopulaModel, n: int, k_n: int, partition: Partition, cou
                  stream: RngStream) -> dict[str, np.ndarray]:
     """Statistic of each of ``count`` fresh null pairs in both margin modes.
 
-    Pair b draws its two samples from ``stream.child(b)``, once for both
+    Pair b draws its two samples from ``stream.child(b, side)``, once for both
     modes. Pairs are standardized, counted and scored max(1, _CHUNK_POINTS // n)
     at a time.
     """
@@ -322,9 +322,8 @@ def _fresh_nulls(model: CopulaModel, n: int, k_n: int, partition: Partition, cou
     chunk = max(1, _CHUNK_POINTS // n)
     for start in range(0, count, chunk):
         stop = min(count, start + chunk)
-        pairs = [stream.child(b) for b in range(start, stop)]
-        raw = np.array([[sample(model, n, pair.child(side)).data for side in (0, 1)]
-                        for pair in pairs])
+        raw = np.array([[sample(model, n, stream.child(b, side)).data for side in (0, 1)]
+                        for b in range(start, stop)])
         for margins in fresh:
             # to_pareto with uniform CDFs, or to_pseudo, of every sample at once.
             data = _pareto(raw) if margins == "known" else _pseudo(raw)

@@ -17,9 +17,15 @@ algorithm of Fagin, Lotem & Naor (JCSS 2003):
   whole-sample order. The depth D is read from the source and each risk
   kind's largest k (``_prefix_depth``), never from an option.
 - A row's rank within its half is the number of its half's rows at or below
-  its whole-sample position. Every risk is monotone in each coordinate, so a
-  row outside the candidates has at most the risk of its half's boundary
-  point: in each coordinate, the half's last row below position n - D.
+  its whole-sample position. So the first half's rows are counted per gap
+  bucket: each candidate's position and the boundary position n - D - 1 is
+  a bucket, and so is each gap between them that holds a position. The
+  count in a candidate's bucket is its half membership, and the cumulative
+  counts rank the candidates and the boundary points, in O(m) buckets for
+  m candidates rather than O(n) positions.
+- Every risk is monotone in each coordinate, so a row outside the
+  candidates has at most the risk of its half's boundary point: in each
+  coordinate, the half's last row below position n - D.
 - When the min risk is the only risk, the candidates are the rows in the
   top D positions of every coordinate, and the bound is the boundary point's
   largest coordinate: a row below position n - D in one coordinate has at
@@ -36,6 +42,9 @@ algorithm of Fagin, Lotem & Naor (JCSS 2003):
 - Threshold ties keep ``top_k``'s stable rule: the last tied rows by
   position in the permuted half are kept. Positions are looked up only for
   the replicates whose selection needs them.
+- Sources of one size bootstrapped on one stream (the symmetric source's
+  two samples) draw the same permutations, so they run in lockstep: each
+  block of permutations is drawn once and scored for every source.
 """
 
 from __future__ import annotations
@@ -229,7 +238,7 @@ def _prefix_depth(source: Sample, ks_by_risk: dict) -> int:
 
 
 def _index_dtype(n: int):
-    """Compact integer dtype of the permutations of n rows and of half-sample counts."""
+    """Compact integer dtype of the permutations of n rows."""
     return np.int16 if n < 2 ** 15 else np.int32
 
 
@@ -255,16 +264,42 @@ class _Prefix:
         inside = order_pos >= n - depth
         self.rows = (np.arange(n) if self.full
                      else np.flatnonzero(inside.all(axis=0) if self.every else inside.any(axis=0)))
-        self.chunk = chunk
         self.capacity = capacity = min(block, chunk * max(1, _CANDIDATE_POINTS
                                                           // (chunk * max(1, self.rows.size))))
         self.order_pos, self.pos = order_pos, order_pos[:, self.rows]
         self.pseudo = source.margin_state == "pseudo"
         self.first = np.empty((capacity, self.rows.size), dtype=bool)
+        # Gap buckets of each ranked coordinate (all of a pseudo source's, the
+        # first of a Pareto-scale one, which needs half membership alone): each
+        # cut point (a candidate's position, and the boundary position
+        # n - D - 1) is a bucket, and so is each gap between them that holds
+        # a position.
+        ranked = np.arange(d if self.pseudo else 1)[:, None]
+        cuts = self.pos[ranked[:, 0]]
+        if not self.full:
+            cuts = np.column_stack([cuts, np.full(ranked.size, n - depth - 1)])
+        starts = np.zeros((ranked.size, n + 1), dtype=bool)
+        starts[:, 0] = starts[ranked, cuts] = starts[ranked, cuts + 1] = True
+        bucket = np.cumsum(starts[:, :n], axis=1) - 1
+        self.width = width = int(bucket[:, -1].max()) + 1
+        # A locate call takes at most a chunk of replicates, and at most as
+        # many as keep its bucket ids and counts within _CHUNK_POINTS entries:
+        # larger arrays are page-faulted afresh per call (D = n has n buckets).
+        self.step = max(1, min(chunk, _CHUNK_POINTS // (ranked.size * max(width, self.half))))
+        bucket += width * ranked
+        # Lane l of a locate call offsets its bucket ids by l lane_buckets,
+        # so that one bincount counts every lane.
+        self.lane_buckets = ranked.size * width
+        self.lanes = self.lane_buckets * np.arange(self.step)[:, None, None]
+        # Each row's bucket per coordinate (n, coordinates), and the buckets
+        # of the candidates and of the boundary position (coordinates, m + 1).
+        self.row_bucket = np.take_along_axis(bucket, order_pos[ranked[:, 0]], axis=1).T.copy()
+        self.cut_bucket = np.take_along_axis(bucket, cuts, axis=1)
         if self.pseudo:
             # Pseudo-observations of both halves in one table: rank r of the
             # first half at index r, of the second at half + 1 + r.
             self.table = np.concatenate([pseudo_scale(self.half), pseudo_scale(n - self.half)])
+            self.shift = (self.pos + (self.half + 2)).astype(np.int32)
             self.values = np.empty((capacity, self.rows.size, d))
             self.bound_values = np.empty((capacity, 2, d))
         else:
@@ -278,31 +313,36 @@ class _Prefix:
         """Which candidates fall in the first half of each permutation in
         ``perms`` (c, n), and for a pseudo source their pseudo-observations
         within their half and those of the boundary point of each half;
-        written from row ``offset``."""
-        c, n, half = perms.shape[0], self.n, self.half
+        written from row ``offset``. One count of the first half's rows per
+        gap bucket gives all three: the count in a candidate's own bucket is
+        its membership, and the cumulative count up to it (or to a boundary
+        position's bucket) the first-half rows at or below its position,
+        which ranks both halves."""
+        c, m, half = perms.shape[0], self.rows.size, self.half
         out = slice(offset, offset + c)
-        lanes = n * np.arange(c)[:, None]
-        for j, (pos, order) in enumerate(zip(self.pos, self.order_pos)):
-            # The first half's rows in coordinate j's whole-sample order.
-            member = np.zeros((c, n), dtype=bool)
-            member.reshape(-1)[order.take(perms[:, :half]) + lanes] = True
-            if j == 0:
-                first = self.first[out]
-                member.take(pos, axis=1, out=first)
-            if not self.pseudo:
-                return
-            # First-half rows at or below each position, which ranks both halves.
-            below = np.cumsum(member, axis=1, dtype=_index_dtype(n))
-            at = below.take(pos, axis=1)
-            # Table index at for the first half, half + 1 + (pos + 1 - at) for
-            # the second; by arithmetic, as a select on a random mask is slow.
-            index = pos + (half + 2) - at
-            index -= (index - at) * first
-            self.values[out, :, j] = self.table.take(index)
-            if not self.full:
-                rank = below[:, n - self.depth - 1].astype(np.intp)
-                self.bound_values[out, 0, j] = self.table.take(rank)
-                self.bound_values[out, 1, j] = self.table.take(n - self.depth + half + 1 - rank)
+        ids = self.row_bucket.take(perms[:, :half], axis=0)
+        ids += self.lanes[:c]
+        counts = np.bincount(ids.reshape(-1), minlength=c * self.lane_buckets).reshape(c, -1)
+        first = self.first[out]
+        first[...] = counts.take(self.cut_bucket[0, :m], axis=1)
+        if not self.pseudo:
+            return
+        # int32 ranks: narrower arithmetic, and 2 n fits for any sample.
+        below = np.cumsum(counts.reshape(c, -1, self.width), axis=2, dtype=np.int32)
+        below = below.reshape(c, -1)
+        # (c, d, m), candidates last: first broadcasts over the coordinates
+        # with contiguous inner loops, about 1.5x faster than (c, m, d).
+        at = below.take(self.cut_bucket[:, :m], axis=1)
+        # Table index at for the first half, half + 1 + (pos + 1 - at) for
+        # the second; by arithmetic, as a select on a random mask is slow.
+        index = self.shift - at
+        index -= (index - at) * first[:, None]
+        for j in range(index.shape[1]):
+            self.values[out, :, j] = self.table.take(index[:, j])
+        if not self.full:
+            rank = below.take(self.cut_bucket[:, m], axis=1)
+            self.bound_values[out, 0] = self.table.take(rank)
+            self.bound_values[out, 1] = self.table.take(self.n - self.depth + half + 1 - rank)
 
     def exceedances(self, perms: np.ndarray, rows: np.ndarray, buffers: dict) -> np.ndarray:
         """Write both halves' rescaled top-k exceedances (``top_k``'s stable
@@ -315,8 +355,8 @@ class _Prefix:
             for start in range(0, rows.size, self.capacity)])
 
     def _group(self, perms: np.ndarray, rows: np.ndarray, buffers: dict) -> np.ndarray:
-        for start in range(0, perms.shape[0], self.chunk):
-            self.locate(perms[start:start + self.chunk], start)
+        for start in range(0, perms.shape[0], self.step):
+            self.locate(perms[start:start + self.step], start)
         (c, n), (m, d) = perms.shape, self.pos.T.shape
         if m <= max(ks[-1] for ks in self.ks_by_risk.values()):
             return rows
@@ -374,9 +414,10 @@ class _Prefix:
         keep[lanes[lane[chosen]], np.searchsorted(self.rows, row)] = True
 
 
-def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
-                   replicates: int, stream: RngStream,
-                   source_label: str = "x") -> list[NullDistribution]:
+def bootstrap_null(source: Sample | tuple[Sample, ...],
+                   targets: Sequence[tuple[Partition, int]], replicates: int,
+                   stream: RngStream, source_label: str | tuple[str, ...] = "x"
+                   ) -> list[NullDistribution] | list[list[NullDistribution]]:
     """Split-half subsample bootstrap of the null distribution of each
     ``(partition, k_n)`` target, with ``replicates`` replicates.
 
@@ -391,70 +432,84 @@ def bootstrap_null(source: Sample, targets: Sequence[tuple[Partition, int]],
     corresponding raw half); a Pareto-scale source (known margins) is used
     as it is. A raw source, no replicate or no target raises
     ``ConfigError``. Replicates are computed in chunks of array operations
-    and equal the one-at-a-time definition bit for bit.
+    and equal the one-at-a-time definition bit for bit. Returns one null
+    per target.
 
-    The candidate rows and the depth D are fixed once per call (see the
-    module docstring). Each block of about _BLOCK_REPLICATES replicates
-    draws its permutations into one compact integer buffer allocated once
-    per call. Per chunk of max(1, _CHUNK_POINTS // n) replicates only the
-    O(n) work that exact ranks need is done: a first-half membership scatter
-    in each coordinate's whole-sample order, whose cumulative sum gives the
-    candidates' within-half ranks and each half's boundary rank. Per group
-    of whole chunks (below _CANDIDATE_POINTS candidate rows, at most a
-    block) the candidates' pseudo-observations (a Pareto-scale source's own
-    values) and risks give each (risk kind, k_half) threshold by one
-    partition at the kind's largest k_half, the strict stop check, and the
-    rescaled exceedances. Replicates that fail the check are redone at
-    D = n. The exceedances fill buffers of one block; once per block, each
-    target is classified, counted and scored with one call each. Each null
-    equals the null of its target bootstrapped alone. ``source_label``
-    names the source in errors.
+    ``source`` may also be a tuple of equal-size sources, with a tuple of
+    labels or one for all: they run in lockstep, each block of permutations
+    drawn once for all, and the result is one such list per source, each
+    equal to that source's bootstrap alone.
+
+    The candidate rows and the depth D are fixed once per call and source
+    (see the module docstring). Each block of about _BLOCK_REPLICATES
+    replicates draws its permutations into one compact integer buffer
+    allocated once per call. Per chunk of max(1, _CHUNK_POINTS // n)
+    replicates, the first half's rows counted per gap bucket give the
+    candidates' half membership, their within-half ranks and each half's
+    boundary rank. Per group of whole chunks (below _CANDIDATE_POINTS
+    candidate rows, at most a block) the candidates' pseudo-observations (a
+    Pareto-scale source's own values) and risks give each (risk kind,
+    k_half) threshold by one partition at the kind's largest k_half, the
+    strict stop check, and the rescaled exceedances. Replicates that fail
+    the check are redone at D = n. The exceedances fill buffers of one
+    block; once per block, each target is classified, counted and scored
+    with one call each. Each null equals the null of its target bootstrapped
+    alone. ``source_label`` names the source in errors.
     """
+    sources = (source,) if isinstance(source, Sample) else tuple(source)
+    labels = (source_label,) * len(sources) if isinstance(source_label, str) else source_label
     if replicates < 1:
         raise ConfigError(f"bootstrap needs at least 1 replicate, got {replicates}")
     if not targets:
         raise ConfigError("bootstrap needs at least one (partition, k_n) target")
-    n = source.n
-    for _, k_n in targets:
-        if k_n < 1:
-            raise DomainError(f"need 1 <= k_n, got k_n={k_n}")
-        _check_bootstrap_size(n, k_n, source_label)
-    if source.margin_state == "raw":
-        raise ConfigError(f"bootstrap of sample {source_label} needs a standardized source, "
-                          "got raw data")
+    n = sources[0].n
+    for src, label in zip(sources, labels):
+        if src.n != n:
+            raise ConfigError(f"sources bootstrapped together need one size, got {n} and {src.n}")
+        for _, k_n in targets:
+            if k_n < 1:
+                raise DomainError(f"need 1 <= k_n, got k_n={k_n}")
+            _check_bootstrap_size(n, k_n, label)
+        if src.margin_state == "raw":
+            raise ConfigError(f"bootstrap of sample {label} needs a standardized source, "
+                              "got raw data")
     half_targets = [(part, max(1, k_n // 2)) for part, k_n in targets]
     ks_by_risk: dict = {}
     for part, k_half in half_targets:
         ks_by_risk.setdefault(part.risk, set()).add(k_half)
     ks_by_risk = {risk: sorted(ks) for risk, ks in ks_by_risk.items()}
 
-    # Only the positions outlive this line: arrays kept alive through the
-    # block loop leave glibc's heap laid out so that the loop's large
-    # temporaries are page-faulted afresh.
-    order_pos = _ordinal_ranks(source.data.T, axis=1)[0] - 1
     chunk = max(1, _CHUNK_POINTS // n)
     block = min(replicates, chunk * max(1, _BLOCK_REPLICATES // chunk))
-    prefix = _Prefix(source, order_pos, _prefix_depth(source, ks_by_risk), chunk, block,
-                     ks_by_risk)
-    full = None
+    # Only the positions outlive each source's set-up: arrays kept alive
+    # through the block loop leave glibc's heap laid out so that the loop's
+    # large temporaries are page-faulted afresh.
+    prefixes = [_Prefix(src, _ordinal_ranks(src.data.T, axis=1)[0] - 1,
+                        _prefix_depth(src, ks_by_risk), chunk, block, ks_by_risk)
+                for src in sources]
+    fulls: list = [None] * len(sources)
     # Both halves' rescaled exceedances of one block of replicates, per (risk, k).
-    buffers = {(part.risk, k_half): np.empty((2, block, k_half, source.d))
-               for part, k_half in half_targets}
+    buffers = [{(part.risk, k_half): np.empty((2, block, k_half, src.d))
+                for part, k_half in half_targets} for src in sources]
     perms = np.empty((block, n), dtype=_index_dtype(n))
-    values = np.empty((len(targets), replicates))
+    values = np.empty((len(sources), len(targets), replicates))
     for first in range(0, replicates, block):
         last = min(replicates, first + block)
         block_perms = stream.jumped_permutations(first, last, n, out=perms[:last - first])
-        redo = prefix.exceedances(block_perms, np.arange(last - first), buffers)
-        if redo.size:
-            # Replicates whose stop check failed: the same computation at D = n.
-            full = full or _Prefix(source, order_pos, n, chunk, block, ks_by_risk)
-            full.exceedances(block_perms, redo, buffers)
-        for t, (part, k_half) in enumerate(half_targets):
-            points = buffers[part.risk, k_half][:, :last - first]
-            counts_a, counts_b = cell_histogram(part.classify(points), part.num_cells)
-            values[t, first:last] = jeffreys(counts_a, counts_b, k_half)[0] / 2.0
-    return [NullDistribution(reps, k_half) for reps, (_, k_half) in zip(values, half_targets)]
+        for s, prefix in enumerate(prefixes):
+            redo = prefix.exceedances(block_perms, np.arange(last - first), buffers[s])
+            if redo.size:
+                # Replicates whose stop check failed: the same computation at D = n.
+                fulls[s] = fulls[s] or _Prefix(sources[s], prefix.order_pos, n, chunk, block,
+                                               ks_by_risk)
+                fulls[s].exceedances(block_perms, redo, buffers[s])
+            for t, (part, k_half) in enumerate(half_targets):
+                points = buffers[s][part.risk, k_half][:, :last - first]
+                counts_a, counts_b = cell_histogram(part.classify(points), part.num_cells)
+                values[s, t, first:last] = jeffreys(counts_a, counts_b, k_half)[0] / 2.0
+    nulls = [[NullDistribution(reps, k_half) for reps, (_, k_half) in zip(by_target, half_targets)]
+             for by_target in values]
+    return nulls[0] if isinstance(source, Sample) else nulls
 
 
 def bootstrap_p_value(observed: Divergence, null: NullDistribution) -> float:
@@ -478,19 +533,6 @@ class Calibration:
         return float(np.quantile(self.null.replicates, 1.0 - level))
 
 
-def _source_nulls(source: Sample, label: str, targets: Sequence[tuple[Partition, int]],
-                  config: TestConfig, cache: dict) -> list[NullDistribution]:
-    """The bootstrap of ``source`` on ``bootstrap_stream(config.seed)``, read
-    from ``cache`` when it already holds that source and targets at the
-    config's replicate count and seed, the engine's only other inputs."""
-    key = (source.data.shape, source.data.tobytes(), source.margin_state, tuple(targets),
-           config.bootstrap_replicates, config.seed)
-    if key not in cache:
-        cache[key] = bootstrap_null(source, targets, config.bootstrap_replicates,
-                                    bootstrap_stream(config.seed), label)
-    return cache[key]
-
-
 def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partition, int]],
               config: TestConfig, xs: Sample, ys: Sample, *,
               nulls: Optional[dict] = None) -> list[Calibration]:
@@ -501,6 +543,8 @@ def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partiti
     stream ``bootstrap_stream(config.seed)``; the symmetric source also
     bootstraps ``ys`` on that stream and averages the two p-values, so
     swapping the samples leaves them unchanged. The null kept is that of xs.
+    Samples of one size are bootstrapped in one lockstep ``bootstrap_null``
+    call, which draws each block of permutations once for both.
 
     ``nulls``, when given, is a cache the caller owns across calls: keyed by
     the standardized source, the targets, the replicate count and the seed,
@@ -511,12 +555,25 @@ def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partiti
                 for div, (part, k_n) in zip(divergences, targets)]
     if nulls is None:
         nulls = {}
-    nulls_x = _source_nulls(xs, "x", targets, config, nulls)
+    sources = {"x": xs, "y": ys} if config.bootstrap_source == "symmetric" else {"x": xs}
+    keys = {label: (src.data.shape, src.data.tobytes(), src.margin_state, tuple(targets),
+                    config.bootstrap_replicates, config.seed) for label, src in sources.items()}
+    # The sources not yet in the cache, bootstrapped in lockstep per sample
+    # size: sources of one size share each block's permutations.
+    todo: dict = {}
+    for label, src in sources.items():
+        if keys[label] not in nulls:
+            todo.setdefault(src.n, {}).setdefault(keys[label], (src, label))
+    for group in todo.values():
+        group_sources, group_labels = zip(*group.values())
+        nulls.update(zip(group, bootstrap_null(group_sources, targets,
+                                               config.bootstrap_replicates,
+                                               bootstrap_stream(config.seed), group_labels)))
+    nulls_x = nulls[keys["x"]]
     p_values = [bootstrap_p_value(div, null) for div, null in zip(divergences, nulls_x)]
-    if config.bootstrap_source == "symmetric":
-        nulls_y = _source_nulls(ys, "y", targets, config, nulls)
+    if "y" in keys:
         p_values = [0.5 * (p + bootstrap_p_value(div, null))
-                    for p, div, null in zip(p_values, divergences, nulls_y)]
+                    for p, div, null in zip(p_values, divergences, nulls[keys["y"]])]
     return [Calibration(p, part.num_cells, k_n, null)
             for p, (part, k_n), null in zip(p_values, targets, nulls_x)]
 

@@ -183,9 +183,10 @@ class RngStream:
             np.random.Philox(np.random.SeedSequence(entropy=self.master_seed, spawn_key=key))
         )
 
-    def child(self, index: int) -> "RngStream":
-        """Independent sub-stream identified by ``(master_seed, key + (index,))``."""
-        return RngStream(self.master_seed, self._key + (index,))
+    def child(self, *indices: int) -> "RngStream":
+        """Independent sub-stream identified by ``(master_seed, key + indices)``:
+        ``child(i, j)`` is ``child(i).child(j)``, built as one stream."""
+        return RngStream(self.master_seed, self._key + indices)
 
     def uniform(self, size=None):
         """Uniform draws strictly inside (0, 1)."""
@@ -226,7 +227,7 @@ class RngStream:
         .permutation(n)`` bit for bit. Each counter is loaded into one reused
         Philox through its state, and this stream's own draws are untouched.
         ``out``, when given, is a (stop - start, n) integer array that
-        receives the rows: any dtype that holds n - 1 will do.
+        receives the rows: any integer dtype that holds n - 1 will do.
         """
         if not 0 <= start <= stop:
             raise DomainError(f"replicate range must satisfy 0 <= start <= stop, got {start}, {stop}")
@@ -234,6 +235,8 @@ class RngStream:
             out = np.empty((stop - start, n), dtype=np.int_)
         if out.shape != (stop - start, n):
             raise DomainError(f"out must have shape {(stop - start, n)}, got {out.shape}")
+        if out.dtype.kind not in "iu" or np.iinfo(out.dtype).max < n - 1:
+            raise DomainError(f"out of dtype {out.dtype} cannot hold the row index {n - 1}")
         gen = np.random.Generator(np.random.Philox(key=0))
         key = self._gen.bit_generator.state["state"]["key"].tolist()
         state = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4,

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailtest import (CellProbabilities, CopulaModel, RngStream, Sample, TestConfig,
-                      bootstrap_null, build_partition, make_angular_partition,
+from tailtest import (CellProbabilities, ConfigError, CopulaModel, RngStream, Sample,
+                      TestConfig, bootstrap_null, build_partition, make_angular_partition,
                       make_max_partition, make_min_partition, sample, to_pareto, to_pseudo,
                       uniform_cdf)
 from tailtest import inference
@@ -423,3 +423,60 @@ def test_engine_matches_reference_property(case):
     # The reference of each target replaces k_exceedances with the target's k.
     config = TestConfig(k_exceedances=1, margins=margins, bootstrap_replicates=100, seed=seed)
     assert_targets_match_reference(source, config, targets, **constants)
+
+
+@st.composite
+def lockstep_cases(draw):
+    n = draw(st.integers(16, 240))
+    targets = draw(st.lists(st.tuples(_partitions(2), st.just(1) | st.integers(1, n // 4)),
+                            min_size=1, max_size=3))
+    # Each source: "pseudo" (ranked raw data), "tied" (a caller-built tied
+    # pseudo sample) or "pareto" (known margins).
+    kinds = draw(st.lists(st.sampled_from(["pseudo", "tied", "pareto"]), min_size=2, max_size=3))
+    constants = dict(chunk_points=draw(st.integers(1, 4 * n)),
+                     block_replicates=draw(st.integers(1, 150)),
+                     candidate_points=draw(st.none() | st.integers(1, 8 * n)),
+                     depth=draw(st.none() | st.just(n) | st.integers(0, n)))
+    return (n, targets, kinds, draw(st.integers(1, 130)), draw(st.integers(0, 2 ** 32)),
+            constants)
+
+
+def _lockstep_source(kind, n, stream):
+    u = stream.child(0).uniform((n, 2))
+    if kind == "tied":
+        return Sample(1.0 + np.floor(u * 6.0), "pseudo")
+    if kind == "pareto":
+        return Sample(1.0 / (1.0 - u), "pareto")
+    return to_pseudo(sample(CopulaModel("logistic", 0.6), n, stream.child(1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lockstep_cases())
+def test_lockstep_sources_match_separate_bootstraps_property(case):
+    n, targets, kinds, replicates, seed, constants = case
+    stream = RngStream(seed % 1000, (8,))
+    sources = tuple(_lockstep_source(kind, n, stream.child(i)) for i, kind in enumerate(kinds))
+    with _engine_constants(**constants):
+        together = bootstrap_null(sources, targets, replicates, bootstrap_stream(seed))
+        alone = [bootstrap_null(source, targets, replicates, bootstrap_stream(seed))
+                 for source in sources]
+    assert len(together) == len(sources)
+    for nulls, expected in zip(together, alone):
+        assert [null.k_half for null in nulls] == [null.k_half for null in expected]
+        for null, want in zip(nulls, expected):
+            assert np.array_equal(null.replicates, want.replicates)
+
+
+class TestLockstepSources:
+    def test_one_label_or_one_each(self):
+        pseudo, raw = to_pseudo(_raw(300, 53)), _raw(300, 54)
+        targets = [(make_max_partition(2), 40)]
+        with pytest.raises(ConfigError, match="sample y needs a standardized"):
+            bootstrap_null((pseudo, raw), targets, 10, bootstrap_stream(1), ("x", "y"))
+        with pytest.raises(ConfigError, match="sample both needs a standardized"):
+            bootstrap_null((pseudo, raw), targets, 10, bootstrap_stream(1), "both")
+
+    def test_sources_of_different_sizes_are_refused(self):
+        with pytest.raises(ConfigError, match="one size"):
+            bootstrap_null((to_pseudo(_raw(300, 55)), to_pseudo(_raw(301, 56))),
+                           [(make_max_partition(2), 40)], 10, bootstrap_stream(1))

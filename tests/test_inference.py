@@ -209,6 +209,30 @@ class TestRunTestEmpiricalMargins:
         assert report.method == "bootstrap"
         assert 0.0 <= report.p_value <= 1.0
 
+    @pytest.mark.parametrize("n_y, rows", [(800, 120), (700, 240)])
+    def test_symmetric_source_draws_shared_permutations(self, n_y, rows):
+        # Samples of one size share each replicate's permutation; otherwise
+        # each sample draws its own. The report equals the one-sample-at-a-time
+        # calibration either way.
+        x = simulate(CopulaModel("logistic", 0.5), 800, 6, 0)
+        y = simulate(CopulaModel("logistic", 0.6), n_y, 6, 1)
+        config = TestConfig(k_exceedances=80, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=120, seed=22, bootstrap_source="symmetric")
+        real, drawn = RngStream.jumped_permutations, []
+
+        def counting(stream, start, stop, n, out=None):
+            drawn.append(stop - start)
+            return real(stream, start, stop, n, out=out)
+
+        with mock.patch.object(RngStream, "jumped_permutations", counting):
+            report = run_test(x, y, config)
+        assert sum(drawn) == rows
+        targets = [(inference.build_partition(config, 2), 80)]
+        p_x, p_y = (float(np.mean(null.replicates > report.statistic))
+                    for [null] in (bootstrap_null(to_pseudo(s), targets, 120,
+                                                  inference.bootstrap_stream(22)) for s in (x, y)))
+        assert report.p_value == 0.5 * (p_x + p_y)
+
     def test_report_serializes(self):
         x = simulate(CopulaModel("logistic", 0.5), 600, 7, 0)
         y = simulate(CopulaModel("logistic", 0.5), 600, 7, 1)

@@ -511,12 +511,14 @@ class TestSeasonalTests:
 
 
 def count_bootstraps(monkeypatch):
-    """Record the (source bytes, k_n targets) of every ``bootstrap_null`` call."""
+    """Record the (source bytes, k_n targets) of every source that
+    ``bootstrap_null`` bootstraps, alone or in lockstep with others."""
     calls = []
     real = inference.bootstrap_null
 
     def counting(source, targets, *args, **kwargs):
-        calls.append((source.data.tobytes(), tuple(k for _, k in targets)))
+        sources = (source,) if isinstance(source, Sample) else source
+        calls.extend((src.data.tobytes(), tuple(k for _, k in targets)) for src in sources)
         return real(source, targets, *args, **kwargs)
 
     monkeypatch.setattr(inference, "bootstrap_null", counting)

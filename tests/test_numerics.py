@@ -245,6 +245,15 @@ class TestRngStream:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("stream_id", [0, (1_000_003, 4), (2, 3, 5)])
+    def test_child_of_several_indices_is_the_grandchild(self, stream_id):
+        stream = RngStream(9, stream_id)
+        one, two = stream.child(6, 1), stream.child(6).child(1)
+        assert one.stream_id == two.stream_id
+        assert np.array_equal(one.uniform(20), two.uniform(20))
+        assert np.array_equal(one.jumped_permutations(0, 3, 50), two.jumped_permutations(0, 3, 50))
+        assert not np.array_equal(stream.child(6, 0).uniform(20), stream.child(6, 1).uniform(20))
+
 
 # Master seeds and stream-id parts of one to seven 32-bit words.
 MASTER_SEEDS = st.one_of(st.just(0), st.integers(1, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1),
@@ -352,3 +361,17 @@ class TestChildPermutations:
     def test_buffer_of_the_wrong_shape(self):
         with pytest.raises(DomainError):
             RngStream(5).jumped_permutations(0, 3, 10, out=np.empty((2, 10), dtype=np.int16))
+
+    @pytest.mark.parametrize("dtype, n", [(np.int8, 300), (np.uint8, 258), (np.int16, 2 ** 15 + 1),
+                                          (np.float32, 10), (np.float64, 10), (bool, 2)])
+    def test_buffer_that_cannot_hold_the_rows(self, dtype, n):
+        # An int8 buffer at n = 300 would wrap row indices to 256 values.
+        out = np.ones((2, n), dtype=dtype)
+        with pytest.raises(DomainError, match="cannot hold"):
+            RngStream(5).jumped_permutations(0, 2, n, out=out)
+        assert (out == 1).all()
+
+    @pytest.mark.parametrize("dtype, n", [(np.int8, 128), (np.uint8, 256), (np.uint16, 2 ** 16)])
+    def test_buffer_at_its_dtype_limit(self, dtype, n):
+        got = RngStream(5, 2).jumped_permutations(0, 2, n, out=np.empty((2, n), dtype=dtype))
+        assert np.array_equal(got, stacked_children(5, 2, 0, 2, n))
