@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .copulas import CopulaModel, sample
-from .errors import TailTestError
+from .errors import FormatError, TailTestError
 from .experiments import (ExperimentPlan, k_sensitivity_study, null_histogram_study,
                           size_power_study, write_nulls_outputs, write_power_outputs)
 from .inference import TestConfig, run_test
@@ -108,10 +108,17 @@ def _default_outdir(args) -> str:
 
 def _read_sample(path: str) -> Sample:
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with open(path) as fh:
+            header = fh.readline()
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise TailTestError(f"could not read sample CSV {path!r}: {exc}") from exc
-    return Sample(data)
+    try:
+        [float(field) for field in header.split(",")]
+    except ValueError:
+        return Sample(data)
+    raise FormatError(f"sample CSV {path!r} has no header row: its first record "
+                      f"{header.strip()!r} parses as numbers")
 
 
 def _write_sample(path: str, data: np.ndarray):

@@ -10,10 +10,10 @@ its permutation from the bootstrap stream's Philox jumped b + 1 times, so
 any replicate range is defined by its two ends alone.
 
 A replicate needs only each half's top k_half + 1 rows by risk, so the
-bootstrap ranks and scores candidate rows alone, after the threshold
-algorithm of Fagin, Lotem & Naor (JCSS 2003):
+bootstrap of a pseudo source ranks and scores candidate rows alone, after
+the threshold algorithm of Fagin, Lotem & Naor (JCSS 2003):
 
-- Candidates are the rows in the top D positions of some coordinate's
+- Candidates are the rows in the top D < n positions of some coordinate's
   whole-sample order. The depth D is read from the source and each risk
   kind's largest k (``_prefix_depth``), never from an option.
 - A row's rank within its half is the number of its half's rows at or below
@@ -34,8 +34,8 @@ algorithm of Fagin, Lotem & Naor (JCSS 2003):
   strictly exceeds its boundary risk, the threshold, the exceedances and
   every row tied at the threshold are candidates. Equality is not enough: a
   row outside the prefix may tie the boundary risk.
-- A replicate that fails the check is redone by the same code at D = n,
-  where every row is a candidate and nothing is bounded.
+- A replicate that fails the check, and every replicate of a Pareto-scale
+  source, runs the definition: ``scaled_exceedances`` on each permuted half.
 - A pseudo source's halves are ranked in its whole-sample order, so ties
   fall by row order, the rule of ``standardize``. A tied source gets the
   null of its re-ranked self; the bound reads positions, so it stays exact.
@@ -59,10 +59,10 @@ import numpy as np
 from . import __version__
 from .divergence import Divergence, jeffreys, kl_divergence
 from .errors import ConfigError, DomainError, InsufficientDataError
-from .margins import Sample, _ordinal_ranks, pseudo_scale, standardize
+from .margins import Sample, _ordinal_ranks, _pseudo, pseudo_scale, standardize
 from .numerics import RngStream, chisq_quantile, chisq_sf
 from .partitions import (Partition, cell_histogram, count_cells, make_angular_partition,
-                         make_max_partition, make_min_partition)
+                         make_max_partition, make_min_partition, scaled_exceedances)
 
 RISK_ALIASES = {"max": "max", "min": "min", "l2": "euclidean", "euclidean": "euclidean",
                 "l1": "sum", "sum": "sum"}
@@ -234,7 +234,7 @@ def _prefix_depth(source: Sample, ks_by_risk: dict) -> int:
         reach = np.partition(risk(source.data), n - top)[n - top]
         unit = risk(np.ones(source.d))
         depth = max(depth, int((source.data >= reach / unit).sum(axis=0).max()))
-    return min(n, depth)
+    return depth
 
 
 def _index_dtype(n: int):
@@ -243,77 +243,58 @@ def _index_dtype(n: int):
 
 
 class _Prefix:
-    """The candidate rows of a bootstrap source at prefix depth D (the rows,
+    """The candidate rows of a pseudo source at prefix depth D < n (the rows,
     ascending, in the top D positions of some coordinate's whole-sample
-    order ``order_pos`` (d, n)) and the split-half top-k exceedances of each
-    ``ks_by_risk`` (risk, k_half) computed from them. At D = n every row is
-    a candidate and nothing is bounded.
-
-    When every risk is the min risk, the candidates are the rows in the top
-    D positions of every coordinate (far fewer under weak dependence): a row
-    below position n - D in some coordinate has min risk at most the largest
-    coordinate of its half's boundary point.
-    """
+    order ``order_pos`` (d, n), or of every coordinate when every risk is the
+    min risk) and the split-half top-k exceedances of each ``ks_by_risk``
+    (risk, k_half) computed from them."""
 
     def __init__(self, source: Sample, order_pos: np.ndarray, depth: int,
                  chunk: int, block: int, ks_by_risk: dict):
         n, d = source.n, source.d
-        self.n, self.half, self.depth, self.full = n, n // 2, depth, depth >= n
+        self.n, self.half, self.depth = n, n // 2, depth
         self.ks_by_risk = ks_by_risk
         self.every = all(risk.kind == "min" for risk in ks_by_risk)
         inside = order_pos >= n - depth
-        self.rows = (np.arange(n) if self.full
-                     else np.flatnonzero(inside.all(axis=0) if self.every else inside.any(axis=0)))
+        self.rows = np.flatnonzero(inside.all(axis=0) if self.every else inside.any(axis=0))
         self.capacity = capacity = min(block, chunk * max(1, _CANDIDATE_POINTS
                                                           // (chunk * max(1, self.rows.size))))
-        self.order_pos, self.pos = order_pos, order_pos[:, self.rows]
-        self.pseudo = source.margin_state == "pseudo"
+        self.pos = order_pos[:, self.rows]
         self.first = np.empty((capacity, self.rows.size), dtype=bool)
-        # Gap buckets of each ranked coordinate (all of a pseudo source's, the
-        # first of a Pareto-scale one, which needs half membership alone): each
-        # cut point (a candidate's position, and the boundary position
-        # n - D - 1) is a bucket, and so is each gap between them that holds
-        # a position.
-        ranked = np.arange(d if self.pseudo else 1)[:, None]
-        cuts = self.pos[ranked[:, 0]]
-        if not self.full:
-            cuts = np.column_stack([cuts, np.full(ranked.size, n - depth - 1)])
-        starts = np.zeros((ranked.size, n + 1), dtype=bool)
-        starts[:, 0] = starts[ranked, cuts] = starts[ranked, cuts + 1] = True
+        # Gap buckets of each coordinate: each cut point (a candidate's
+        # position, and the boundary position n - D - 1) is a bucket, and so
+        # is each gap between them that holds a position.
+        coords = np.arange(d)[:, None]
+        cuts = np.column_stack([self.pos, np.full(d, n - depth - 1)])
+        starts = np.zeros((d, n + 1), dtype=bool)
+        starts[:, 0] = starts[coords, cuts] = starts[coords, cuts + 1] = True
         bucket = np.cumsum(starts[:, :n], axis=1) - 1
         self.width = width = int(bucket[:, -1].max()) + 1
         # A locate call takes at most a chunk of replicates, and at most as
         # many as keep its bucket ids and counts within _CHUNK_POINTS entries:
-        # larger arrays are page-faulted afresh per call (D = n has n buckets).
-        self.step = max(1, min(chunk, _CHUNK_POINTS // (ranked.size * max(width, self.half))))
-        bucket += width * ranked
+        # larger arrays are page-faulted afresh per call.
+        self.step = max(1, min(chunk, _CHUNK_POINTS // (d * max(width, self.half))))
+        bucket += width * coords
         # Lane l of a locate call offsets its bucket ids by l lane_buckets,
         # so that one bincount counts every lane.
-        self.lane_buckets = ranked.size * width
+        self.lane_buckets = d * width
         self.lanes = self.lane_buckets * np.arange(self.step)[:, None, None]
-        # Each row's bucket per coordinate (n, coordinates), and the buckets
-        # of the candidates and of the boundary position (coordinates, m + 1).
-        self.row_bucket = np.take_along_axis(bucket, order_pos[ranked[:, 0]], axis=1).T.copy()
+        # Each row's bucket per coordinate (n, d), and the buckets of the
+        # candidates and of the boundary position (d, m + 1).
+        self.row_bucket = np.take_along_axis(bucket, order_pos, axis=1).T.copy()
         self.cut_bucket = np.take_along_axis(bucket, cuts, axis=1)
-        if self.pseudo:
-            # Pseudo-observations of both halves in one table: rank r of the
-            # first half at index r, of the second at half + 1 + r.
-            self.table = np.concatenate([pseudo_scale(self.half), pseudo_scale(n - self.half)])
-            self.shift = (self.pos + (self.half + 2)).astype(np.int32)
-            self.values = np.empty((capacity, self.rows.size, d))
-            self.bound_values = np.empty((capacity, 2, d))
-        else:
-            self.values = source.data[self.rows]
-            if not self.full:
-                # Whole-sample values at position n - D - 1 bound both halves.
-                last = np.argmax(order_pos == n - depth - 1, axis=1)
-                self.bound_values = source.data[last, np.arange(d)]
+        # Pseudo-observations of both halves in one table: rank r of the
+        # first half at index r, of the second at half + 1 + r.
+        self.table = np.concatenate([pseudo_scale(self.half), pseudo_scale(n - self.half)])
+        self.shift = (self.pos + (self.half + 2)).astype(np.int32)
+        self.values = np.empty((capacity, self.rows.size, d))
+        self.bound_values = np.empty((capacity, 2, d))
 
     def locate(self, perms: np.ndarray, offset: int):
         """Which candidates fall in the first half of each permutation in
-        ``perms`` (c, n), and for a pseudo source their pseudo-observations
-        within their half and those of the boundary point of each half;
-        written from row ``offset``. One count of the first half's rows per
+        ``perms`` (c, n), their pseudo-observations within their half and
+        those of the boundary point of each half; written from row
+        ``offset``. One count of the first half's rows per
         gap bucket gives all three: the count in a candidate's own bucket is
         its membership, and the cumulative count up to it (or to a boundary
         position's bucket) the first-half rows at or below its position,
@@ -325,8 +306,6 @@ class _Prefix:
         counts = np.bincount(ids.reshape(-1), minlength=c * self.lane_buckets).reshape(c, -1)
         first = self.first[out]
         first[...] = counts.take(self.cut_bucket[0, :m], axis=1)
-        if not self.pseudo:
-            return
         # int32 ranks: narrower arithmetic, and 2 n fits for any sample.
         below = np.cumsum(counts.reshape(c, -1, self.width), axis=2, dtype=np.int32)
         below = below.reshape(c, -1)
@@ -339,10 +318,9 @@ class _Prefix:
         index -= (index - at) * first[:, None]
         for j in range(index.shape[1]):
             self.values[out, :, j] = self.table.take(index[:, j])
-        if not self.full:
-            rank = below.take(self.cut_bucket[:, m], axis=1)
-            self.bound_values[out, 0] = self.table.take(rank)
-            self.bound_values[out, 1] = self.table.take(self.n - self.depth + half + 1 - rank)
+        rank = below.take(self.cut_bucket[:, m], axis=1)
+        self.bound_values[out, 0] = self.table.take(rank)
+        self.bound_values[out, 1] = self.table.take(self.n - self.depth + half + 1 - rank)
 
     def exceedances(self, perms: np.ndarray, rows: np.ndarray, buffers: dict) -> np.ndarray:
         """Write both halves' rescaled top-k exceedances (``top_k``'s stable
@@ -360,9 +338,7 @@ class _Prefix:
         (c, n), (m, d) = perms.shape, self.pos.T.shape
         if m <= max(ks[-1] for ks in self.ks_by_risk.values()):
             return rows
-        first = self.first[:c]
-        # A Pareto-scale candidate's values and risks are the same in every replicate.
-        values = self.values[:c] if self.pseudo else self.values
+        first, values = self.first[:c], self.values[:c]
         ok = np.ones(c, dtype=bool)
         selections = []
         halves = (first, ~first)
@@ -375,10 +351,9 @@ class _Prefix:
                 top = top[:, m - ks[-1] - 1:]
                 thresholds = [np.partition(top, ks[-1] - k, axis=1)[:, ks[-1] - k]
                               for k in ks[:-1]] + [top[:, 0]]
-                if not self.full:
-                    # Strict: a row outside the prefix may tie the boundary risk.
-                    bound = self.bound_values[:c, h] if self.pseudo else self.bound_values
-                    ok &= thresholds[-1] > (bound.max(axis=-1) if self.every else risk(bound))
+                # Strict: a row outside the prefix may tie the boundary risk.
+                bound = self.bound_values[:c, h]
+                ok &= thresholds[-1] > (bound.max(axis=-1) if self.every else risk(bound))
                 selections.append((risk, h, r_all, ks, thresholds))
         failed = ~ok
         for risk, h, r_all, ks, thresholds in selections:
@@ -392,9 +367,7 @@ class _Prefix:
                     span = slice(0, self.half) if h == 0 else slice(self.half, n)
                     self._keep_last_ties(keep, lanes, spare[lanes], r_vals, threshold,
                                          perms[lanes, span])
-                flat = np.flatnonzero(keep)
-                points = (values.reshape(-1, d).take(flat, axis=0) if self.pseudo
-                          else values.take(flat % m, axis=0))
+                points = values.reshape(-1, d).take(np.flatnonzero(keep), axis=0)
                 buffers[risk, k][h, rows[ok]] = points.reshape(-1, k, d) / threshold[ok, None, None]
         return rows[failed]
 
@@ -412,6 +385,24 @@ class _Prefix:
         chosen = from_last < spare[lane]
         row = half_perms[lane[chosen], at[chosen]]
         keep[lanes[lane[chosen]], np.searchsorted(self.rows, row)] = True
+
+
+def _defined(source: Sample, order_pos: Optional[np.ndarray], perms: np.ndarray,
+             rows: np.ndarray, buffers: dict):
+    """Write both halves' rescaled top-k exceedances of each (risk, k) under
+    ``perms[rows]`` into ``buffers`` at ``rows`` by the definition,
+    ``scaled_exceedances`` on each permuted half, max(1, _CHUNK_POINTS // n)
+    replicates at a time. A pseudo source's halves are ranked by whole-sample
+    position ``order_pos`` (d, n), ties by row order, as ``standardize`` does."""
+    n = source.n
+    step = max(1, _CHUNK_POINTS // n)
+    for start in range(0, rows.size, step):
+        at = rows[start:start + step]
+        for h, span in enumerate((slice(0, n // 2), slice(n // 2, n))):
+            half = perms[at, span]
+            data = source.data[half] if order_pos is None else _pseudo(order_pos.T[half])
+            for key, (_, points) in scaled_exceedances(data, buffers).items():
+                buffers[key][h, at] = points
 
 
 def bootstrap_null(source: Sample | tuple[Sample, ...],
@@ -440,18 +431,18 @@ def bootstrap_null(source: Sample | tuple[Sample, ...],
     drawn once for all, and the result is one such list per source, each
     equal to that source's bootstrap alone.
 
-    The candidate rows and the depth D are fixed once per call and source
+    A pseudo source's candidate rows and depth D < n are fixed once per call
     (see the module docstring). Each block of about _BLOCK_REPLICATES
     replicates draws its permutations into one compact integer buffer
     allocated once per call. Per chunk of max(1, _CHUNK_POINTS // n)
     replicates, the first half's rows counted per gap bucket give the
     candidates' half membership, their within-half ranks and each half's
     boundary rank. Per group of whole chunks (below _CANDIDATE_POINTS
-    candidate rows, at most a block) the candidates' pseudo-observations (a
-    Pareto-scale source's own values) and risks give each (risk kind,
-    k_half) threshold by one partition at the kind's largest k_half, the
-    strict stop check, and the rescaled exceedances. Replicates that fail
-    the check are redone at D = n. The exceedances fill buffers of one
+    candidate rows, at most a block) the candidates' pseudo-observations and
+    risks give each (risk kind, k_half) threshold by one partition at the
+    kind's largest k_half, the strict stop check, and the rescaled
+    exceedances. Replicates that fail the check, and a Pareto-scale source's,
+    run the definition (``_defined``). The exceedances fill buffers of one
     block; once per block, each target is classified, counted and scored
     with one call each. Each null equals the null of its target bootstrapped
     alone. ``source_label`` names the source in errors.
@@ -484,10 +475,12 @@ def bootstrap_null(source: Sample | tuple[Sample, ...],
     # Only the positions outlive each source's set-up: arrays kept alive
     # through the block loop leave glibc's heap laid out so that the loop's
     # large temporaries are page-faulted afresh.
-    prefixes = [_Prefix(src, _ordinal_ranks(src.data.T, axis=1)[0] - 1,
-                        _prefix_depth(src, ks_by_risk), chunk, block, ks_by_risk)
-                for src in sources]
-    fulls: list = [None] * len(sources)
+    positions = [_ordinal_ranks(src.data.T, axis=1)[0] - 1 if src.margin_state == "pseudo"
+                 else None for src in sources]
+    prefixes = [None if order_pos is None else
+                _Prefix(src, order_pos, min(n - 1, _prefix_depth(src, ks_by_risk)), chunk, block,
+                        ks_by_risk)
+                for src, order_pos in zip(sources, positions)]
     # Both halves' rescaled exceedances of one block of replicates, per (risk, k).
     buffers = [{(part.risk, k_half): np.empty((2, block, k_half, src.d))
                 for part, k_half in half_targets} for src in sources]
@@ -497,12 +490,12 @@ def bootstrap_null(source: Sample | tuple[Sample, ...],
         last = min(replicates, first + block)
         block_perms = stream.jumped_permutations(first, last, n, out=perms[:last - first])
         for s, prefix in enumerate(prefixes):
-            redo = prefix.exceedances(block_perms, np.arange(last - first), buffers[s])
-            if redo.size:
-                # Replicates whose stop check failed: the same computation at D = n.
-                fulls[s] = fulls[s] or _Prefix(sources[s], prefix.order_pos, n, chunk, block,
-                                               ks_by_risk)
-                fulls[s].exceedances(block_perms, redo, buffers[s])
+            # A Pareto-scale source's replicates, and those whose stop check
+            # failed, run the definition.
+            rows = np.arange(last - first)
+            if prefix is not None:
+                rows = prefix.exceedances(block_perms, rows, buffers[s])
+            _defined(sources[s], positions[s], block_perms, rows, buffers[s])
             for t, (part, k_half) in enumerate(half_targets):
                 points = buffers[s][part.risk, k_half][:, :last - first]
                 counts_a, counts_b = cell_histogram(part.classify(points), part.num_cells)

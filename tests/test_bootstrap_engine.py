@@ -124,14 +124,13 @@ def _engine_constants(chunk_points=None, block_replicates=None, candidate_points
 
 @contextlib.contextmanager
 def stop_checks():
-    """Record (replicates, failed) of each block's candidate pass below D = n."""
+    """Record (replicates, failed) of each block's candidate pass."""
     calls = []
     engine = inference._Prefix.exceedances
 
     def spy(prefix, perms, rows, buffers):
         failed = engine(prefix, perms, rows, buffers)
-        if not prefix.full:
-            calls.append((rows.size, failed.size))
+        calls.append((rows.size, failed.size))
         return failed
 
     with mock.patch.object(inference._Prefix, "exceedances", spy):
@@ -300,54 +299,97 @@ class TestBlocksAndNestedK:
         assert_targets_match_reference(Sample(data, "pareto"), config, NESTED_TARGETS)
 
 
+def stop_check_halves(source, k, depth, seed, replicates, risk, every=False):
+    """What the stop check of each replicate's halves reads, from the
+    reference ranking of a pseudo source at prefix depth ``depth``: the
+    (k/2 + 1)-th largest candidate risk (0 past the candidates), the boundary
+    point (in each coordinate, the value of the half's last row below position
+    n - depth) and the largest risk of a row outside the candidates. Shapes
+    (replicates, 2), (replicates, 2, d) and (replicates, 2)."""
+    n, half = source.n, source.n // 2
+    positions = reference_ordinal_ranks(source.data) - 1
+    inside = positions >= n - depth
+    candidate = inside.all(axis=1) if every else inside.any(axis=1)
+    threshold, outside = np.empty((replicates, 2)), np.empty((replicates, 2))
+    boundary = np.empty((replicates, 2, source.d))
+    for b in range(replicates):
+        perm = jumped_permutation(bootstrap_stream(seed), b, n)
+        for h, rows in enumerate((perm[:half], perm[half:])):
+            values = _reference_rank_transform(positions[rows])
+            r_vals = risk(values)
+            threshold[b, h] = np.sort(np.where(candidate[rows], r_vals, 0.0))[-(k // 2 + 1)]
+            outside[b, h] = r_vals[~candidate[rows]].max()
+            below = positions[rows] < n - depth
+            boundary[b, h] = [values[below[:, j], j].max() for j in range(source.d)]
+    return threshold, boundary, outside
+
+
 class TestPrefixStopCheck:
-    @pytest.mark.parametrize("margins", ["empirical", "known"])
     @pytest.mark.parametrize("targets, depth", [
         ([(make_angular_partition("euclidean", 5), 40)], 45), (NESTED_TARGETS, 70)],
         ids=["one", "nested"])
-    def test_some_replicates_of_a_block_fall_back(self, margins, targets, depth):
+    def test_some_replicates_of_a_block_fall_back(self, targets, depth):
         # At these depths the stop check fails for some of the block's replicates only.
-        raw = _raw(400, 40)
-        source = to_pseudo(raw) if margins == "empirical" else to_pareto(raw, [uniform_cdf] * 2)
-        config = TestConfig(k_exceedances=40, margins=margins, bootstrap_replicates=120, seed=41)
+        source = to_pseudo(_raw(400, 40))
+        config = TestConfig(k_exceedances=40, bootstrap_replicates=120, seed=41)
         with stop_checks() as calls:
             assert_targets_match_reference(source, config, targets, depth=depth)
         assert calls and all(0 < failed < size for size, failed in calls)
 
     def test_threshold_ties_at_the_boundary_risk_fall_back(self):
-        # Max risk on an integer grid at D = 50: the boundary point is (7, 8),
-        # and rows outside the prefix reach its risk 8, the half threshold.
-        data = _max_risk_ties(400, 30)
-        n, depth, k = 400, 50, 40
-        boundary = np.sort(data, axis=0)[n - depth - 1]
-        assert boundary.max() == 8.0
-        ranks = np.argsort(np.argsort(data, axis=0, kind="stable"), axis=0, kind="stable")
-        outside = ~(ranks >= n - depth).any(axis=1)
-        assert (data[outside].max(axis=1) == 8.0).sum() > 0
-        first = data[jumped_permutation(bootstrap_stream(31), 0, n)[:n // 2]].max(axis=1)
-        assert np.sort(first)[n // 2 - k // 2 - 1] == boundary.max()
-        config = TestConfig(k_exceedances=k, risk="max", margins="known",
-                            bootstrap_replicates=101, seed=31)
+        # Countermonotone pseudo-observations: within a half, the rows of
+        # ranks r and half + 1 - r in the first coordinate share one max risk.
+        # At D = 26 many half thresholds equal the boundary risk, which the
+        # boundary point outside the prefix attains; those replicates fall
+        # back although no threshold lies below its bound.
+        x = np.arange(400.0)
+        source = to_pseudo(Sample(np.column_stack([x, -x])))
+        partition = make_max_partition(2)
+        threshold, boundary, outside = stop_check_halves(source, 40, 26, 41, 100, partition.risk)
+        bound = partition.risk(boundary)
+        tied = threshold == bound
+        assert (outside[tied] == bound[tied]).all()
+        assert ((threshold >= bound).all(axis=1) & tied.any(axis=1)).sum() >= 10
+        config = TestConfig(k_exceedances=40, risk="max", bootstrap_replicates=100, seed=41)
         with stop_checks() as calls:
-            assert_targets_match_reference(Sample(data, "pareto"), config,
-                                           [(make_max_partition(2), k)], depth=depth)
-        assert calls == [(101, 101)]
+            assert_targets_match_reference(source, config, [(partition, 40)], depth=26)
+        assert calls == [(100, (threshold <= bound).any(axis=1).sum())]
 
     def test_min_risk_alone_is_bounded_by_the_largest_boundary_coordinate(self):
-        # With min risk alone the candidates are the rows in the top D of every
-        # coordinate. Four rows in five share the value 50 in the second
-        # coordinate, so at D = 250 its boundary value is 50 and the first
-        # coordinate's about 1.6, and rows outside the candidates reach min
-        # risks far above 1.6: the half thresholds never exceed the bound 50.
-        u = RngStream(46).uniform((400, 3))
-        data = np.column_stack([1.0 / (1.0 - u[:, 0]),
-                                np.where(u[:, 1] < 0.8, 50.0, 1.0 / (1.0 - u[:, 2]))])
-        config = TestConfig(k_exceedances=40, risk="min", margins="known",
-                            bootstrap_replicates=101, seed=47)
+        # With min risk alone the candidates are the rows in the top D of
+        # every coordinate, so a row outside them is below position n - D in
+        # one coordinate and has min risk at most that coordinate's boundary
+        # value. At D = 150 some half thresholds exceed the smaller boundary
+        # coordinate while a row outside the candidates reaches them: only the
+        # largest coordinate bounds, and the replicates below it fall back.
+        source = to_pseudo(Sample(RngStream(46).uniform((400, 2))))
+        partition = make_min_partition(2)
+        threshold, boundary, outside = stop_check_halves(source, 40, 150, 47, 100,
+                                                         partition.risk, every=True)
+        assert ((boundary.min(axis=-1) < threshold) & (outside >= threshold)).any()
+        config = TestConfig(k_exceedances=40, risk="min", bootstrap_replicates=100, seed=47)
         with stop_checks() as calls:
-            assert_targets_match_reference(Sample(data, "pareto"), config,
-                                           [(make_min_partition(2), 40)], depth=250)
-        assert calls == [(101, 101)]
+            assert_targets_match_reference(source, config, [(partition, 40)], depth=150)
+        assert calls == [(100, (threshold <= boundary.max(axis=-1)).any(axis=1).sum())]
+
+    def test_pareto_sources_run_the_definition(self):
+        source = to_pareto(_raw(400, 50), [uniform_cdf] * 2)
+        config = TestConfig(k_exceedances=40, margins="known", bootstrap_replicates=101, seed=51)
+        with mock.patch.object(inference, "_Prefix", side_effect=AssertionError("prefix built")):
+            assert_targets_match_reference(source, config, NESTED_TARGETS)
+
+    def test_depth_n_runs_the_prefix_at_n_minus_one(self):
+        # At D = n - 1 the boundary point is the bottom row, below every
+        # candidate's risk.
+        source = to_pseudo(_raw(400, 52))
+        config = TestConfig(k_exceedances=40, bootstrap_replicates=100, seed=53)
+        with mock.patch.object(inference._Prefix, "__init__", autospec=True,
+                               side_effect=inference._Prefix.__init__) as init, \
+                stop_checks() as calls:
+            assert_targets_match_reference(source, config, NESTED_TARGETS, depth=400)
+        [call] = init.call_args_list
+        assert call.args[3] == 399
+        assert calls and all(failed == 0 for _, failed in calls)
 
     @pytest.mark.parametrize("n", [2 ** 15 - 1, 2 ** 15 + 1])
     @pytest.mark.parametrize("margins", ["empirical", "known"])

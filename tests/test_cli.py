@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from tailtest import CopulaModel, RngStream, experiments, ingest
+from tailtest import CopulaModel, FormatError, RngStream, cli, experiments, ingest
 from tailtest.cli import build_parser, main
 from tailtest.schemas import get_schema
 from .conftest import make_rain_series
@@ -69,6 +69,20 @@ class TestStandardize:
                             "--known-cdf", "uniform", "--out", str(out))
         assert code == 0
         assert doc["known_cdf"] == "uniform"
+
+    def test_headerless_csv_is_failure(self, capsys, tmp_path):
+        # Three rows and no header: the first row must not be read as one.
+        bare = tmp_path / "bare.csv"
+        bare.write_text("1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        with pytest.raises(FormatError, match="no header row"):
+            cli._read_sample(str(bare))
+        code = main(["standardize", str(bare), "--out", str(tmp_path / "out.csv")])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "no header row" in captured.err
+        (tmp_path / "headed.csv").write_text("x1,x2\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        assert cli._read_sample(str(tmp_path / "headed.csv")).n == 3
 
 
 class TestTestCommand:
