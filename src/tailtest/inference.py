@@ -43,8 +43,11 @@ the threshold algorithm of Fagin, Lotem & Naor (JCSS 2003):
   position in the permuted half are kept. Positions are looked up only for
   the replicates whose selection needs them.
 - Sources of one size bootstrapped on one stream (the symmetric source's
-  two samples) draw the same permutations, so they run in lockstep: each
-  block of permutations is drawn once and scored for every source.
+  two samples, or the seasons of a ``seasonal_tests`` batch) draw the same
+  permutations, so they run in lockstep: each block of permutations is drawn
+  once and scored for every source. A block is the whole chunks whose
+  permutations hold about _BLOCK_POINTS entries, so its fixed costs keep in
+  proportion to its work at every n.
 """
 
 from __future__ import annotations
@@ -73,10 +76,11 @@ _BOOTSTRAP_NS = 1_000_003
 # The bootstrap engine handles max(1, _CHUNK_POINTS // n) replicates at a
 # time, which keeps its working set at a few MB whatever the replicate count.
 _CHUNK_POINTS = 2 ** 14
-# It classifies and scores about _BLOCK_REPLICATES replicates at a time (whole
-# chunks, at least one): fewer calls per target than one per chunk, and a block
-# buffer small next to buffering every replicate.
-_BLOCK_REPLICATES = 128
+# It classifies and scores a block of replicates at a time: the whole chunks
+# (at least one) whose permutations hold about _BLOCK_POINTS entries. That is
+# fewer calls per target than one per chunk at every n, and a block buffer
+# small next to buffering every replicate.
+_BLOCK_POINTS = 2 ** 18
 # It ranks and selects the candidates of whole chunks of replicates at a time,
 # as many as keep that below _CANDIDATE_POINTS candidate rows (at least one
 # chunk, at most one block).
@@ -235,6 +239,12 @@ def _prefix_depth(source: Sample, ks_by_risk: dict) -> int:
         unit = risk(np.ones(source.d))
         depth = max(depth, int((source.data >= reach / unit).sum(axis=0).max()))
     return depth
+
+
+def _block_layout(n: int) -> tuple[int, int]:
+    """Replicates per chunk and per block of a bootstrap of n rows."""
+    chunk = max(1, _CHUNK_POINTS // n)
+    return chunk, chunk * max(1, _BLOCK_POINTS // (chunk * n))
 
 
 def _index_dtype(n: int):
@@ -432,20 +442,21 @@ def bootstrap_null(source: Sample | tuple[Sample, ...],
     equal to that source's bootstrap alone.
 
     A pseudo source's candidate rows and depth D < n are fixed once per call
-    (see the module docstring). Each block of about _BLOCK_REPLICATES
-    replicates draws its permutations into one compact integer buffer
-    allocated once per call. Per chunk of max(1, _CHUNK_POINTS // n)
-    replicates, the first half's rows counted per gap bucket give the
-    candidates' half membership, their within-half ranks and each half's
-    boundary rank. Per group of whole chunks (below _CANDIDATE_POINTS
-    candidate rows, at most a block) the candidates' pseudo-observations and
-    risks give each (risk kind, k_half) threshold by one partition at the
-    kind's largest k_half, the strict stop check, and the rescaled
-    exceedances. Replicates that fail the check, and a Pareto-scale source's,
-    run the definition (``_defined``). The exceedances fill buffers of one
-    block; once per block, each target is classified, counted and scored
-    with one call each. Each null equals the null of its target bootstrapped
-    alone. ``source_label`` names the source in errors.
+    (see the module docstring). Each block (the whole chunks whose
+    permutations hold about _BLOCK_POINTS entries, ``_block_layout``) draws
+    its permutations into one compact integer buffer allocated once per
+    call. Per chunk of max(1, _CHUNK_POINTS // n) replicates, the first
+    half's rows counted per gap bucket give the candidates' half membership,
+    their within-half ranks and each half's boundary rank. Per group of
+    whole chunks (below _CANDIDATE_POINTS candidate rows, at most a block)
+    the candidates' pseudo-observations and risks give each (risk kind,
+    k_half) threshold by one partition at the kind's largest k_half, the
+    strict stop check, and the rescaled exceedances. Replicates that fail
+    the check, and a Pareto-scale source's, run the definition
+    (``_defined``). The exceedances fill buffers of one block; once per
+    block, each target is classified, counted and scored with one call each.
+    Each null equals the null of its target bootstrapped alone.
+    ``source_label`` names the source in errors.
     """
     sources = (source,) if isinstance(source, Sample) else tuple(source)
     labels = (source_label,) * len(sources) if isinstance(source_label, str) else source_label
@@ -470,8 +481,8 @@ def bootstrap_null(source: Sample | tuple[Sample, ...],
         ks_by_risk.setdefault(part.risk, set()).add(k_half)
     ks_by_risk = {risk: sorted(ks) for risk, ks in ks_by_risk.items()}
 
-    chunk = max(1, _CHUNK_POINTS // n)
-    block = min(replicates, chunk * max(1, _BLOCK_REPLICATES // chunk))
+    chunk, block = _block_layout(n)
+    block = min(replicates, block)
     # Only the positions outlive each source's set-up: arrays kept alive
     # through the block loop leave glibc's heap laid out so that the loop's
     # large temporaries are page-faulted afresh.
@@ -526,6 +537,29 @@ class Calibration:
         return float(np.quantile(self.null.replicates, 1.0 - level))
 
 
+def bootstrap_uncached(sources: dict, targets: Sequence[tuple[Partition, int]],
+                       config: TestConfig, nulls: dict) -> dict:
+    """Bootstrap into the cache ``nulls`` every standardized source of
+    ``sources`` (label -> Sample) that it lacks, on the stream
+    ``bootstrap_stream(config.seed)`` with ``config.bootstrap_replicates``
+    replicates, in one lockstep ``bootstrap_null`` call per sample size:
+    sources of one size share each block's permutations. Returns each
+    label's cache key, made of the source, the targets, the replicate count
+    and the seed."""
+    keys = {label: (src.data.shape, src.data.tobytes(), src.margin_state, tuple(targets),
+                    config.bootstrap_replicates, config.seed) for label, src in sources.items()}
+    todo: dict = {}
+    for label, src in sources.items():
+        if keys[label] not in nulls:
+            todo.setdefault(src.n, {}).setdefault(keys[label], (src, label))
+    for group in todo.values():
+        group_sources, group_labels = zip(*group.values())
+        nulls.update(zip(group, bootstrap_null(group_sources, targets,
+                                               config.bootstrap_replicates,
+                                               bootstrap_stream(config.seed), group_labels)))
+    return keys
+
+
 def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partition, int]],
               config: TestConfig, xs: Sample, ys: Sample, *,
               nulls: Optional[dict] = None) -> list[Calibration]:
@@ -537,11 +571,14 @@ def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partiti
     bootstraps ``ys`` on that stream and averages the two p-values, so
     swapping the samples leaves them unchanged. The null kept is that of xs.
     Samples of one size are bootstrapped in one lockstep ``bootstrap_null``
-    call, which draws each block of permutations once for both.
+    call, which draws each block of permutations once for both
+    (``bootstrap_uncached``).
 
     ``nulls``, when given, is a cache the caller owns across calls: keyed by
     the standardized source, the targets, the replicate count and the seed,
-    it hands back a bootstrap already made for that source, as x or as y.
+    it hands back a bootstrap already made for that source, as x or as y. A
+    caller that knows its batch's sources can fill it in advance with
+    ``bootstrap_uncached``, so that sources of one size share one draw.
     """
     if config.margins == "known":
         return [Calibration(chisq_sf(div.normalized, part.num_cells - 1), part.num_cells, k_n)
@@ -549,19 +586,7 @@ def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partiti
     if nulls is None:
         nulls = {}
     sources = {"x": xs, "y": ys} if config.bootstrap_source == "symmetric" else {"x": xs}
-    keys = {label: (src.data.shape, src.data.tobytes(), src.margin_state, tuple(targets),
-                    config.bootstrap_replicates, config.seed) for label, src in sources.items()}
-    # The sources not yet in the cache, bootstrapped in lockstep per sample
-    # size: sources of one size share each block's permutations.
-    todo: dict = {}
-    for label, src in sources.items():
-        if keys[label] not in nulls:
-            todo.setdefault(src.n, {}).setdefault(keys[label], (src, label))
-    for group in todo.values():
-        group_sources, group_labels = zip(*group.values())
-        nulls.update(zip(group, bootstrap_null(group_sources, targets,
-                                               config.bootstrap_replicates,
-                                               bootstrap_stream(config.seed), group_labels)))
+    keys = bootstrap_uncached(sources, targets, config, nulls)
     nulls_x = nulls[keys["x"]]
     p_values = [bootstrap_p_value(div, null) for div, null in zip(divergences, nulls_x)]
     if "y" in keys:

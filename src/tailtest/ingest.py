@@ -17,6 +17,7 @@ the row rules.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import warnings
@@ -28,8 +29,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, FormatError, TailTestError
-from .inference import TestConfig, TestReport, build_partition, run_test
-from .margins import Sample
+from .inference import TestConfig, TestReport, bootstrap_uncached, build_partition, run_test
+from .margins import Sample, standardize
 
 # Month m (1-12) belongs to SEASONS[m % 12 // 3].
 SEASONS = ("DJF", "MAM", "JJA", "SON")
@@ -470,37 +471,62 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
     A pair lacking data, or whose test raises a ``TailTestError`` (a season
     of one day, say), reports the error while the remaining pairs still run;
     a configuration that implies no partition raises ``ConfigError`` first.
-    The pairs share one bootstrap cache, so each season is bootstrapped once
-    per exceedance count rather than once per pair.
+    The pairs share one bootstrap cache, filled before the first test by one
+    lockstep bootstrap per (season size, exceedance count): each season is
+    bootstrapped once per exceedance count, and seasons of one size share
+    each draw of permutations.
     """
     if config.margins != "empirical":
         raise DomainError("seasonal tests use empirical margins and bootstrap calibration")
-    build_partition(config, 2)
+    partition = build_partition(config, 2)
     pairs_by_season = build_pairs(series, drop_incomplete_days, drop_dry_days)
     outcomes = SeasonalOutcomes(pairs_by_season)
+    ready = {season: p for season, p in pairs_by_season.items() if not isinstance(p, str)}
+    pairs = [(sx, sy) for i, sx in enumerate(SEASONS) for sy in SEASONS[i + 1:]]
+    # Each pair's exceedance count, capped at one below the smaller season.
+    ks = {pair: min(config.k_exceedances, min(ready[s].n for s in pair) - 1)
+          for pair in pairs if ready.keys() >= set(pair)}
     nulls: dict = {}
-    for i, season_x in enumerate(SEASONS):
-        for season_y in SEASONS[i + 1:]:
-            key = (season_x, season_y)
-            px, py = pairs_by_season[season_x], pairs_by_season[season_y]
-            if isinstance(px, str) or isinstance(py, str):
-                msg = px if isinstance(px, str) else py
-                outcomes[key] = SeasonPairOutcome(error=msg)
-                continue
-            k = config.k_exceedances
-            cap = min(px.n, py.n) - 1
-            notes = []
-            if k > cap:
-                note = f"k_exceedances={k} exceeds the smaller season size; capping at {cap}"
-                warnings.warn(note, stacklevel=2)
-                notes.append(note)
-                k = cap
-            try:
-                pair_config = replace(config, k_exceedances=k)
-                report = run_test(Sample(px.data), Sample(py.data), pair_config, nulls=nulls)
-            except TailTestError as exc:
-                outcomes[key] = SeasonPairOutcome(k, error=str(exc))
-                continue
-            report = replace(report, warnings=report.warnings + notes)
-            outcomes[key] = SeasonPairOutcome(k, report=report)
+    _bootstrap_seasons(ready, ks, partition, config, nulls)
+    for key in pairs:
+        if key not in ks:
+            outcomes[key] = SeasonPairOutcome(error=next(pairs_by_season[s] for s in key
+                                                         if s not in ready))
+            continue
+        k, notes = ks[key], []
+        if k < config.k_exceedances:
+            note = (f"k_exceedances={config.k_exceedances} exceeds the smaller season size; "
+                    f"capping at {k}")
+            warnings.warn(note, stacklevel=2)
+            notes.append(note)
+        try:
+            pair_config = replace(config, k_exceedances=k)
+            report = run_test(*(Sample(ready[s].data) for s in key), pair_config, nulls=nulls)
+        except TailTestError as exc:
+            outcomes[key] = SeasonPairOutcome(k, error=str(exc))
+            continue
+        report = replace(report, warnings=report.warnings + notes)
+        outcomes[key] = SeasonPairOutcome(k, report=report)
     return outcomes
+
+
+def _bootstrap_seasons(seasons: dict, ks: dict, partition, config: TestConfig, nulls: dict):
+    """Fill the bootstrap cache ``nulls`` with each season of ``seasons``
+    that a pair of ``ks`` (pair -> capped k) will bootstrap in ``run_test``:
+    its x season, and its y season under the symmetric source, in one
+    lockstep bootstrap per (season size, k). Pairs whose test fails before
+    its bootstrap (a season that fails to standardize, a bootstrapped season
+    below n >= 4k) are left to report their own error. A capped k is below 1
+    only beside a one-day season, which fails to standardize."""
+    standardized = {}
+    for season, pairs in seasons.items():
+        with contextlib.suppress(TailTestError):
+            standardized[season] = standardize(Sample(pairs.data), "empirical")
+    by_k: dict = {}
+    for pair, k in ks.items():
+        sources = pair if config.bootstrap_source == "symmetric" else pair[:1]
+        if (standardized.keys() >= set(pair)
+                and all(standardized[s].n >= 4 * k for s in sources)):
+            by_k.setdefault(k, {}).update((s, standardized[s]) for s in sources)
+    for k, sources in by_k.items():
+        bootstrap_uncached(sources, [(partition, k)], replace(config, k_exceedances=k), nulls)

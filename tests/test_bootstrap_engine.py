@@ -105,15 +105,15 @@ def reference_bootstrap_null(source, config, partition, stream):
     return replicates
 
 
-def _engine_constants(chunk_points=None, block_replicates=None, candidate_points=None,
+def _engine_constants(chunk_points=None, block_points=None, candidate_points=None,
                       depth=None):
     """Patch the engine's chunk, block and candidate group sizes and its
     prefix depth rule (to a fixed depth) where given."""
     stack = contextlib.ExitStack()
     if chunk_points is not None:
         stack.enter_context(mock.patch.object(inference, "_CHUNK_POINTS", chunk_points))
-    if block_replicates is not None:
-        stack.enter_context(mock.patch.object(inference, "_BLOCK_REPLICATES", block_replicates))
+    if block_points is not None:
+        stack.enter_context(mock.patch.object(inference, "_BLOCK_POINTS", block_points))
     if candidate_points is not None:
         stack.enter_context(mock.patch.object(inference, "_CANDIDATE_POINTS", candidate_points))
     if depth is not None:
@@ -137,12 +137,12 @@ def stop_checks():
         yield calls
 
 
-def assert_matches_reference(source, config, chunk_points=None, block_replicates=None):
+def assert_matches_reference(source, config, chunk_points=None, block_points=None):
     partition = build_partition(config, source.d)
     expected = reference_bootstrap_null(source, config, partition,
                                         bootstrap_stream(config.seed))
     targets = [(partition, config.k_exceedances)]
-    with _engine_constants(chunk_points, block_replicates):
+    with _engine_constants(chunk_points, block_points):
         [null] = bootstrap_null(source, targets, config.bootstrap_replicates,
                                 bootstrap_stream(config.seed))
     assert np.array_equal(null.replicates, expected)
@@ -150,10 +150,10 @@ def assert_matches_reference(source, config, chunk_points=None, block_replicates
 
 
 def assert_targets_match_reference(source, config, targets, chunk_points=None,
-                                   block_replicates=None, candidate_points=None, depth=None):
+                                   block_points=None, candidate_points=None, depth=None):
     """Each target's null from one multi-target bootstrap equals the
     one-at-a-time reference of that target alone."""
-    with _engine_constants(chunk_points, block_replicates, candidate_points, depth):
+    with _engine_constants(chunk_points, block_points, candidate_points, depth):
         nulls = bootstrap_null(source, targets, config.bootstrap_replicates,
                                bootstrap_stream(config.seed))
     assert len(nulls) == len(targets)
@@ -241,8 +241,10 @@ NESTED_TARGETS = [(make_max_partition(2), 40), (make_angular_partition("euclidea
                   (make_max_partition(2), 60), (make_angular_partition("euclidean", 5), 16),
                   (make_max_partition(2), 24)]
 
-# Chunks of 7 replicates against B = 101: one chunk per block, blocks of 14
-# (the last one partial) and one block above B.
+# Blocks of the permutation entries of 1, 20 and 10**6 replicates of 400 rows
+# (block_points = 400 * block_replicates), in chunks of 7 replicates of 400 or
+# 401 rows, against B = 101: one chunk per block, blocks of 14 (the last one
+# partial) and one block above B.
 BLOCK_LAYOUTS = [1, 20, 10 ** 6]
 
 
@@ -271,7 +273,7 @@ class TestBlocksAndNestedK:
         assert len(shared) >= 2
         assert all((first > tie).sum() < k < (first >= tie).sum() for k in shared)
         assert_targets_match_reference(Sample(data, "pareto"), config, NESTED_TARGETS,
-                                       chunk_points=7 * 400, block_replicates=block_replicates)
+                                       chunk_points=7 * 400, block_points=400 * block_replicates)
 
     @pytest.mark.parametrize("block_replicates", BLOCK_LAYOUTS)
     def test_tied_pseudo_source(self, block_replicates):
@@ -279,7 +281,7 @@ class TestBlocksAndNestedK:
         data = np.column_stack([1.0 + np.floor(u[:, 0] * 20.0), 1.0 / (1.0 - u[:, 1])])
         config = TestConfig(k_exceedances=40, bootstrap_replicates=101, seed=33)
         assert_targets_match_reference(Sample(data, "pseudo"), config, NESTED_TARGETS,
-                                       chunk_points=7 * 401, block_replicates=block_replicates)
+                                       chunk_points=7 * 401, block_points=400 * block_replicates)
 
     @pytest.mark.parametrize("block_replicates", BLOCK_LAYOUTS)
     @pytest.mark.parametrize("margins", ["empirical", "known"])
@@ -289,14 +291,25 @@ class TestBlocksAndNestedK:
         config = TestConfig(k_exceedances=40, margins=margins, bootstrap_replicates=101,
                             seed=35)
         assert_targets_match_reference(source, config, NESTED_TARGETS,
-                                       chunk_points=7 * 400, block_replicates=block_replicates)
+                                       chunk_points=7 * 400, block_points=400 * block_replicates)
 
     def test_default_block_of_a_large_replicate_count(self):
-        # At n = 300 a chunk holds 54 replicates and a block two chunks.
+        # At n = 300 a chunk holds 54 replicates and a block 16 chunks (864
+        # replicates), so B = 1000 ends on a partial second block.
         data = _max_risk_ties(300, 36)
         config = TestConfig(k_exceedances=40, risk="max", margins="known",
-                            bootstrap_replicates=250, seed=37)
+                            bootstrap_replicates=1000, seed=37)
         assert_targets_match_reference(Sample(data, "pareto"), config, NESTED_TARGETS)
+
+    def test_blocks_are_whole_chunks_of_about_block_points(self):
+        # A block holds at least one chunk and at most max(_BLOCK_POINTS,
+        # chunk * n) permutation entries.
+        for n in range(50, 2 ** 15 + 2):
+            chunk, block = inference._block_layout(n)
+            assert chunk <= block and block % chunk == 0
+            assert block * n <= max(inference._BLOCK_POINTS, chunk * n)
+        assert inference._block_layout(2000) == (8, 128)
+        assert inference._block_layout(360) == (45, 720)
 
 
 def stop_check_halves(source, k, depth, seed, replicates, risk, every=False):
@@ -442,7 +455,7 @@ def bootstrap_cases(draw):
     tie_density = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
     pre_ranked = draw(st.booleans())
     constants = dict(chunk_points=draw(st.integers(1, 4 * n)),
-                     block_replicates=draw(st.integers(1, 150)),
+                     block_points=draw(st.integers(1, 150 * n)),
                      candidate_points=draw(st.none() | st.integers(1, 8 * n)),
                      depth=draw(st.none() | st.integers(0, n)))
     return d, n, targets, margins, seed, tie_density, pre_ranked, constants
@@ -476,7 +489,7 @@ def lockstep_cases(draw):
     # pseudo sample) or "pareto" (known margins).
     kinds = draw(st.lists(st.sampled_from(["pseudo", "tied", "pareto"]), min_size=2, max_size=3))
     constants = dict(chunk_points=draw(st.integers(1, 4 * n)),
-                     block_replicates=draw(st.integers(1, 150)),
+                     block_points=draw(st.integers(1, 150 * n)),
                      candidate_points=draw(st.none() | st.integers(1, 8 * n)),
                      depth=draw(st.none() | st.just(n) | st.integers(0, n)))
     return (n, targets, kinds, draw(st.integers(1, 130)), draw(st.integers(0, 2 ** 32)),

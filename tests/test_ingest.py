@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from tailtest import (ConfigError, CopulaModel, DomainError, FormatError, InsufficientDataError,
                       TestConfig)
-from tailtest import Sample, inference, ingest, run_test
+from tailtest import RngStream, Sample, inference, ingest, run_test
 from tailtest.ingest import (SEASONS, RainSeries, SLOTS_PER_DAY, build_pairs, load_csv,
                              season_of_month, seasonal_tests)
 from .conftest import make_rain_series
@@ -447,15 +447,35 @@ class TestSeasonalTests:
 
     @pytest.mark.parametrize("source, bootstraps", [("x", 3), ("symmetric", 4)])
     def test_each_season_bootstrapped_once(self, monkeypatch, source, bootstraps):
-        # Six pairs, but only three distinct x seasons and four distinct seasons.
+        # Six pairs, but only three distinct x seasons and four distinct
+        # seasons, all of 200 days: one lockstep call draws B permutations
+        # for all of them.
         series = make_rain_series({season: (200, CopulaModel("logistic", 0.4 + 0.1 * i))
                                    for i, season in enumerate(SEASONS)}, seed=14)
         config = TestConfig(k_exceedances=40, risk="euclidean", num_cells=4,
                             bootstrap_replicates=100, bootstrap_source=source, seed=5)
         calls = count_bootstraps(monkeypatch)
+        lockstep, rows = count_lockstep_calls(monkeypatch)
         outcomes = seasonal_tests(series, config)
         assert len(calls) == bootstraps
         assert sorted(set(calls)) == sorted(calls)
+        assert lockstep == [(200,) * bootstraps]
+        assert rows == [100]
+        assert_pairs_match_uncached(outcomes, config)
+
+    @pytest.mark.parametrize("source, sizes", [
+        ("x", [(360, 360), (353,)]), ("symmetric", [(360, 360), (353, 353)])])
+    def test_seasons_of_two_sizes_make_one_call_per_size(self, monkeypatch, source, sizes):
+        series = make_rain_series({"DJF": (360, CopulaModel("logistic", 0.4)),
+                                   "MAM": (360, CopulaModel("logistic", 0.5)),
+                                   "JJA": (353, CopulaModel("logistic", 0.6)),
+                                   "SON": (353, CopulaModel("logistic", 0.7))}, seed=18)
+        config = TestConfig(k_exceedances=40, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=100, bootstrap_source=source, seed=9)
+        calls, rows = count_lockstep_calls(monkeypatch)
+        outcomes = seasonal_tests(series, config)
+        assert sorted(calls) == sorted(sizes)
+        assert rows == [100] * len(sizes)
         assert_pairs_match_uncached(outcomes, config)
 
     def test_k_caps_that_differ_between_pairs(self, monkeypatch):
@@ -523,6 +543,27 @@ def count_bootstraps(monkeypatch):
 
     monkeypatch.setattr(inference, "bootstrap_null", counting)
     return calls
+
+
+def count_lockstep_calls(monkeypatch):
+    """Record the source sizes of each ``bootstrap_null`` call, and the
+    permutation rows (``RngStream.jumped_permutations``) drawn in each."""
+    calls, rows = [], []
+    real_bootstrap, real_permutations = inference.bootstrap_null, RngStream.jumped_permutations
+
+    def bootstrap(source, *args, **kwargs):
+        sources = (source,) if isinstance(source, Sample) else source
+        calls.append(tuple(src.n for src in sources))
+        rows.append(0)
+        return real_bootstrap(source, *args, **kwargs)
+
+    def permutations(stream, start, stop, *args, **kwargs):
+        rows[-1] += stop - start
+        return real_permutations(stream, start, stop, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "bootstrap_null", bootstrap)
+    monkeypatch.setattr(RngStream, "jumped_permutations", permutations)
+    return calls, rows
 
 
 def assert_pairs_match_uncached(outcomes, config):
