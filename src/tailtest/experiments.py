@@ -178,7 +178,7 @@ def _study_rep(args: tuple[ExperimentPlan, int]) -> np.ndarray:
     targets = _targets(plan, config)
     divs = [kl_divergence(cx, cy) for cx, cy in zip(count_cells(xs, targets),
                                                     count_cells(ys, targets))]
-    calibrations = calibrate(divs, targets, config, xs, ys)
+    [calibrations] = calibrate([(divs, targets, xs, ys)], config)
     return np.array([(div.value, cal.p_value, cal.critical_value(config.level))
                      for div, cal in zip(divs, calibrations)])
 

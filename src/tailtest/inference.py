@@ -43,11 +43,12 @@ the threshold algorithm of Fagin, Lotem & Naor (JCSS 2003):
   position in the permuted half are kept. Positions are looked up only for
   the replicates whose selection needs them.
 - Sources of one size bootstrapped on one stream (the symmetric source's
-  two samples, or the seasons of a ``seasonal_tests`` batch) draw the same
-  permutations, so they run in lockstep: each block of permutations is drawn
-  once and scored for every source. A block is the whole chunks whose
-  permutations hold about _BLOCK_POINTS entries, so its fixed costs keep in
-  proportion to its work at every n.
+  two samples, or the samples of one ``calibrate`` batch, such as the
+  seasons of ``seasonal_tests``) draw the same permutations, so they run in
+  lockstep: each block of permutations is drawn once and scored for every
+  source. A block is the whole chunks whose permutations hold about
+  _BLOCK_POINTS entries, so its fixed costs keep in proportion to its work
+  at every n.
 """
 
 from __future__ import annotations
@@ -537,74 +538,55 @@ class Calibration:
         return float(np.quantile(self.null.replicates, 1.0 - level))
 
 
-def bootstrap_uncached(sources: dict, targets: Sequence[tuple[Partition, int]],
-                       config: TestConfig, nulls: dict) -> dict:
-    """Bootstrap into the cache ``nulls`` every standardized source of
-    ``sources`` (label -> Sample) that it lacks, on the stream
-    ``bootstrap_stream(config.seed)`` with ``config.bootstrap_replicates``
-    replicates, in one lockstep ``bootstrap_null`` call per sample size:
-    sources of one size share each block's permutations. Returns each
-    label's cache key, made of the source, the targets, the replicate count
-    and the seed."""
-    keys = {label: (src.data.shape, src.data.tobytes(), src.margin_state, tuple(targets),
-                    config.bootstrap_replicates, config.seed) for label, src in sources.items()}
-    todo: dict = {}
-    for label, src in sources.items():
-        if keys[label] not in nulls:
-            todo.setdefault(src.n, {}).setdefault(keys[label], (src, label))
-    for group in todo.values():
-        group_sources, group_labels = zip(*group.values())
-        nulls.update(zip(group, bootstrap_null(group_sources, targets,
-                                               config.bootstrap_replicates,
-                                               bootstrap_stream(config.seed), group_labels)))
-    return keys
-
-
-def calibrate(divergences: Sequence[Divergence], targets: Sequence[tuple[Partition, int]],
-              config: TestConfig, xs: Sample, ys: Sample, *,
-              nulls: Optional[dict] = None) -> list[Calibration]:
-    """Calibrate the observed divergence of each ``(partition, k_n)`` target.
+def calibrate(tests: Sequence[tuple[Sequence[Divergence], Sequence[tuple[Partition, int]],
+                                   Sample, Sample]],
+              config: TestConfig) -> list[list[Calibration]]:
+    """Calibrate each test ``(divergences, targets, xs, ys)`` of a batch:
+    one calibration per ``(partition, k_n)`` target of each test.
 
     Known margins refer k_n * D / 2 to chi-squared(K - 1). Empirical margins
-    read it from one multi-target split-half bootstrap of ``xs`` on the
-    stream ``bootstrap_stream(config.seed)``; the symmetric source also
-    bootstraps ``ys`` on that stream and averages the two p-values, so
-    swapping the samples leaves them unchanged. The null kept is that of xs.
-    Samples of one size are bootstrapped in one lockstep ``bootstrap_null``
-    call, which draws each block of permutations once for both
-    (``bootstrap_uncached``).
+    read it from a multi-target split-half bootstrap of ``xs`` on the stream
+    ``bootstrap_stream(config.seed)``; the symmetric source also bootstraps
+    ``ys`` on that stream and averages the two p-values, so swapping the
+    samples leaves them unchanged. The null kept is that of xs.
 
-    ``nulls``, when given, is a cache the caller owns across calls: keyed by
-    the standardized source, the targets, the replicate count and the seed,
-    it hands back a bootstrap already made for that source, as x or as y. A
-    caller that knows its batch's sources can fill it in advance with
-    ``bootstrap_uncached``, so that sources of one size share one draw.
+    Each sample object of the batch is bootstrapped once per targets, as x
+    or as y, and the samples of one size and targets in one lockstep
+    ``bootstrap_null`` call, which draws each block of permutations once for
+    all of them. Each calibration equals that of its test calibrated alone.
     """
     if config.margins == "known":
-        return [Calibration(chisq_sf(div.normalized, part.num_cells - 1), part.num_cells, k_n)
-                for div, (part, k_n) in zip(divergences, targets)]
-    if nulls is None:
-        nulls = {}
-    sources = {"x": xs, "y": ys} if config.bootstrap_source == "symmetric" else {"x": xs}
-    keys = bootstrap_uncached(sources, targets, config, nulls)
-    nulls_x = nulls[keys["x"]]
-    p_values = [bootstrap_p_value(div, null) for div, null in zip(divergences, nulls_x)]
-    if "y" in keys:
-        p_values = [0.5 * (p + bootstrap_p_value(div, null))
-                    for p, div, null in zip(p_values, divergences, nulls[keys["y"]])]
-    return [Calibration(p, part.num_cells, k_n, null)
-            for p, (part, k_n), null in zip(p_values, targets, nulls_x)]
+        return [[Calibration(chisq_sf(div.normalized, part.num_cells - 1), part.num_cells, k_n)
+                 for div, (part, k_n) in zip(divergences, targets)]
+                for divergences, targets, _, _ in tests]
+    roles = ("x", "y") if config.bootstrap_source == "symmetric" else ("x",)
+    # (size, targets) -> id of each sample to bootstrap -> (sample, label)
+    groups: dict = {}
+    for _, targets, *samples in tests:
+        for src, label in zip(samples, roles):
+            groups.setdefault((src.n, tuple(targets)), {}).setdefault(id(src), (src, label))
+    nulls = {}
+    for (_, targets), group in groups.items():
+        sources, labels = zip(*group.values())
+        nulls.update(zip(((key, targets) for key in group),
+                         bootstrap_null(sources, targets, config.bootstrap_replicates,
+                                        bootstrap_stream(config.seed), labels)))
+    calibrations = []
+    for divergences, targets, xs, ys in tests:
+        nulls_x = nulls[id(xs), tuple(targets)]
+        p_values = [bootstrap_p_value(div, null) for div, null in zip(divergences, nulls_x)]
+        if len(roles) == 2:
+            p_values = [0.5 * (p + bootstrap_p_value(div, null)) for p, div, null
+                        in zip(p_values, divergences, nulls[id(ys), tuple(targets)])]
+        calibrations.append([Calibration(p, part.num_cells, k_n, null)
+                             for p, (part, k_n), null in zip(p_values, targets, nulls_x)])
+    return calibrations
 
 
-def run_test(x: Sample, y: Sample, config: TestConfig,
-             known_cdfs=None, *, nulls: Optional[dict] = None) -> TestReport:
-    """Run the full two-sample extremal dependence test.
-
-    ``known_cdfs`` may be one CDF list applied to both samples or a pair of
-    lists (one per sample); it is only consulted for raw samples in
-    known-margin mode. ``nulls`` is a bootstrap cache shared by the tests of
-    one batch (see ``calibrate``); the report is the same with or without it.
-    """
+def _check_pair(x: Sample, y: Sample, config: TestConfig):
+    """The checks of a test of ``x`` against ``y`` before either is
+    standardized: one dimension, k below both sizes, and n >= 4k for each
+    sample the bootstrap resamples."""
     if x.d != y.d:
         raise ConfigError(f"samples must share dimension, got {x.d} and {y.d}")
     if config.k_exceedances >= min(x.n, y.n):
@@ -616,46 +598,64 @@ def run_test(x: Sample, y: Sample, config: TestConfig,
         _check_bootstrap_size(x.n, config.k_exceedances, "x")
         if config.bootstrap_source == "symmetric":
             _check_bootstrap_size(y.n, config.k_exceedances, "y")
+
+
+def run_test(x: Sample, y: Sample, config: TestConfig, known_cdfs=None) -> TestReport:
+    """Run the full two-sample extremal dependence test.
+
+    ``known_cdfs`` may be one CDF list applied to both samples or a pair of
+    lists (one per sample); it is only consulted for raw samples in
+    known-margin mode.
+    """
+    _check_pair(x, y, config)
     cdfs_x, cdfs_y = _split_cdfs(known_cdfs)
     xs = standardize(x, config.margins, cdfs_x)
     ys = standardize(y, config.margins, cdfs_y)
-    partition = build_partition(config, x.d)
+    return _test_batch([(xs, ys)], config)[0]
 
+
+def _test_batch(pairs: Sequence[tuple[Sample, Sample]], config: TestConfig) -> list[TestReport]:
+    """The report of each checked, standardized pair ``(xs, ys)`` of one
+    dimension, its samples counted per pair and calibrated in one batch."""
+    partition = build_partition(config, pairs[0][0].d)
     targets = [(partition, config.k_exceedances)]
-    [cells_x], [cells_y] = count_cells(xs, targets), count_cells(ys, targets)
-    div = kl_divergence(cells_x, cells_y)
-    [calibration] = calibrate([div], targets, config, xs, ys, nulls=nulls)
-
-    bootstrap, warnings = None, []
-    if calibration.null is not None:
-        bootstrap = {"replicates": config.bootstrap_replicates,
-                     "source": config.bootstrap_source,
-                     "exceedance_rule": "proportional",
-                     "k_half": calibration.null.k_half}
-        if calibration.p_value == 0.0:
-            warnings.append("no bootstrap replicate exceeded the statistic: "
-                            f"p < 1/{config.bootstrap_replicates}")
-    return TestReport(
-        statistic=div.value,
-        normalized=div.normalized,
-        p_value=calibration.p_value,
-        reject=bool(calibration.p_value < config.level),
-        method="chisq" if bootstrap is None else "bootstrap",
-        level=config.level,
-        k_exceedances=config.k_exceedances,
-        num_cells=partition.num_cells,
-        risk=config.risk,
-        scheme=partition.scheme,
-        margins=config.margins,
-        zero_adjusted=div.zero_adjusted,
-        cells={"labels": partition.cell_labels,
-               "x_counts": cells_x.counts.tolist(), "y_counts": cells_y.counts.tolist(),
-               "x_probs": cells_x.probs.tolist(), "y_probs": cells_y.probs.tolist(),
-               "x_threshold": cells_x.threshold, "y_threshold": cells_y.threshold},
-        sample_sizes={"x": x.n, "y": y.n},
-        dim=x.d,
-        rank_ties={"x": xs.ties, "y": ys.ties, "policy": "stable-ordinal"},
-        seed=config.seed,
-        bootstrap=bootstrap,
-        warnings=warnings,
-    )
+    cells = [(count_cells(xs, targets)[0], count_cells(ys, targets)[0]) for xs, ys in pairs]
+    divs = [kl_divergence(cells_x, cells_y) for cells_x, cells_y in cells]
+    calibrations = calibrate([([div], targets, xs, ys) for div, (xs, ys) in zip(divs, pairs)],
+                             config)
+    reports = []
+    for (xs, ys), (cells_x, cells_y), div, [calibration] in zip(pairs, cells, divs, calibrations):
+        bootstrap, warnings = None, []
+        if calibration.null is not None:
+            bootstrap = {"replicates": config.bootstrap_replicates,
+                         "source": config.bootstrap_source,
+                         "exceedance_rule": "proportional",
+                         "k_half": calibration.null.k_half}
+            if calibration.p_value == 0.0:
+                warnings.append("no bootstrap replicate exceeded the statistic: "
+                                f"p < 1/{config.bootstrap_replicates}")
+        reports.append(TestReport(
+            statistic=div.value,
+            normalized=div.normalized,
+            p_value=calibration.p_value,
+            reject=bool(calibration.p_value < config.level),
+            method="chisq" if bootstrap is None else "bootstrap",
+            level=config.level,
+            k_exceedances=config.k_exceedances,
+            num_cells=partition.num_cells,
+            risk=config.risk,
+            scheme=partition.scheme,
+            margins=config.margins,
+            zero_adjusted=div.zero_adjusted,
+            cells={"labels": partition.cell_labels,
+                   "x_counts": cells_x.counts.tolist(), "y_counts": cells_y.counts.tolist(),
+                   "x_probs": cells_x.probs.tolist(), "y_probs": cells_y.probs.tolist(),
+                   "x_threshold": cells_x.threshold, "y_threshold": cells_y.threshold},
+            sample_sizes={"x": xs.n, "y": ys.n},
+            dim=xs.d,
+            rank_ties={"x": xs.ties, "y": ys.ties, "policy": "stable-ordinal"},
+            seed=config.seed,
+            bootstrap=bootstrap,
+            warnings=warnings,
+        ))
+    return reports

@@ -4,7 +4,8 @@ Input is a 6-minute depth series (240 slots per day). ``build_pairs`` forms,
 in one array pass, each day's bivariate observation over its unmasked slots
 (daily maximum of the 6-minute depths, daily maximum of the 24 hourly sums)
 and splits the days into meteorological seasons; ``seasonal_tests`` runs the
-empirical-margin divergence test on every season pair. Days with a missing or
+empirical-margin divergence test on every season pair, the pairs of one
+exceedance count as one calibrated batch. Days with a missing or
 masked slot are dropped, as are dry days (both maxima zero), since massive
 ties at zero would degrade the rank standardization; both policies are flags.
 
@@ -17,7 +18,6 @@ the row rules.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import warnings
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, FormatError, TailTestError
-from .inference import TestConfig, TestReport, bootstrap_uncached, build_partition, run_test
+from .inference import TestConfig, TestReport, _check_pair, _test_batch, build_partition
 from .margins import Sample, standardize
 
 # Month m (1-12) belongs to SEASONS[m % 12 // 3].
@@ -468,32 +468,29 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
     Seasons are standardized independently with their own sample sizes; the
     same exceedance count is applied to both, capped at one below the
     smaller season (with a warning, which the pair's report also carries).
-    A pair lacking data, or whose test raises a ``TailTestError`` (a season
-    of one day, say), reports the error while the remaining pairs still run;
-    a configuration that implies no partition raises ``ConfigError`` first.
-    The pairs share one bootstrap cache, filled before the first test by one
-    lockstep bootstrap per (season size, exceedance count): each season is
-    bootstrapped once per exceedance count, and seasons of one size share
-    each draw of permutations.
+    A pair lacking data, or failing ``run_test``'s checks (a season of one
+    day, say), reports the error while the remaining pairs still run; a
+    configuration that implies no partition raises ``ConfigError`` first.
+    Each season is standardized once, and the pairs of one capped exceedance
+    count are tested as one ``calibrate`` batch: each season is bootstrapped
+    once per exceedance count, and seasons of one size share each draw of
+    permutations. Every report is that of a lone ``run_test`` of its pair.
     """
     if config.margins != "empirical":
         raise DomainError("seasonal tests use empirical margins and bootstrap calibration")
-    partition = build_partition(config, 2)
+    build_partition(config, 2)  # an unbuildable partition fails once, before any pair
     pairs_by_season = build_pairs(series, drop_incomplete_days, drop_dry_days)
     outcomes = SeasonalOutcomes(pairs_by_season)
     ready = {season: p for season, p in pairs_by_season.items() if not isinstance(p, str)}
     pairs = [(sx, sy) for i, sx in enumerate(SEASONS) for sy in SEASONS[i + 1:]]
-    # Each pair's exceedance count, capped at one below the smaller season.
-    ks = {pair: min(config.k_exceedances, min(ready[s].n for s in pair) - 1)
-          for pair in pairs if ready.keys() >= set(pair)}
-    nulls: dict = {}
-    _bootstrap_seasons(ready, ks, partition, config, nulls)
+    results, batches = {}, {}
     for key in pairs:
-        if key not in ks:
-            outcomes[key] = SeasonPairOutcome(error=next(pairs_by_season[s] for s in key
-                                                         if s not in ready))
+        if not ready.keys() >= set(key):
+            results[key] = SeasonPairOutcome(error=next(pairs_by_season[s] for s in key
+                                                        if s not in ready))
             continue
-        k, notes = ks[key], []
+        # The exceedance count, capped at one below the smaller season.
+        k, notes = min(config.k_exceedances, min(ready[s].n for s in key) - 1), []
         if k < config.k_exceedances:
             note = (f"k_exceedances={config.k_exceedances} exceeds the smaller season size; "
                     f"capping at {k}")
@@ -501,32 +498,19 @@ def seasonal_tests(series: RainSeries, config: TestConfig,
             notes.append(note)
         try:
             pair_config = replace(config, k_exceedances=k)
-            report = run_test(*(Sample(ready[s].data) for s in key), pair_config, nulls=nulls)
+            _check_pair(*(Sample(ready[s].data) for s in key), pair_config)
         except TailTestError as exc:
-            outcomes[key] = SeasonPairOutcome(k, error=str(exc))
+            results[key] = SeasonPairOutcome(k, error=str(exc))
             continue
-        report = replace(report, warnings=report.warnings + notes)
-        outcomes[key] = SeasonPairOutcome(k, report=report)
+        batches.setdefault(pair_config, []).append((key, notes))
+    tested = {s for batch in batches.values() for key, _ in batch for s in key}
+    standardized = {s: standardize(Sample(ready[s].data), "empirical")
+                    for s in SEASONS if s in tested}
+    for pair_config, batch in batches.items():
+        reports = _test_batch([tuple(standardized[s] for s in key) for key, _ in batch],
+                              pair_config)
+        for (key, notes), report in zip(batch, reports):
+            report = replace(report, warnings=report.warnings + notes)
+            results[key] = SeasonPairOutcome(pair_config.k_exceedances, report=report)
+    outcomes.update((key, results[key]) for key in pairs)
     return outcomes
-
-
-def _bootstrap_seasons(seasons: dict, ks: dict, partition, config: TestConfig, nulls: dict):
-    """Fill the bootstrap cache ``nulls`` with each season of ``seasons``
-    that a pair of ``ks`` (pair -> capped k) will bootstrap in ``run_test``:
-    its x season, and its y season under the symmetric source, in one
-    lockstep bootstrap per (season size, k). Pairs whose test fails before
-    its bootstrap (a season that fails to standardize, a bootstrapped season
-    below n >= 4k) are left to report their own error. A capped k is below 1
-    only beside a one-day season, which fails to standardize."""
-    standardized = {}
-    for season, pairs in seasons.items():
-        with contextlib.suppress(TailTestError):
-            standardized[season] = standardize(Sample(pairs.data), "empirical")
-    by_k: dict = {}
-    for pair, k in ks.items():
-        sources = pair if config.bootstrap_source == "symmetric" else pair[:1]
-        if (standardized.keys() >= set(pair)
-                and all(standardized[s].n >= 4 * k for s in sources)):
-            by_k.setdefault(k, {}).update((s, standardized[s]) for s in sources)
-    for k, sources in by_k.items():
-        bootstrap_uncached(sources, [(partition, k)], replace(config, k_exceedances=k), nulls)

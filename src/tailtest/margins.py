@@ -128,8 +128,6 @@ def to_pseudo(raw: Sample) -> Sample:
     """Rank-based standardization to (n+1)/(n+1-rank) per column."""
     if raw.margin_state != "raw":
         raise DomainError(f"to_pseudo expects a raw sample, got state {raw.margin_state!r}")
-    if raw.n < 2:
-        raise InsufficientDataError(f"pseudo-observations need n >= 2, got n={raw.n}")
     data, ties = _rank_transform(raw.data)
     return Sample(data, "pseudo", ties=ties)
 
@@ -146,8 +144,10 @@ def _pseudo(data: np.ndarray) -> np.ndarray:
 
 
 def _rank_transform(data: np.ndarray) -> tuple[np.ndarray, int]:
-    """Rank transform of an arbitrary matrix and its number of tied entries;
-    re-ranking already-standardized data equals ranking the raw data."""
+    """Rank transform of a matrix of at least two rows and its number of tied
+    entries; re-ranking already-standardized data equals ranking the raw data."""
+    if data.shape[0] < 2:
+        raise InsufficientDataError(f"pseudo-observations need n >= 2, got n={data.shape[0]}")
     ranks, tied = _ordinal_ranks(data)
     # Row-major like the input; the gather alone is column-major, which the
     # studies read slightly slower.
@@ -158,9 +158,10 @@ def standardize(sample: Sample, margins: str,
                 cdfs: Optional[Sequence[MarginalCdf]] = None) -> Sample:
     """``sample`` on the Pareto scale of margin mode ``margins``: through the
     marginal ``cdfs`` for "known" (read only for raw samples), as
-    pseudo-observations for "empirical". Empirical mode ranks every input,
-    pseudo-observations included, with ties broken by row order; ``ties``
-    adds the ties of this ranking to those the sample already counted."""
+    pseudo-observations for "empirical". Empirical mode ranks every input of
+    at least two rows, pseudo-observations included, with ties broken by row
+    order; ``ties`` adds the ties of this ranking to those the sample
+    already counted."""
     if margins == "known":
         if sample.margin_state == "pseudo":
             raise ConfigError("known-margin mode needs raw or Pareto-scale data; "

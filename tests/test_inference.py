@@ -378,25 +378,26 @@ class TestBootstrapPValue:
         assert bootstrap_p_value(div, self._null(reps)) == 0.5
 
 
-def test_calibrate_cache_reuses_nulls():
-    # The symmetric source bootstraps both samples; swapping them hits the
-    # cache for both and hands back the nulls made for each sample.
+def test_calibrate_batch_bootstraps_each_sample_once():
+    # The symmetric source bootstraps both samples of each test; the swapped
+    # test reads the same two samples, so the batch makes one lockstep call
+    # with two sources, and each calibration equals its test calibrated alone.
     xs = to_pseudo(sample(CopulaModel("logistic", 0.5), 200, RngStream(31)))
     ys = to_pseudo(sample(CopulaModel("logistic", 0.6), 200, RngStream(32)))
     config = TestConfig(k_exceedances=20, risk="euclidean", num_cells=4,
                         bootstrap_replicates=100, bootstrap_source="symmetric", seed=3)
     partition = inference.build_partition(config, 2)
     targets = [(partition, 20)]
-    div = inference.kl_divergence(inference.count_cells(xs, [(partition, 20)])[0],
-                                  inference.count_cells(ys, [(partition, 20)])[0])
-    cache = {}
-    first = inference.calibrate([div], targets, config, xs, ys, nulls=cache)[0]
-    with mock.patch.object(inference, "bootstrap_null") as spy:
-        swapped = inference.calibrate([div], targets, config, ys, xs, nulls=cache)[0]
-    assert spy.call_count == 0
-    assert len(cache) == 2
-    assert any(null is swapped.null for nulls in cache.values() for null in nulls)
-    uncached = inference.calibrate([div], targets, config, ys, xs)[0]
-    assert swapped.p_value == uncached.p_value
-    assert np.array_equal(swapped.null.replicates, uncached.null.replicates)
-    assert swapped.p_value == first.p_value
+    div = inference.kl_divergence(inference.count_cells(xs, targets)[0],
+                                  inference.count_cells(ys, targets)[0])
+    tests = [([div], targets, xs, ys), ([div], targets, ys, xs)]
+    with mock.patch.object(inference, "bootstrap_null", wraps=inference.bootstrap_null) as spy:
+        batch = inference.calibrate(tests, config)
+    assert spy.call_count == 1
+    sources = spy.call_args.args[0]
+    assert len(sources) == 2 and sources[0] is xs and sources[1] is ys
+    for test, [calibration] in zip(tests, batch):
+        [alone] = inference.calibrate([test], config)[0]
+        assert calibration.p_value == alone.p_value
+        assert np.array_equal(calibration.null.replicates, alone.null.replicates)
+    assert batch[0][0].p_value == batch[1][0].p_value

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from tailtest import (ConfigError, CopulaModel, DomainError, FormatError, InsufficientDataError,
                       TestConfig)
-from tailtest import RngStream, Sample, inference, ingest, run_test
+from tailtest import RngStream, Sample, inference, ingest, margins, run_test
 from tailtest.ingest import (SEASONS, RainSeries, SLOTS_PER_DAY, build_pairs, load_csv,
                              season_of_month, seasonal_tests)
 from .conftest import make_rain_series
@@ -478,6 +478,22 @@ class TestSeasonalTests:
         assert rows == [100] * len(sizes)
         assert_pairs_match_uncached(outcomes, config)
 
+    @pytest.mark.parametrize("source", ["x", "symmetric"])
+    def test_each_season_ranked_once(self, source):
+        # Six pairs over four seasons: each season is standardized once, not
+        # once per pair it takes part in.
+        series = make_rain_series({season: (200, CopulaModel("logistic", 0.4 + 0.1 * i))
+                                   for i, season in enumerate(SEASONS)}, seed=14)
+        config = TestConfig(k_exceedances=40, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=100, bootstrap_source=source, seed=5)
+        with mock.patch.object(margins, "_rank_transform",
+                               wraps=margins._rank_transform) as ranks:
+            outcomes = seasonal_tests(series, config)
+        assert ranks.call_count == 4
+        assert list(outcomes) == [(sx, sy) for i, sx in enumerate(SEASONS)
+                                  for sy in SEASONS[i + 1:]]
+        assert_pairs_match_uncached(outcomes, config)
+
     def test_k_caps_that_differ_between_pairs(self, monkeypatch):
         # MAM caps DJF-MAM at k=99; the other DJF pairs keep k=100, so DJF is
         # bootstrapped once per k. MAM as x fails the n >= 4k floor.
@@ -510,6 +526,21 @@ class TestSeasonalTests:
         assert "k_exceedances must be >= 1, got 0" in outcomes[("DJF", "MAM")].error
         assert outcomes[("DJF", "JJA")].report is not None
         assert outcomes[("DJF", "JJA")].error is None
+
+    def test_overflowing_season_fails_only_its_pairs(self):
+        # Finite depths whose hourly sum overflows give JJA a non-finite day.
+        base = make_rain_series({season: (200, CopulaModel("logistic", 0.5))
+                                 for season in SEASONS}, seed=4)
+        depths = base.depths.copy()
+        months = base.timestamps.astype("datetime64[M]").astype(int) % 12 + 1
+        depths[np.flatnonzero(months == 7)[10:20]] = 1e308
+        series = RainSeries(base.timestamps, depths, base.missing)
+        config = TestConfig(k_exceedances=40, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=100, seed=2)
+        outcomes = seasonal_tests(series, config)
+        failed = [pair for pair, result in outcomes.items() if result.report is None]
+        assert failed == [("DJF", "JJA"), ("MAM", "JJA"), ("JJA", "SON")]
+        assert all("sample entries must be finite" in outcomes[pair].error for pair in failed)
 
     def test_requires_empirical_margins(self, two_season_series):
         config = TestConfig(k_exceedances=50, risk="euclidean", num_cells=4,

@@ -250,3 +250,9 @@ class TestStandardize:
             standardize(self.raw, "known")
         with pytest.raises(ConfigError, match="pseudo-observations need empirical margins"):
             standardize(to_pseudo(self.raw), "known", [uniform_cdf] * 2)
+
+    @pytest.mark.parametrize("state", ["raw", "pareto", "pseudo"])
+    def test_empirical_mode_needs_two_rows(self, state):
+        # One rule for every empirical input: a single row has no ranks to compare.
+        with pytest.raises(InsufficientDataError, match="need n >= 2, got n=1"):
+            standardize(Sample(np.full((1, 2), 2.0), state), "empirical")
