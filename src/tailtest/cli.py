@@ -122,8 +122,12 @@ def _read_sample(path: str) -> Sample:
 
 
 def _write_sample(path: str, data: np.ndarray):
-    header = ",".join(f"x{j + 1}" for j in range(data.shape[1]))
-    np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+    """``data`` as CSV under an ``x1,x2,...`` header, each value as ``%.17g``:
+    the bytes of ``np.savetxt(..., fmt="%.17g")``, formatted in one pass."""
+    n, d = data.shape
+    with open(path, "w") as fh:
+        fh.write(",".join(f"x{j + 1}" for j in range(d)) + "\n")
+        fh.write((",".join(["%.17g"] * d) + "\n") * n % tuple(data.ravel().tolist()))
 
 
 def _write_json(doc: dict, path: str):

@@ -616,10 +616,13 @@ def run_test(x: Sample, y: Sample, config: TestConfig, known_cdfs=None) -> TestR
 
 def _test_batch(pairs: Sequence[tuple[Sample, Sample]], config: TestConfig) -> list[TestReport]:
     """The report of each checked, standardized pair ``(xs, ys)`` of one
-    dimension, its samples counted per pair and calibrated in one batch."""
+    dimension, each sample object counted once and the pairs calibrated in
+    one batch."""
     partition = build_partition(config, pairs[0][0].d)
     targets = [(partition, config.k_exceedances)]
-    cells = [(count_cells(xs, targets)[0], count_cells(ys, targets)[0]) for xs, ys in pairs]
+    samples = {id(sample): sample for pair in pairs for sample in pair}
+    counted = {key: count_cells(sample, targets)[0] for key, sample in samples.items()}
+    cells = [(counted[id(xs)], counted[id(ys)]) for xs, ys in pairs]
     divs = [kl_divergence(cells_x, cells_y) for cells_x, cells_y in cells]
     calibrations = calibrate([([div], targets, xs, ys) for div, (xs, ys) in zip(divs, pairs)],
                              config)

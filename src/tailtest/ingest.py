@@ -10,10 +10,12 @@ masked slot are dropped, as are dry days (both maxima zero), since massive
 ties at zero would degrade the rank standardization; both policies are flags.
 
 ``load_csv`` reads the file as UTF-8 bytes, whatever the locale, and parses
-it block by block of records as byte spans: 16-byte timestamps and plain
-decimal depths of at most 15 digits are read by array arithmetic, and only
-the other tokens are decoded and parsed one at a time. Its docstring states
-the row rules.
+it block by block of records as byte spans. 16-byte timestamps are read as
+64-bit words, each date once per run of rows that share it, and decimal
+depths by array arithmetic (at most 15 digits) or one ``float`` batch per
+width (longer ones); only the other tokens are decoded and parsed one at a
+time, by ``datetime.fromisoformat`` and ``float``. Its docstring states the
+row rules and the input properties the fast steps rely on.
 """
 
 from __future__ import annotations
@@ -65,9 +67,10 @@ class RainSeries:
             raise FormatError("rain series is empty")
         if np.any(np.diff(ts) <= np.timedelta64(0, "m")):
             raise FormatError("timestamps must be strictly increasing")
-        if np.any(depths[~missing] < 0):
+        present = depths[~missing]
+        if np.any(present < 0):
             raise FormatError("negative depths must be masked as missing")
-        if not np.isfinite(depths[~missing]).all():
+        if not np.isfinite(present).all():
             raise FormatError("NaN and infinite depths must be masked as missing")
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "depths", depths)
@@ -106,11 +109,21 @@ def load_csv(path: str, timestamp_col: str = "timestamp", depth_col: str = "dept
 
     The file is read once, as UTF-8 whatever the locale, and parsed in
     blocks of records without a string per field. Timestamps of exactly 16
-    bytes shaped ``YYYY-MM-DDTHH:MM`` or ``YYYY-MM-DD HH:MM`` are decoded
-    together as integer arrays, and plain unsigned decimal depths of at
-    most 15 digits (``0``, ``0.2``, ``.5``) are converted in one pass to
-    the same doubles ``float`` gives; only the other tokens are decoded and
-    parsed one by one.
+    bytes shaped ``YYYY-MM-DDTHH:MM`` or ``YYYY-MM-DD HH:MM`` are read as
+    arrays of 64-bit words (``_grid_minutes``). Depths of digits and at
+    most one point in at most 32 bytes (``0``, ``0.2``, ``.5``,
+    ``1.5398969322723608``) are read undecoded, to the doubles ``float``
+    gives: by integer arithmetic up to 15 digits, beyond that by ``float``
+    of their bytes, one batch per width (``_plain_decimals``). Every other
+    timestamp goes through ``datetime.fromisoformat``, and every other
+    depth through ``str.strip`` and ``float``, one token at a time.
+
+    Three input properties make this fast, and a file without them reads
+    the same, only slower. When every record of a block has the same
+    number of fields, two or more, no line is blank and each column is a
+    strided slice of the field offsets, not a gather. When rows are in date
+    order, a date is parsed once per run of rows that share its 10 bytes,
+    and the rows need no final sort.
     """
     try:
         with open(path, "rb") as fh:
@@ -138,12 +151,13 @@ def load_csv(path: str, timestamp_col: str = "timestamp", depth_col: str = "dept
             f"{path}: {n_malformed} of {n_rows} rows malformed; refusing to continue"
         )
     minutes, depths, missing = (np.concatenate(part) for part in list(zip(*blocks))[1:])
+    if np.any(minutes[1:] < minutes[:-1]):  # rows out of date order
+        order = np.argsort(minutes, kind="stable")
+        minutes, depths, missing = minutes[order], depths[order], missing[order]
     ts = minutes.view("datetime64[m]")
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
     if np.any(np.diff(ts) == np.timedelta64(0, "m")):
         raise FormatError(f"{path}: duplicate timestamps")
-    return RainSeries(ts, depths[order], missing[order], station_id=station_id,
+    return RainSeries(ts, depths, missing, station_id=station_id,
                       n_malformed=n_malformed, n_masked=int(missing.sum()))
 
 
@@ -155,7 +169,7 @@ def _records(data: bytes):
     """Yield the header record (None for an empty file), then the non-blank
     records after it in blocks. A block is its fields' UTF-8 bytes, the
     start and end offset of every field in them, and the field count of
-    every record.
+    every record, or one int when every record of the block has that many.
 
     Quote-free data is split on line endings and commas as bytes, which
     gives the records the csv module gives without a string per field.
@@ -193,9 +207,17 @@ def _split_block(block: bytes):
     data = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
     line_end = data[ends] == ord("\n")
-    if np.diff(ends[line_end], prepend=-1).max() > csv.field_size_limit() + 1:
+    # Every line has the first line's count of fields when every that many-th
+    # field, and no other, ends a line; with two fields or more, none is blank.
+    fields = int(np.argmax(line_end)) + 1
+    uniform = (fields > 1 and fields * np.count_nonzero(line_end) == ends.size
+               and line_end[fields - 1::fields].all())
+    lines = ends[fields - 1::fields] if uniform else ends[line_end]
+    if np.diff(lines, prepend=-1).max() > csv.field_size_limit() + 1:
         return _join_fields(csv.reader(io.StringIO(block.decode(), newline="")))
     starts = np.r_[0, ends[:-1] + 1]
+    if uniform:
+        return block, starts, ends, fields
     # A blank line is one empty field that ends a line, right after a line end.
     kept = ~(line_end & (starts == ends) & np.r_[True, line_end[:-1]])
     return block, starts[kept], ends[kept], np.diff(np.flatnonzero(line_end[kept]), prepend=-1)
@@ -211,86 +233,107 @@ def _join_fields(rows):
             np.fromiter(map(len, rows), np.intp, len(rows)))
 
 
-def _parse_block(block: bytes, starts: np.ndarray, ends: np.ndarray, widths: np.ndarray,
+def _parse_block(block: bytes, starts: np.ndarray, ends: np.ndarray, widths: np.ndarray | int,
                  ts_col: int, depth_col: int, missing_token: str):
     """The row rules on one block of records: the number of malformed rows,
     then the minutes since the epoch, depth (NaN where masked) and missing
     flag of every kept row, in file order."""
     data = np.frombuffer(block, np.uint8)
-    first = np.cumsum(widths) - widths
+    n_rows = starts.size // widths if isinstance(widths, int) else widths.size
 
     def column(j):
         # Field j of every record as a byte span, empty where the record ends before it.
-        present = widths > j
-        field = np.where(present, first + j, 0)
+        if isinstance(widths, int) and j < widths:
+            return starts[j::widths], ends[j::widths]
+        counts = np.broadcast_to(widths, n_rows)
+        present = counts > j
+        field = np.where(present, np.cumsum(counts) - counts + j, 0)
         return np.where(present, starts[field], 0), np.where(present, ends[field], 0)
 
-    parsed, minutes = _grid_minutes(block, *column(ts_col))
-    depth_starts, depth_ends = (span[parsed] for span in column(depth_col))
-    values, plain = _plain_decimals(data, depth_starts, depth_ends)
-    is_token = np.zeros(plain.size, dtype=bool)
-    token = np.frombuffer(missing_token.encode(), np.uint8)
-    if token.size:  # a plain decimal has nothing to strip, so its bytes are compared
-        rows = np.flatnonzero(plain & (depth_ends - depth_starts == token.size))
-        is_token[rows] = (_spans(data, depth_starts[rows], token.size) == token).all(axis=1)
-    rest = np.flatnonzero(~plain)
+    parsed, minutes = _grid_minutes(data, *column(ts_col))
+    depth_starts, depth_ends = column(depth_col)
+    values, decimal, is_token = _plain_decimals(data, depth_starts, depth_ends,
+                                                missing_token.encode())
+    rest = np.flatnonzero(~decimal)
     depth_tokens = [block[s:e].decode().strip()
                     for s, e in zip(depth_starts[rest].tolist(), depth_ends[rest].tolist())]
     is_token[rest] = np.fromiter(map(missing_token.__eq__, depth_tokens), bool, rest.size)
     numbers = ~is_token[rest]
-    bad = np.zeros(plain.size, dtype=bool)
+    bad = np.zeros(n_rows, dtype=bool)
     values[rest[numbers]], bad[rest[numbers]] = _floats(list(compress(depth_tokens, numbers)))
-    kept = ~bad
+    kept = parsed & ~bad
     missing = (is_token | ~((values >= 0) & (values < np.inf)))[kept]
-    return (widths.size - int(kept.sum()), minutes[parsed][kept],
+    return (n_rows - int(kept.sum()), minutes[kept],
             np.where(missing, np.nan, values[kept]), missing)
 
 
-def _spans(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` bytes of ``data`` from each start, one row each."""
+def _gather(data: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``data`` from each start, one row each, as one
+    gather of ``width``-byte items from a view of ``data`` with stride 1.
+    Every span must lie within ``data``."""
     if starts.size == 0:
         return np.empty((0, width), dtype=np.uint8)
-    return np.lib.stride_tricks.sliding_window_view(data, width)[starts]
+    items = np.ndarray((data.size - width + 1,), f"V{width}", data, strides=(1,))
+    return items[starts].view(np.uint8).reshape(-1, width)
 
 
+# Decimal tokens wider than this go through ``float`` one at a time.
+_WIDEST = 32
 # Exact doubles: 10**15 < 2**53.
 _POWERS_OF_TEN = np.array([float(10 ** e) for e in range(16)])
 
 
-def _plain_decimals(data: np.ndarray, starts: np.ndarray, ends: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The values of the tokens that are plain unsigned decimals of at most
-    15 digits, such as ``0``, ``0.2``, ``.5`` or ``007`` (NaN elsewhere),
-    and which tokens those are.
+def _plain_decimals(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, token: bytes
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The values of the tokens, the byte spans of ``data`` from ``starts``
+    to ``ends``, that are unsigned decimals of digits and at most one point
+    in at most ``_WIDEST`` bytes, such as ``0``, ``0.2``, ``.5``, ``007`` or
+    ``1.5398969322723608`` (NaN elsewhere); which tokens those are; and
+    which of those equal ``token``.
 
-    Such a token is m / 10**f for an integer mantissa m < 10**15 and f < 16
-    digits after the point. Both are exact doubles, so the one correctly
-    rounded division equals ``float`` of the token (Clinger, PLDI 1990).
+    A decimal of at most 15 digits is m / 10**f for an integer mantissa
+    m < 10**15 and f < 16 digits after the point. Both are exact doubles,
+    so the one correctly rounded division, which a decimal without a point
+    does not need, equals ``float`` of the token (Clinger, PLDI 1990).
+    Longer decimals of one width go to ``float`` together, as one split of
+    their bytes.
     """
     widths = ends - starts
     values = np.full(widths.size, np.nan)
-    plain = np.zeros(widths.size, dtype=bool)
-    for width in (np.flatnonzero(np.bincount(np.minimum(widths, 17))[1:17]) + 1).tolist():
+    decimal = np.zeros(widths.size, dtype=bool)
+    is_token = np.zeros(widths.size, dtype=bool)
+    present = np.zeros(_WIDEST + 2, dtype=bool)
+    present[np.minimum(widths, _WIDEST + 1)] = True
+    for width in (np.flatnonzero(present[1:_WIDEST + 1]) + 1).tolist():
         rows = np.flatnonzero(widths == width)
-        codes = _spans(data, starts[rows], width)
+        codes = _gather(data, starts[rows], width)
         # Below "0" the subtraction wraps round, so every non-digit reads above 9.
         digits = codes - np.uint8(ord("0"))
-        is_digit = digits <= 9
         is_point = codes == ord(".")
         points = is_point.sum(axis=1)
-        ok = ((is_digit | is_point).all(axis=1) & (points <= 1) & (points < width)
-              & (width - points <= 15))
-        mantissa = np.zeros(rows.size, dtype=np.int64)
-        for j in range(width):
-            mantissa = np.where(is_digit[:, j], 10 * mantissa + digits[:, j], mantissa)
-        after_point = np.where(points == 1, width - 1 - is_point.argmax(axis=1), 0)
-        values[rows[ok]] = mantissa[ok] / _POWERS_OF_TEN[after_point[ok]]
-        plain[rows[ok]] = True
-    return values, plain
+        ok = ((digits <= 9) | is_point).all(axis=1) & (points <= 1) & (points < width)
+        decimal[rows] = ok
+        if width == len(token):
+            is_token[rows] = ok & (codes == np.frombuffer(token, np.uint8)).all(axis=1)
+        short = ok & (points >= width - 15)  # at most 15 digits
+        if short.any():
+            # The mantissa of every short row, exact in a double: the point adds no digit.
+            mantissa = np.where(is_point[:, 0], 0.0, digits[:, 0])
+            for j in range(1, width):
+                mantissa = np.where(is_point[:, j], mantissa, 10 * mantissa + digits[:, j])
+            pointed = np.flatnonzero(points)
+            mantissa[pointed] /= _POWERS_OF_TEN[width - 1 - is_point[pointed].argmax(axis=1)]
+            values[rows] = np.where(short, mantissa, np.nan)
+        long = np.flatnonzero(ok & ~short)
+        if long.size:
+            text = np.column_stack((codes[long], np.full(long.size, ord(" "), np.uint8)))
+            values[rows[long]] = np.fromiter(map(float, text.tobytes().decode().split()),
+                                             np.float64, long.size)
+    return values, decimal, is_token
 
 
-# Character positions of the digits in YYYY-MM-DDTHH:MM.
-_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15]
+# Character positions of the digits in YYYY-MM-DD.
+_DATE_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9]
 _MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int32)
 # Days from March 1 to the first of each month (January at index 0), in a
 # year that starts on March 1.
@@ -310,44 +353,72 @@ def _days_from_civil(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np
     return 146097 * era + day_of_era - 719468
 
 
-def _grid_minutes(block: bytes, starts: np.ndarray, ends: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Which timestamp tokens, the byte spans of ``block`` from ``starts``
-    to ``ends``, parse onto the 6-minute grid, and their minutes since the
-    epoch (0 where they do not).
-
-    Tokens of exactly 16 bytes shaped ``YYYY-MM-DDTHH:MM`` or ``YYYY-MM-DD
-    HH:MM`` with a valid date, hour and grid minute are read by integer
-    arithmetic on their bytes; numpy's own string-to-datetime cast would
-    accept "NaT", "today" and partial dates. Every other token is decoded
-    and goes through ``_parse_timestamp``, which owns the rule.
-    """
-    parsed = np.zeros(starts.size, dtype=bool)
-    minutes = np.zeros(starts.size, dtype=np.int64)
-    fixed = np.flatnonzero(ends - starts == 16)
-    # A byte of a multi-byte character is no digit or separator, so no clean token holds one.
-    codes = _spans(np.frombuffer(block, np.uint8), starts[fixed], 16)
+def _dates(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of bytes start with a valid date ``YYYY-MM-DD`` of years
+    1-9999, and the days from 1970-01-01 to each (meaningless where not)."""
     # Below "0" the subtraction wraps round, so capping at 10 marks every non-digit.
-    digits = np.minimum(codes[:, _DIGITS] - np.uint8(48), 10)
+    digits = np.minimum(codes[:, _DATE_DIGITS] - np.uint8(ord("0")), 10)
     pairs = 10 * digits[:, 0::2].astype(np.int32) + digits[:, 1::2]
     year = 100 * pairs[:, 0] + pairs[:, 1]
-    month, day, hour, minute = pairs[:, 2:].T
+    month, day = pairs[:, 2], pairs[:, 3]
     month_length = _MONTH_DAYS.take(month - 1, mode="clip")
     # Only a February 29 needs the leap-year rule.
     feb_29 = np.flatnonzero((month == 2) & (day == 29))
     leap = year[feb_29]
     month_length[feb_29] += (leap % 4 == 0) & ((leap % 100 != 0) | (leap % 400 == 0))
-    clean = ((digits <= 9).all(axis=1)
-             & (codes[:, 4] == ord("-")) & (codes[:, 7] == ord("-"))
-             & ((codes[:, 10] == ord("T")) | (codes[:, 10] == ord(" ")))
-             & (codes[:, 13] == ord(":"))
-             & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_length)
-             & (hour < 24) & (minute < 60) & (minute % 6 == 0))
-    parsed[fixed[clean]] = True
-    days = _days_from_civil(year, month, day).astype(np.int64)
-    minutes[fixed[clean]] = (days * 1440 + hour * 60 + minute)[clean]
+    valid = ((digits <= 9).all(axis=1) & (codes[:, 4] == ord("-")) & (codes[:, 7] == ord("-"))
+             & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_length))
+    return valid, _days_from_civil(year, month, day).astype(np.int64)
+
+
+# The minute of the day of an hour (bytes 11-12 of a stamp) and of a grid
+# minute (bytes 14-15), keyed by the two digits as a little-endian 16-bit
+# word; any other pair of bytes reads -2**14, so a sum below 0 is off the grid.
+_HOUR_MINUTES, _GRID_MINUTES = np.full((2, 1 << 16), -(1 << 14), dtype=np.int16)
+_HOUR_MINUTES[np.frombuffer(b"%02d" * 24 % tuple(range(24)), "<u2")] = range(0, 1440, 60)
+_GRID_MINUTES[np.frombuffer(b"%02d" * 10 % tuple(range(0, 60, 6)), "<u2")] = range(0, 60, 6)
+# Bytes 10 and 13 of a stamp, in its second little-endian word.
+_TIME_SEPARATORS = np.uint64(0xFF << 40 | 0xFF << 16)
+_T_AND_COLON = np.uint64(ord(":") << 40 | ord("T") << 16)
+_SPACE_AND_COLON = np.uint64(ord(":") << 40 | ord(" ") << 16)
+
+
+def _grid_minutes(data: np.ndarray, starts: np.ndarray, ends: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Which timestamp tokens, the byte spans of ``data`` from ``starts`` to
+    ``ends``, parse onto the 6-minute grid, and their minutes since the
+    epoch (0 where they do not).
+
+    Tokens of exactly 16 bytes shaped ``YYYY-MM-DDTHH:MM`` or ``YYYY-MM-DD
+    HH:MM`` with a valid date, hour and grid minute are read as two
+    little-endian 64-bit words each; numpy's own string-to-datetime cast
+    would accept "NaT", "today" and partial dates. Rows in date order come
+    in runs that share their 10 date bytes, so each run's first row alone
+    goes through the date arithmetic; every row checks its own separators,
+    hour and minute. Every other token is decoded and goes through
+    ``_parse_timestamp``, which owns the rule.
+    """
+    parsed = np.zeros(starts.size, dtype=bool)
+    minutes = np.zeros(starts.size, dtype=np.int64)
+    fixed = np.flatnonzero(ends - starts == 16)
+    if fixed.size:
+        # A byte of a multi-byte character is no digit or separator, so no clean token holds one.
+        words = _gather(data, starts[fixed], 16).view("<u8")
+        # A run starts where the date, the first word and two bytes of the
+        # second, differs from the row before.
+        step = words[1:] ^ words[:-1]
+        firsts = np.flatnonzero(np.r_[True, (step[:, 0] | (step[:, 1] & 0xFFFF)) != 0])
+        valid_date, days = _dates(words[firsts].view(np.uint8))
+        runs = np.diff(firsts, append=fixed.size)
+        clock = words[:, 1]
+        separators = clock & _TIME_SEPARATORS
+        of_day = (_HOUR_MINUTES.take(((clock >> 24) & 0xFFFF).view(np.int64))
+                  + _GRID_MINUTES.take((clock >> 48).view(np.int64)))
+        parsed[fixed] = (np.repeat(valid_date, runs) & (of_day >= 0)
+                         & ((separators == _T_AND_COLON) | (separators == _SPACE_AND_COLON)))
+        minutes[fixed] = np.repeat(1440 * days, runs) + of_day
     for i in np.flatnonzero(~parsed).tolist():
-        stamp = _parse_timestamp(block[starts[i]:ends[i]].decode())
+        stamp = _parse_timestamp(data[starts[i]:ends[i]].tobytes().decode())
         if stamp is not None:
             parsed[i] = True
             minutes[i] = stamp.astype(np.int64)

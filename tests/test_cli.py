@@ -51,6 +51,21 @@ class TestSimulate:
                           "--out", str(tmp_path / "x.csv"))
         assert code == 4
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["float", "int"])
+    def test_sample_csv_bytes_match_savetxt(self, tmp_path, d, kind):
+        data = np.random.default_rng(d).standard_normal((40, d)) * 1e3
+        data[:4, 0] = [1e-300, 1e300, -7.0, 12.0]
+        data[4:8, -1] = [-1e-300, -1e300, 0.1, -0.0]
+        if kind == "int":
+            data = np.round(data[8:]).astype(np.int64)
+        header = ",".join(f"x{j + 1}" for j in range(d))
+        np.savetxt(tmp_path / "savetxt.csv", data, delimiter=",", header=header, comments="",
+                   fmt="%.17g")
+        cli._write_sample(str(tmp_path / "sample.csv"), data)
+        assert ((tmp_path / "sample.csv").read_bytes()
+                == (tmp_path / "savetxt.csv").read_bytes())
+
 
 class TestStandardize:
     def test_empirical(self, capsys, tmp_path):

@@ -494,6 +494,21 @@ class TestSeasonalTests:
                                   for sy in SEASONS[i + 1:]]
         assert_pairs_match_uncached(outcomes, config)
 
+    @pytest.mark.parametrize("source", ["x", "symmetric"])
+    def test_each_season_counted_once(self, source):
+        # Six pairs over four seasons of one capped k: each season's cells
+        # are counted once, not once per pair it takes part in.
+        series = make_rain_series({season: (200, CopulaModel("logistic", 0.4 + 0.1 * i))
+                                   for i, season in enumerate(SEASONS)}, seed=14)
+        config = TestConfig(k_exceedances=40, risk="euclidean", num_cells=4,
+                            bootstrap_replicates=100, bootstrap_source=source, seed=5)
+        with mock.patch.object(inference, "count_cells",
+                               wraps=inference.count_cells) as counts:
+            outcomes = seasonal_tests(series, config)
+        assert counts.call_count == 4
+        assert len({id(call.args[0]) for call in counts.call_args_list}) == 4
+        assert_pairs_match_uncached(outcomes, config)
+
     def test_k_caps_that_differ_between_pairs(self, monkeypatch):
         # MAM caps DJF-MAM at k=99; the other DJF pairs keep k=100, so DJF is
         # bootstrapped once per k. MAM as x fails the n >= 4k floor.
@@ -710,6 +725,18 @@ def stamp(slot, sep="T"):
     return str(EPOCH + np.timedelta64(6 * slot, "m")).replace("T", sep)
 
 
+def bump(text, i):
+    """``text`` with its digit at ``i`` moved on by one, 9 wrapping to 0."""
+    return text[:i] + str((int(text[i]) + 1) % 10) + text[i + 1:]
+
+
+# Slots half an hour before a midnight, a month end, a year end and the ends
+# of February 1900 and 2000, from which sorted rows roll over inside a file.
+ROLLOVERS = [int((np.datetime64(instant) - EPOCH) // np.timedelta64(6, "m"))
+             for instant in ("2006-05-17T23:30", "2006-04-30T23:30", "2006-12-31T23:30",
+                             "1900-02-28T23:30", "2000-02-28T23:30", "2000-02-29T23:30")]
+
+
 # Each kind maps a 6-minute slot and a depth to (timestamp field, depth field);
 # None for the depth drops it and every field after it from the row.
 ROW_KINDS = {
@@ -721,12 +748,21 @@ ROW_KINDS = {
     "feb_29_2007": lambda slot, d, tok: ("2007-02-29T00:00", d),
     "feb_29_2008": lambda slot, d, tok: ("2008-02-29T00:%02d" % (6 * (slot % 10)), d),
     # Century years: 1900 is not a leap year, 2000 is.
-    "feb_29_1900": lambda slot, d, tok: ("1900-02-29T00:00", d),
-    "feb_29_2000": lambda slot, d, tok: ("2000-02-29T23:%02d" % (6 * (slot % 10)), d),
+    "feb_29_1900": lambda slot, d, tok: ("1900-02-29" + stamp(slot)[10:], d),
+    "feb_29_2000": lambda slot, d, tok: ("2000-02-29" + stamp(slot)[10:], d),
     "first_day": lambda slot, d, tok: ("0001-01-01T00:%02d" % (6 * (slot % 10)), d),
     "last_day": lambda slot, d, tok: ("9999-12-31 23:%02d" % (6 * (slot % 10)), d),
     "april_31": lambda slot, d, tok: ("2006-04-31T12:00", d),
     "hour_24": lambda slot, d, tok: ("2006-03-01T24:00", d),
+    # The date bytes of the rows around it, with a time no date makes valid.
+    "hour_24_in_run": lambda slot, d, tok: (stamp(slot)[:11] + "24:00", d),
+    "minute_60_in_run": lambda slot, d, tok: (stamp(slot)[:11] + "23:60", d),
+    "dash_for_colon": lambda slot, d, tok: (stamp(slot).replace(":", "-"), d),
+    "underscore_separator": lambda slot, d, tok: (stamp(slot, "_"), d),
+    # A date one digit away from the rows around it.
+    "year_digit": lambda slot, d, tok: (bump(stamp(slot), 3), d),
+    "month_digit": lambda slot, d, tok: (bump(stamp(slot), 6), d),
+    "day_digit": lambda slot, d, tok: (bump(stamp(slot), 9), d),
     "year_0": lambda slot, d, tok: ("0000-01-01T00:00", d),
     "seconds_00": lambda slot, d, tok: (stamp(slot) + ":00", d),
     "seconds_30": lambda slot, d, tok: (stamp(slot) + ":30", d),
@@ -754,12 +790,16 @@ ROW_KINDS = {
 }
 CLEAN_WEIGHT = 4  # clean rows outnumber each odd kind, so most files parse
 
-# Depths on both sides of every rule that splits plain decimals of at most
-# 15 digits from the tokens that go through float().
+# Depths on both sides of every rule that splits decimals of at most 15
+# digits, read by array arithmetic, from longer decimals and the tokens that
+# are no decimals, which go through float().
 DEPTHS = ["0", "0.2", "1.5398969322723608", "1e-3", "7", "9999", "-0", "+1", ".5", "5.", "007",
           ".", "0.1.2", "0.000", "1e400", "1_0", "\u0661\u0662.\u0665", "123456789.012345",
           "0.12345678901234", "999999999999999", "1234567890123456", "1234567890.123456",
-          "0.10000000000000001"]
+          "0.10000000000000001", "9007199254740993", "0.30000000000000004",
+          "12345678901234567", "0.20000000000000001", "9999999999999999999",
+          ".0000000000000000001", "123456789012345678.9", "18446744073709551617",
+          "0.1000000000000000055511151231257827"]
 
 
 @st.composite
@@ -769,11 +809,16 @@ def rain_files(draw):
     extra = draw(st.sampled_from([None, "station", "note"]))
     columns = list(names) + ([extra] if extra else [])
     columns = draw(st.permutations(columns))
-    missing_token = draw(st.sampled_from(["", "NA", "-999", "0", "9999"]))
+    missing_token = draw(st.sampled_from(["", "NA", "-999", "0", "9999", "1234567890123456"]))
     kinds = draw(st.lists(st.sampled_from(["clean"] * CLEAN_WEIGHT + sorted(ROW_KINDS)),
                           min_size=1, max_size=30))
-    slots = draw(st.lists(st.integers(0, 10 ** 6), min_size=len(kinds), max_size=len(kinds),
-                          unique=True))
+    # Rows in date order, a few slots apart, share their date bytes in runs.
+    start = draw(st.one_of(st.sampled_from(ROLLOVERS), st.integers(0, 10 ** 6)))
+    steps = draw(st.lists(st.sampled_from([1, 1, 1, 2, 5, 239, 240, 2401]),
+                          min_size=len(kinds), max_size=len(kinds)))
+    slots = np.cumsum([start] + steps)[1:].tolist()
+    if draw(st.booleans()):
+        slots = draw(st.permutations(slots))
     depths = draw(st.lists(st.sampled_from(DEPTHS), min_size=len(kinds), max_size=len(kinds)))
     lines = [",".join(columns)]
     for kind, slot, depth in zip(kinds, slots, depths):
@@ -821,6 +866,12 @@ class TestLoadCsvAgainstOracle:
         "timestamp,depth\n2006-01-01T01:00+01:00,1\n2006-01-01T00:00,2\n",
         "timestamp,depth\njunk,1\n2006-01-01T00:00,1\nmore junk,2\n",
         "timestamp,depth\n2006-01-01T00:00,1\n2006-01-01T00:06,x\n",
+        # Records of 2, 3 and 1 fields, or 2, 1 (blank) and 3: as many
+        # fields as two per line, in lines of unequal field counts.
+        "timestamp,depth,note\n2006-01-01T00:00,1\n2006-01-01T00:06,2,x\n2006-01-01T00:12\n",
+        "timestamp,depth,note\n2006-01-01T00:00,1\n\n2006-01-01T00:06,2,x\n",
+        # Two fields in every record, none of them the depth.
+        "timestamp,note,depth\n2006-01-01T00:00,x\n2006-01-01T00:06,y\n",
     ])
     def test_format_errors_and_edge_files(self, tmp_path, text):
         path = tmp_path / "edge.csv"
@@ -878,6 +929,21 @@ class TestLoadCsvAgainstOracle:
             assert slow.call_count == 1
         want = np.array([stamp.replace(" ", "T") for stamp in stamps], dtype="datetime64[m]")
         assert np.array_equal(series.timestamps, want)
+
+    @pytest.mark.parametrize("shuffled", [False, True])
+    def test_date_arithmetic_once_per_run_of_dates(self, tmp_path, shuffled):
+        # Two days in date order are two runs of equal date bytes; shuffled,
+        # a run starts wherever a row's date differs from the row before.
+        rows = [f"2006-01-0{day}T{hour:02d}:{minute:02d},0.{minute // 6}"
+                for day in (1, 2) for hour in range(24) for minute in range(0, 60, 6)]
+        if shuffled:
+            rows = [rows[i] for i in RngStream(3).permutation(len(rows))]
+        runs = 1 + sum(a[:10] != b[:10] for a, b in zip(rows, rows[1:]))
+        path = write_csv(tmp_path / "runs.csv", rows)
+        with mock.patch.object(ingest, "_dates", wraps=ingest._dates) as dates:
+            assert_matches_oracle(path)
+        assert sum(call.args[0].shape[0] for call in dates.call_args_list) == runs
+        assert (runs == 2) != shuffled
 
     @pytest.mark.parametrize("token", ["nan", "NaN", "inf", "-inf", "Infinity"])
     def test_non_finite_depths_masked(self, tmp_path, token):
