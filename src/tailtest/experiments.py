@@ -5,8 +5,9 @@ Repetition r of any study draws its data from streams keyed by the plan
 seed and r, so results are reproducible and independent of the worker
 count; partial re-runs of a repetition range produce identical numbers.
 The k study and the K study run the same repetition: ``_targets`` turns the
-grid into ``(partition, k)`` targets, each sample is counted once over all of
-them, and one calibration serves every grid point. ``_aggregate`` reduces
+grid into ``(partition, k)`` targets once per plan, both samples of a
+repetition are counted over all of them in one ``count_cells`` pass, and one
+calibration serves every grid point. ``_aggregate`` reduces
 all grid points in one array pass.
 Studies emit plot-ready long-format CSV rows plus a JSON manifest carrying
 the plan, seed and package version.
@@ -94,7 +95,8 @@ class ExperimentPlan:
                 raise ConfigError(f"every k must be below n={self.n}, got k={k}")
             if self.margins == "empirical":
                 _check_bootstrap_size(self.n, k, "x")
-        _targets(self, _rep_config(self, 0))
+        # Kept for every repetition: no repetition's seed changes the targets.
+        object.__setattr__(self, "_grid_targets", _targets(self, _rep_config(self, 0)))
 
     def to_manifest(self) -> dict:
         plan = dataclasses.asdict(self)
@@ -167,24 +169,25 @@ def _targets(plan: ExperimentPlan, config: TestConfig) -> list[tuple[Partition, 
 
 def _study_rep(args: tuple[ExperimentPlan, int]) -> np.ndarray:
     """Statistic, p-value and D-scale critical value (one row per target) of
-    repetition ``rep``: each sample is counted once over all targets, and all
-    targets share one calibration."""
+    repetition ``rep``: both samples are counted in one pass over all of the
+    plan's targets, and all targets share one calibration."""
     plan, rep = args
-    rep_stream = RngStream(plan.seed, (rep,))
-    x = sample(plan.model_x, plan.n, rep_stream.child(0))
-    y = sample(plan.model_y, plan.n, rep_stream.child(1))
+    targets = plan._grid_targets
+    # Streams (rep, 0) and (rep, 1): RngStream(plan.seed, (rep,)).child(side),
+    # without building the repetition's own stream, which draws nothing.
+    x = sample(plan.model_x, plan.n, RngStream(plan.seed, (rep, 0)))
+    y = sample(plan.model_y, plan.n, RngStream(plan.seed, (rep, 1)))
     xs, ys = (standardize(s, plan.margins, _UNIFORM_PAIR) for s in (x, y))
     config = _rep_config(plan, rep)
-    targets = _targets(plan, config)
-    divs = [kl_divergence(cx, cy) for cx, cy in zip(count_cells(xs, targets),
-                                                    count_cells(ys, targets))]
+    divs = [kl_divergence(cx, cy) for cx, cy in zip(*count_cells((xs, ys), targets))]
     [calibrations] = calibrate([(divs, targets, xs, ys)], config)
     return np.array([(div.value, cal.p_value, cal.critical_value(config.level))
                      for div, cal in zip(divs, calibrations)])
 
 
 def _map_reps(plan: ExperimentPlan) -> np.ndarray:
-    """The (repetitions, targets, 3) rows of every repetition of ``plan``."""
+    """The (repetitions, targets, 3) rows of every repetition of ``plan``, all
+    on the targets the plan built once."""
     args = [(plan, r) for r in range(plan.repetitions)]
     workers = min(plan.workers, plan.repetitions)
     if workers > 1:

@@ -20,6 +20,7 @@ counters into one generator rather than by building a generator for each.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -98,11 +99,17 @@ def _chisq_pdf(x: float, dof: int) -> float:
     return 0.5 * math.exp((a - 1.0) * math.log(x / 2.0) - x / 2.0 - math.lgamma(a))
 
 
+@functools.lru_cache(maxsize=256, typed=True)
 def chisq_quantile(p: float, dof: int) -> float:
     """Inverse chi-squared CDF by bracketed Newton/bisection hybrid.
 
     Returns x with chisq_cdf(x, dof) = p to about 1e-13 relative error; the
     bracket is narrowed until it is that narrow relative to the root.
+
+    A pure function of ``(p, dof)``, so the last 256 distinct calls are
+    memoized (keyed by argument type too, so ``3`` and ``3.0`` stay apart);
+    a call that raises is not cached. ``chisq_quantile.__wrapped__`` is the
+    unmemoized solver.
     """
     _check_dof(dof)
     if not 0.0 < p < 1.0:

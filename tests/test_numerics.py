@@ -117,6 +117,20 @@ class TestChisqQuantile:
             with pytest.raises(DomainError):
                 chisq_quantile(p, 3)
 
+    def test_memo_equals_the_solver_bit_for_bit(self):
+        solver = chisq_quantile.__wrapped__
+        for _ in range(2):                      # the second pass reads the memo
+            for p in (1e-30, 0.01, 0.5, 0.9, 0.95, 0.99, 1.0 - 1e-12):
+                for dof in (1, 2, 4, 7, 11, 40):
+                    got = chisq_quantile(p, dof)
+                    assert got == solver(p, dof) and type(got) is float
+
+    def test_memo_caches_no_error(self):
+        for p, dof in ((0.0, 3), (1.0, 3), (-0.2, 3), (math.nan, 3), (0.5, 0), (0.5, 2.5)):
+            for _ in range(3):
+                with pytest.raises(DomainError):
+                    chisq_quantile(p, dof)
+
     def test_via_bisected_quadrature_oracle(self):
         # Bisection on the quadrature CDF, fully independent of the implementation.
         target = 0.95

@@ -1,5 +1,6 @@
 """Risk functionals, partition schemes, and exceedance cell counts."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tailtest import (DomainError, RiskFunctional, RngStream, Sample, count_cells,
-                      make_angular_partition, make_max_partition,
+from tailtest import (CellProbabilities, DomainError, RiskFunctional, RngStream, Sample,
+                      ShapeError, count_cells, make_angular_partition, make_max_partition,
                       make_min_partition, partitions)
 from tailtest.partitions import top_k
 
@@ -134,6 +135,56 @@ class TestAngularPartition:
         part = make_angular_partition("euclidean", 3)
         with pytest.raises(DomainError):
             part.classify(np.ones((5, 3)))
+
+
+def point_at_angle(angle, radius):
+    """A point of norm about ``radius`` whose np.arctan2 angle is exactly
+    ``angle``, or None: y is nudged one ulp at a time from the polar point."""
+    x, y = radius * math.cos(angle), radius * math.sin(angle)
+    for _ in range(64):
+        got = float(np.arctan2(y, x))
+        if got == angle:
+            return x, y
+        y = math.nextafter(y, math.inf if got < angle else -math.inf)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(num_cells=st.integers(2, 12), custom=st.booleans(),
+       risk=st.sampled_from(["euclidean", "sum"]), radius=st.floats(1.0, 1e8),
+       data=st.data())
+def test_angular_classify_counts_the_bounds_below_each_angle(num_cells, custom, risk, radius,
+                                                            data):
+    # 1 + the number of interior bounds strictly below the angle is the
+    # left-sided searchsorted cell, for angles on every bound (0 and pi/2
+    # included), between them, and on the axes.
+    if custom:
+        inner = data.draw(st.lists(st.floats(1e-9, math.pi / 2 - 1e-9), min_size=num_cells - 1,
+                                   max_size=num_cells - 1, unique=True))
+        part = make_angular_partition(risk, num_cells, angles=[0.0, *sorted(inner), math.pi / 2])
+    else:
+        part = make_angular_partition(risk, num_cells)
+    drawn = data.draw(st.lists(st.floats(0.0, math.pi / 2), max_size=40))
+    points = [point_at_angle(a, radius) for a in [*part.angles, *drawn]]
+    pts = np.array([p for p in points if p is not None] + [(radius, 0.0), (0.0, radius)])
+    ang = np.arctan2(pts[:, 1], pts[:, 0])
+    assert ang.min() == 0.0 and ang.max() == math.pi / 2
+    want = np.searchsorted(np.asarray(part.angles[1:-1]), ang, side="left") + 1
+    assert np.array_equal(part.classify(pts), want)
+    assert np.array_equal(part.classify(pts.reshape(-1, 1, 2))[:, 0], want)
+
+
+@pytest.mark.parametrize("num_cells", [255, 256, 1000])
+def test_angular_classify_past_one_byte_of_cells(num_cells):
+    # Cell indices beyond 255 need a wider counter than uint8.
+    part = make_angular_partition("euclidean", num_cells)
+    ang = np.concatenate([np.asarray(part.angles), np.linspace(0.0, math.pi / 2, 5001)])
+    pts = 2.0 * np.column_stack([np.cos(ang), np.sin(ang)])
+    want = np.searchsorted(np.asarray(part.angles[1:-1]),
+                           np.arctan2(pts[:, 1], pts[:, 0]), side="left") + 1
+    cells = part.classify(pts)
+    assert cells.dtype == np.int64 and cells.max() == num_cells
+    assert np.array_equal(cells, want)
 
 
 def brute_force_cells(data, partition, k_n):
@@ -349,3 +400,72 @@ def test_nested_k_sharing_a_tied_threshold():
         threshold, exceed = scaled[part.risk, k_n]
         assert threshold == 6.0
         assert np.array_equal(exceed, points[tied_rows[-k_n:]] / 6.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 80), samples=st.integers(1, 3),
+       grid=st.sampled_from([0.0, 0.5, 1.0]),
+       state=st.sampled_from(["pareto", "pseudo"]), data=st.data())
+def test_count_cells_tuple_matches_per_sample_calls(seed, n, samples, grid, state, data):
+    # Max, min and angular partitions at nested k, on tied grid points too:
+    # the tuple form counts every sample in one pass, each as counted alone.
+    stream = RngStream(seed)
+    sources = []
+    for _ in range(samples):
+        points = 1.0 / (1.0 - stream.uniform((n, 2)))
+        if grid:
+            points = 1.0 + grid * np.floor(points / grid)
+        sources.append(Sample(points, state))
+    targets = data.draw(st.lists(st.tuples(st.sampled_from(MIXED_PARTITIONS),
+                                           st.integers(1, n - 1)), min_size=1, max_size=6))
+    batched = count_cells(tuple(sources), targets)
+    assert len(batched) == samples
+    for source, cells in zip(sources, batched):
+        alone = count_cells(source, targets)
+        assert len(cells) == len(alone) == len(targets)
+        for got, want in zip(cells, alone):
+            assert np.array_equal(got.counts, want.counts)
+            assert got.threshold == want.threshold and type(got.threshold) is float
+            assert got.k_n == want.k_n
+
+
+class TestCountCellsForms:
+    def _sample(self, n, seed=41, state="pareto"):
+        return Sample(1.0 / (1.0 - RngStream(seed).uniform((n, 2))), state)
+
+    def test_single_sample_returns_one_flat_list(self):
+        targets = [(make_max_partition(2), 10), (make_angular_partition("euclidean", 5), 20)]
+        cells = count_cells(self._sample(100), targets)
+        assert isinstance(cells, list) and len(cells) == 2
+        assert all(type(c) is CellProbabilities for c in cells)
+        [nested] = count_cells((self._sample(100),), targets)
+        for got, want in zip(nested, cells):
+            assert np.array_equal(got.counts, want.counts) and got.threshold == want.threshold
+
+    def test_tied_samples_at_nested_k(self):
+        # Integer-grid points, as in test_nested_k_sharing_a_tied_threshold,
+        # beside a copy read in reverse row order: ties at the threshold pick
+        # different rows in each.
+        points = 1.0 + np.floor(RngStream(5).uniform((200, 2)) * 6.0)
+        pair = (Sample(points, "pareto"), Sample(points[::-1], "pseudo"))
+        targets = [(make_max_partition(2), 30), (make_min_partition(2), 30),
+                   (make_max_partition(2), 20), (make_angular_partition("sum", 3), 45)]
+        for source, cells in zip(pair, count_cells(pair, targets)):
+            for got, want in zip(cells, count_cells(source, targets)):
+                assert np.array_equal(got.counts, want.counts)
+                assert got.threshold == want.threshold
+
+    @pytest.mark.parametrize("sources, error", [
+        (lambda s: (s(50), s(51)), ShapeError),
+        (lambda s: (s(50), Sample(np.ones((50, 3)) + 1.0, "pareto")), ShapeError),
+        (lambda s: (s(50), Sample(np.full((50, 2), 0.5))), DomainError),
+        (lambda s: (Sample(np.full((50, 2), 0.5)), s(50)), DomainError),
+        (lambda s: (s(10), s(10)), DomainError),
+        (lambda s: (), ShapeError),
+    ])
+    def test_bad_tuples_raise_before_counting(self, sources, error):
+        # Mixed sizes or dimensions, a raw sample, k >= n and no sample at all.
+        targets = [(make_max_partition(2), 5), (make_angular_partition("euclidean", 4), 10)]
+        with mock.patch.object(partitions, "cell_counts", side_effect=AssertionError("counted")):
+            with pytest.raises(error):
+                count_cells(sources(self._sample), targets)

@@ -1,10 +1,10 @@
 """Shared study repetitions against the per-grid-point definitions.
 
-A study repetition counts each sample once over all of its grid points and
-calibrates them through one multi-target bootstrap, and the null-histogram
-study draws each fresh pair once for both margin modes. The oracles below
-are the loops these replaced: each repetition's samples drawn and
-standardized on their own, one single-target count and calibration per grid
+A study repetition counts both of its samples in one pass over all of its
+grid points and calibrates them through one multi-target bootstrap, and the
+null-histogram study draws each fresh pair once for both margin modes. The
+oracles below are the loops these replaced: each repetition's samples drawn
+and standardized on their own, one single-target count and calibration per grid
 point, every grid point on the repetition's own bootstrap stream, and one
 fresh pair drawn per replicate and per margin mode. Every number must agree
 bit for bit.
@@ -12,6 +12,7 @@ bit for bit.
 
 import inspect
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -144,6 +145,18 @@ class TestGridRowsMatchPerPointLoop:
         plan = K_plan(margins, risk="l1", K_grid=(3, 7))
         assert np.array_equal(experiments._study_rep((plan, 0)),
                               reference_k_sensitivity_rep(plan, 0))
+
+
+@pytest.mark.parametrize("study, make_plan", [(size_power_study, k_plan),
+                                               (k_sensitivity_study, K_plan)])
+def test_one_count_per_repetition_and_targets_once_per_plan(study, make_plan):
+    plan = make_plan("known", repetitions=3)
+    with mock.patch.object(experiments, "count_cells", wraps=experiments.count_cells) as count, \
+            mock.patch.object(experiments, "_targets", wraps=experiments._targets) as build:
+        curve = study(plan)
+    assert build.call_count == 0
+    assert [len(call.args[0]) for call in count.call_args_list] == [2] * plan.repetitions
+    assert curve == study(plan)
 
 
 class TestMultiTargetBootstrap:
